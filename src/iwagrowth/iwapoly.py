@@ -1,19 +1,19 @@
 """Polynomial arithmetic in Lambda = Z_p[[X]] truncated to polynomials.
 
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
-Phi_n = omega_n / omega_(n-1), evaluation at eps_n = zeta_(p^n) - 1 inside the
-totally ramified quotient Z_p[X]/Phi_n, the eps_n-adic valuation there, and
-mu/lambda extraction.  Coefficients are exact arbitrary-size integers; a
-polynomial may optionally carry a p^N reduction flag, in which case every
-operation stays at (the minimum of) the working moduli and precision loss is
-reported by raising, never by silent truncation.
+Phi_n = omega_n / omega_(n-1), both read off binomial rows, evaluation at
+eps_n = zeta_(p^n) - 1 inside the totally ramified quotient Z_p[X]/Phi_n, the
+eps_n-adic valuation there (read off the reduced representative's
+coefficients), and mu/lambda extraction.  Coefficients are exact
+arbitrary-size integers; a polynomial may optionally carry a p^N reduction
+flag, in which case every operation stays at (the minimum of) the working
+moduli and precision loss is reported by raising, never by silent truncation.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import comb
 
 from .errors import (
     NonUnitLeadingCoefficient,
@@ -22,7 +22,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
-from .polyres import resultant
 
 
 @dataclass(frozen=True)
@@ -243,26 +242,42 @@ def totient(p: int, n: int) -> int:
     return p**n - p ** (n - 1) if n >= 1 else 1
 
 
+def _binomial_row(m: int) -> list[int]:
+    """[C(m, 0), ..., C(m, m)] by C(m, k+1) = C(m, k) * (m - k) / (k + 1),
+    each quotient exact; the row is symmetric, so half of it is computed."""
+    row = [1] * (m + 1)
+    c = 1
+    for k in range(m // 2):
+        c = c * (m - k) // (k + 1)
+        row[k + 1] = row[m - k - 1] = c
+    return row
+
+
 @functools.lru_cache(maxsize=None)
 def omega(p: int, n: int) -> IwaPoly:
     """omega_n = (1+X)^(p^n) - 1; omega_0 = X."""
     if n < 0:
         raise ValidationError("n must be >= 0")
-    q = p**n
-    coeffs = [comb(q, k) for k in range(q + 1)]
+    coeffs = _binomial_row(p**n)
     coeffs[0] = 0
     return IwaPoly(p, tuple(coeffs))
 
 
 @functools.lru_cache(maxsize=None)
 def phi_poly(p: int, n: int) -> IwaPoly:
-    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n)."""
+    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).
+
+    Uses Phi_n = sum_{i=0}^{p-1} (1+X)^(i*p^(n-1)) (the geometric sum of
+    Y = (1+X)^(p^(n-1)) over Y - 1), so it is p binomial rows added up.
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    # Phi_n = sum_{i=0}^{p-1} (1+X)^(i*p^(n-1)); computed as the exact quotient
-    q, r = divmod(omega(p, n), omega(p, n - 1))
-    assert r.is_zero
-    return q
+    q = p ** (n - 1)
+    coeffs = [0] * ((p - 1) * q + 1)
+    for i in range(p):
+        for k, c in enumerate(_binomial_row(i * q)):
+            coeffs[k] += c
+    return IwaPoly(p, tuple(coeffs))
 
 
 def eval_at_eps(f: IwaPoly, n: int) -> CycloElement:
@@ -275,9 +290,11 @@ def eval_at_eps(f: IwaPoly, n: int) -> CycloElement:
 def ord_eps(e: CycloElement) -> ExtendedRational:
     """eps_n-adic valuation, normalized so ord(eps_n) = 1 (= totient * ord_p).
 
-    The extension is totally ramified of degree phi(p^n), so the valuation of
-    a nonzero element equals ord_p of its norm, computed as the resultant
-    Res(Phi_n, rep) over exact integers.
+    Z_p[eps_n] is totally ramified of degree e = phi(p^n) and eps_n is a
+    uniformizer (Serre, Local Fields, I.6).  For a representative
+    sum c_i eps_n^i with i < e, the term valuations e*ord_p(c_i) + i are
+    distinct mod e, so no cancellation is possible and the valuation is
+    their minimum.  It equals ord_p of the norm Res(Phi_n, rep).
     """
     rep = e.rep
     phi_deg = totient(e.prime, e.level)
@@ -287,9 +304,8 @@ def ord_eps(e: CycloElement) -> ExtendedRational:
                 f"element vanishes mod {e.prime}^{rep.mod_prec}: ord only bounded below"
             )
         return INF
-    res = resultant(phi_poly(e.prime, e.level).coeffs, rep.coeffs)
-    assert res != 0  # Phi_n is irreducible and deg rep < deg Phi_n
-    v = int_valuation(res, e.prime)
+    v = min(phi_deg * int_valuation(c, e.prime) + i
+            for i, c in enumerate(rep.coeffs) if c)
     if rep.mod_prec is not None and v >= rep.mod_prec * phi_deg:
         raise PrecisionExhausted(
             f"ord {v} reaches the modulus bound {rep.mod_prec}*{phi_deg}"

@@ -3,7 +3,8 @@
 Each check_* function exercises its full default grid, intersected with the
 primes in p_list and capped at n_max, and returns a CriterionResult.  The
 grids are deterministic given the seed; changing the seed changes the random
-fixtures but must not change pass/fail.
+fixtures but must not change pass/fail.  A criterion that ran no case (for
+example because none of its primes is in p_list) fails.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ from .lattice import h_u_map, in_image, witness
 from .lattice import cross_identity_check
 from .logmat import (
     LocalCurveData,
+    c_matrix,
     det_structure_check,
+    h_matrix,
     m_convergence_gap,
     valuation_matrix,
     valuation_matrix_closed_form,
@@ -52,7 +55,7 @@ class CriterionResult:
 def _curve_grid(p_list, n_max):
     """(data, n) pairs of the valuation-table grid."""
     grid = []
-    for p, avs, cap in ((3, (0, 3, -3), 5), (5, (0,), 3), (7, (0,), 3)):
+    for p, avs, cap in ((3, (0, 3, -3), 6), (5, (0,), 4), (7, (0,), 4)):
         if p not in p_list:
             continue
         for av in avs:
@@ -65,9 +68,12 @@ def _curve_grid(p_list, n_max):
 def _finish(number, name, failures, count, t0):
     if failures:
         detail = f"{len(failures)} of {count} cases failed; first: {failures[0]}"
+    elif count == 0:
+        detail = "0 cases: nothing in the grid was run"
     else:
         detail = f"{count} cases"
-    return CriterionResult(number, name, not failures, detail, time.time() - t0)
+    return CriterionResult(number, name, count > 0 and not failures, detail,
+                           time.time() - t0)
 
 
 def check_valuation_tables(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
@@ -87,6 +93,11 @@ def check_matrix_structure(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionR
     failures, count = [], 0
     for data, n in _curve_grid(p_list, n_max):
         count += 1
+        # the grid climbs n = 1, 2, ... for each curve: prod = C_n...C_1
+        prod = c_matrix(data, n) if n == 1 else c_matrix(data, n) * prod
+        if h_matrix(data, n) != prod:
+            failures.append(f"p={data.prime} av={data.a_v} n={n}: H differs from the C product")
+            continue
         rep = det_structure_check(data, n)
         if not rep.passed:
             failures.append(f"p={data.prime} av={data.a_v} n={n}: {rep.failures[0]}")
@@ -201,6 +212,8 @@ def check_growth_closed_forms(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> Criteri
 def check_growth_composition(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
     t0 = time.time()
     failures = []
+    if 3 not in p_list:
+        return _finish(7, "growth composition", failures, 0, t0)
     sc = GrowthScenario(3, (SsPrime(2, 0),), mu_sigma=0, lambda_sigma=5,
                         mu_tau=0, lambda_tau=5, r_inf=2, base_n0=0, base_e0=0)
     if sha_delta(sc, 3) != 15:
@@ -222,7 +235,7 @@ def check_growth_composition(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> Criterio
 def check_convergence_gaps(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
     t0 = time.time()
     failures, count = [], 0
-    for av in (0, 3):
+    for av in (0, 3) if 3 in p_list else ():
         data = LocalCurveData(3, av)
         gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(5, n_max) + 1)]
         for a, b in zip(gaps, gaps[1:]):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -44,6 +47,19 @@ class TestValmat:
     def test_even_entry(self, capsys):
         _, out, _ = run(capsys, "valmat", "--p", "5", "--av", "0", "--n", "2")
         assert json.loads(out)["computed"]["entries"][0][0] == "1/5"
+
+    def test_level_7_finishes(self):
+        # Phi_7 has degree 1458 at p = 3: the valuations must not go through
+        # a norm resultant against it.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwagrowth.cli", "valmat",
+             "--p", "3", "--av", "3", "--n", "7"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["agree"] is True
 
 
 class TestKobrank:
@@ -166,6 +182,15 @@ class TestSelfcheck:
     def test_n_max_zero_exits_2(self, capsys):
         code, _, _ = run(capsys, "selfcheck", "--n-max", "0")
         assert code == 2
+
+    def test_no_cases_is_not_a_pass(self, capsys):
+        # no criterion has a grid point at p = 11
+        code, out, _ = run(capsys, "selfcheck", "--p", "11", "--n-max", "3")
+        assert code == 1
+        lines = out.strip().splitlines()
+        assert len(lines) == 8
+        assert not any("PASS" in line for line in lines)
+        assert all("FAIL" in line and "0 cases" in line for line in lines)
 
 
 def test_round_trip_payloads(capsys):

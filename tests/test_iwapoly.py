@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,8 @@ from iwagrowth.iwapoly import (
     phi_poly,
     totient,
 )
+from iwagrowth.padic import ExtendedRational, int_valuation
+from iwagrowth.polyres import resultant
 
 
 class TestIwaPoly:
@@ -78,6 +81,7 @@ def test_totient():
 def test_omega_and_phi():
     assert omega(3, 0) == IwaPoly.x(3)
     assert omega(3, 1) == IwaPoly(3, (0, 3, 3, 1))
+    assert omega(7, 2).coeffs == (0,) + tuple(comb(49, k) for k in range(1, 50))
     phi1 = phi_poly(3, 1)
     assert phi1 == IwaPoly(3, (3, 3, 1))
     # Eisenstein: constant term p, middle coefficients divisible by p, monic
@@ -87,10 +91,11 @@ def test_omega_and_phi():
         assert phi.coeff(0) == p and phi.coeffs[-1] == 1
         assert all(c % p == 0 for c in phi.coeffs[:-1])
     # telescoping product: X * Phi_1 * ... * Phi_n = omega_n
-    acc = omega(3, 0)
-    for m in (1, 2, 3):
-        acc = acc * phi_poly(3, m)
-        assert acc == omega(3, m)
+    for p in (3, 5, 7):
+        acc = omega(p, 0)
+        for m in (1, 2, 3):
+            acc = acc * phi_poly(p, m)
+            assert acc == omega(p, m)
 
 
 def test_ord_eps_uniformizer():
@@ -117,6 +122,37 @@ def test_ord_eps_modular_zero_raises():
     e = eval_at_eps(IwaPoly.const(3, 9, mod_prec=2), 1)
     with pytest.raises(PrecisionExhausted):
         ord_eps(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=12),
+    st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
+    st.booleans(),
+)
+def test_ord_eps_is_ord_of_norm(p, n, coeffs, mod_prec, vanish):
+    """ord_eps agrees with ord_p Res(Phi_n, rep), the norm of the element."""
+    f = IwaPoly(p, tuple(coeffs))
+    if vanish:  # a multiple of Phi_n, or a polynomial that is 0 mod p^N
+        f = f * phi_poly(p, n) if mod_prec is None else f.scale(p**mod_prec)
+    if mod_prec is not None:
+        f = f.with_modulus(mod_prec)
+    e = eval_at_eps(f, n)
+    if e.rep.is_zero:
+        if mod_prec is None:
+            assert ord_eps(e).is_infinite
+        else:
+            with pytest.raises(PrecisionExhausted):
+                ord_eps(e)
+        return
+    v = int_valuation(resultant(phi_poly(p, n).coeffs, e.rep.coeffs), p)
+    if mod_prec is not None and v >= mod_prec * totient(p, n):
+        with pytest.raises(PrecisionExhausted):
+            ord_eps(e)
+    else:
+        assert ord_eps(e) == ExtendedRational(v)
 
 
 def test_mu_lambda():

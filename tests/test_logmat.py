@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from iwagrowth.errors import ValidationError
-from iwagrowth.iwapoly import IwaPoly, omega, phi_poly
+from iwagrowth.iwapoly import IwaPoly, eval_at_eps, omega, ord_eps, phi_poly, totient
 from iwagrowth.logmat import (
     FLAT,
     SHARP,
     LocalCurveData,
     LogMatrix2,
+    StructureReport,
     ValuationMatrix,
     c_matrix,
     det_structure_check,
@@ -88,6 +89,39 @@ def test_det_structure_negative_control():
     assert not rep.passed and rep.failures
 
 
+def _full_det_report(d, n, h):
+    """The determinant rule with no cancellation: det H against omega_n / X,
+    then the two second-row entries against -Phi_n times row 1 of H_(n-1)."""
+    p = d.prime
+    failures = []
+    if h.det() != omega(p, n) // omega(p, 0):
+        failures.append("det != omega_n/X")
+    ps, pf = h_entries(d, n - 1)
+    phi = phi_poly(p, n)
+    if h[1, 0] != -(phi * ps):
+        failures.append("entry (1,0) != -Phi_n * H_sharp(n-1)")
+    if h[1, 1] != -(phi * pf):
+        failures.append("entry (1,1) != -Phi_n * H_flat(n-1)")
+    return StructureReport(not failures, failures)
+
+
+def test_det_structure_matches_full_determinant_rule():
+    # H itself, H with its rows swapped, and H with one entry bumped by 1
+    for p, av, n in ((3, 0, 1), (3, 0, 4), (3, 3, 3), (3, -3, 4), (5, 0, 2), (7, 0, 2)):
+        d = LocalCurveData(p, av)
+        h = h_matrix(d, n)
+        one = IwaPoly.const(p, 1)
+        variants = [h, LogMatrix2((h.entries[1], h.entries[0]))]
+        for i in range(2):
+            for j in range(2):
+                rows = [list(row) for row in h.entries]
+                rows[i][j] = rows[i][j] + one
+                variants.append(LogMatrix2(tuple(tuple(r) for r in rows)))
+        for v in variants:
+            assert det_structure_check(d, n, h=v) == _full_det_report(d, n, v)
+        assert det_structure_check(d, n, h=h).passed
+
+
 def test_m_matrix_example():
     # p=3, a_v=0, n=1: M = 3^-2 * [[0, -3], [3*Phi_1, 0]]
     m = m_matrix(LocalCurveData(3, 0), 1)
@@ -133,6 +167,21 @@ def test_closed_form_matches_computed():
                 valuation_matrix_closed_form(d, n).entries
 
 
+def test_valuation_matrix_matches_every_entry_of_h():
+    # valuation_matrix values the first row only; reducing all four entries
+    # of H mod Phi_n must give the same table.
+    for p, av, nmax in ((3, 0, 5), (3, 3, 4), (5, 0, 3), (7, 0, 2)):
+        d = LocalCurveData(p, av)
+        for n in range(1, nmax + 1):
+            h = h_matrix(d, n)
+            e = totient(p, n)
+            full = tuple(
+                tuple(INF if (o := ord_eps(eval_at_eps(h[i, j], n))).is_infinite
+                      else ExtendedRational(Fraction(o.value, e)) for j in range(2))
+                for i in range(2))
+            assert valuation_matrix(d, n).entries == full
+
+
 def test_valuation_matrix_json_round_trip():
     vm = valuation_matrix(LocalCurveData(3, 0), 2)
     assert ValuationMatrix.from_json(vm.to_json()).entries == vm.entries
@@ -157,3 +206,21 @@ def test_convergence_gap_monotone():
 def test_convergence_gap_validation():
     with pytest.raises(ValidationError):
         m_convergence_gap(LocalCurveData(3, 0), 0, 5)
+
+
+def test_selfcheck_compares_h_with_the_c_product(monkeypatch):
+    from iwagrowth import selfcheck
+
+    real = selfcheck.h_matrix
+
+    def off_by_one(data, n):
+        h = real(data, n)
+        if n < 3:
+            return h
+        bumped = h[0, 0] + IwaPoly.const(data.prime, 1)
+        return LogMatrix2(((bumped, h[0, 1]), h.entries[1]))
+
+    monkeypatch.setattr(selfcheck, "h_matrix", off_by_one)
+    result = selfcheck.check_matrix_structure(p_list=(3,), n_max=3)
+    assert not result.passed
+    assert "3 of 9 cases failed" in result.detail and "C product" in result.detail
