@@ -52,7 +52,7 @@ from .kobayashi import (
     nabla_resultant_oracle,
     nabla_snf_oracle,
 )
-from .lattice import LatticePair, cross_identity_check, h_u_map, in_image, witness
+from .lattice import LatticePair, h_u_map, in_image, witness
 from .logmat import (
     FLAT,
     SHARP,
@@ -61,6 +61,7 @@ from .logmat import (
     StructureReport,
     ValuationMatrix,
     c_matrix,
+    cross_identity_check,
     det_structure_check,
     h_entries,
     h_matrix,

@@ -56,18 +56,11 @@ def _emit(payload, pretty: bool):
         print(json.dumps(payload))
 
 
-def _parse_coeffs(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, label: str) -> tuple[int, ...]:
     try:
         return tuple(int(c.strip()) for c in text.split(","))
     except ValueError as exc:
-        raise ValidationError(f"bad coefficient list {text!r}: {exc}")
-
-
-def _parse_primes(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c.strip()) for c in text.split(","))
-    except ValueError as exc:
-        raise ValidationError(f"bad prime list {text!r}: {exc}")
+        raise ValidationError(f"bad {label} list {text!r}: {exc}")
 
 
 def cmd_logmat(args) -> int:
@@ -99,7 +92,7 @@ _METHOD_MAP = {
 
 
 def cmd_kobrank(args) -> int:
-    f = IwaPoly(args.p, _parse_coeffs(args.f))
+    f = IwaPoly(args.p, _parse_ints(args.f, "coefficient"))
     tower = TowerOfQuotients(f)
     if args.methods == "all":
         methods = list(_METHOD_MAP)
@@ -151,7 +144,7 @@ def cmd_growth(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    ok = run_selfcheck(p_list=_parse_primes(args.p), n_max=args.n_max, seed=args.seed)
+    ok = run_selfcheck(p_list=_parse_ints(args.p, "prime"), n_max=args.n_max, seed=args.seed)
     return EXIT_OK if ok else 1
 
 

@@ -13,7 +13,19 @@ from fractions import Fraction
 
 from .errors import InfiniteTerm, NonIntegerResult, NotAvZero, ValidationError
 from .iwapoly import totient
-from .logmat import FLAT, SHARP, LocalCurveData, signature
+from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
+
+
+def _require_object(value, name: str) -> None:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+
+
+def _require_int(value, name: str) -> int:
+    """value when it is an integer; bool, float and str are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -32,7 +44,8 @@ class SsPrime:
 
     @classmethod
     def from_json(cls, d: dict) -> "SsPrime":
-        return cls(d["degree"], d["a_v"])
+        _require_object(d, "ss_primes entry")
+        return cls(_require_int(d["degree"], "degree"), _require_int(d["a_v"], "a_v"))
 
 
 @dataclass(frozen=True)
@@ -100,19 +113,20 @@ class GrowthScenario:
 
     @classmethod
     def from_json(cls, d: dict) -> "GrowthScenario":
+        _require_object(d, "scenario")
         base = d.get("base", {"n0": 0, "e0": 0})
         return cls(
-            prime=d["p"],
+            prime=_require_int(d["p"], "p"),
             ss_primes=tuple(SsPrime.from_json(w) for w in d["ss_primes"]),
             sigma=tuple(d["sigma"]) if d.get("sigma") is not None else None,
             tau=tuple(d["tau"]) if d.get("tau") is not None else None,
-            mu_sigma=d.get("mu_sigma", 0),
-            lambda_sigma=d.get("lambda_sigma", 0),
-            mu_tau=d.get("mu_tau", 0),
-            lambda_tau=d.get("lambda_tau", 0),
-            r_inf=d.get("r_inf", 0),
-            base_n0=base["n0"],
-            base_e0=base["e0"],
+            mu_sigma=_require_int(d.get("mu_sigma", 0), "mu_sigma"),
+            lambda_sigma=_require_int(d.get("lambda_sigma", 0), "lambda_sigma"),
+            mu_tau=_require_int(d.get("mu_tau", 0), "mu_tau"),
+            lambda_tau=_require_int(d.get("lambda_tau", 0), "lambda_tau"),
+            r_inf=_require_int(d.get("r_inf", 0), "r_inf"),
+            base_n0=_require_int(base["n0"], "base.n0"),
+            base_e0=_require_int(base["e0"], "base.e0"),
         )
 
 
@@ -122,30 +136,17 @@ def _require_places(sc: GrowthScenario) -> list[LocalCurveData]:
     return sc.local_data()
 
 
-def _weighted_sum(sc: GrowthScenario, n: int, sharp_first: bool) -> int:
-    """phi(p^n) times the degree-weighted valuation sum at level n.
-
-    sharp_first selects the odd-level shape (sharp entries carry r_v plus the
-    even-exponent tail) versus the even-level shape (flat entries do).
-    """
+def _weighted_sum(sc: GrowthScenario, n: int) -> int:
+    """phi(p^n) times the degree-weighted valuation sum at level n: each
+    place contributes its first-row closed-form entry (logmat.parity_tails)
+    in the column of its sign."""
     p = sc.prime
     places = _require_places(sc)
     signs = sc.signs(n)
-    if sharp_first:
-        half = (n - 1) // 2
-        carries_rv = SHARP
-        rv_terms = half
-        tail_terms = half
-    else:
-        half = n // 2
-        carries_rv = FLAT
-        rv_terms = half - 1
-        tail_terms = half
-    even_tail = sum(Fraction(1, p ** (2 * i)) for i in range(1, rv_terms + 1))
-    odd_tail = sum(Fraction(1, p ** (2 * i - 1)) for i in range(1, tail_terms + 1))
+    carrier, even_tail, odd_tail = parity_tails(p, n)
     total = Fraction(0)
     for w, data, s in zip(sc.ss_primes, places, signs):
-        if s == carries_rv:
+        if s == carrier:
             r_v = data.r_v
             if r_v.is_infinite:
                 raise InfiniteTerm(
@@ -164,14 +165,14 @@ def s_term(sc: GrowthScenario, n: int) -> int:
     """The odd-level term S(sigma, n)."""
     if n < 1 or n % 2 == 0:
         raise ValidationError("n must be odd and >= 1")
-    return _weighted_sum(sc, n, sharp_first=True)
+    return _weighted_sum(sc, n)
 
 
 def t_term(sc: GrowthScenario, n: int) -> int:
     """The even-level term T(tau, n)."""
     if n < 2 or n % 2 == 1:
         raise ValidationError("n must be even and >= 2")
-    return _weighted_sum(sc, n, sharp_first=False)
+    return _weighted_sum(sc, n)
 
 
 def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
@@ -188,14 +189,22 @@ def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
     return sum(w.degree for w in sc.ss_primes) * tail
 
 
+def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
+    """(S or T, phi(p^n)*mu, lambda, delta) at level n >= 1, with the
+    invariants of n's parity."""
+    if n % 2 == 1:
+        term, mu, lam = s_term(sc, n), sc.mu_sigma, sc.lambda_sigma
+    else:
+        term, mu, lam = t_term(sc, n), sc.mu_tau, sc.lambda_tau
+    phi_mu = totient(sc.prime, n) * mu
+    return term, phi_mu, lam, term + phi_mu + lam - sc.r_inf
+
+
 def sha_delta(sc: GrowthScenario, n: int) -> int:
     """Predicted e(Sha at level n) - e(Sha at level n-1); asymptotic in n."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    phi = totient(sc.prime, n)
-    if n % 2 == 1:
-        return s_term(sc, n) + phi * sc.mu_sigma + sc.lambda_sigma - sc.r_inf
-    return t_term(sc, n) + phi * sc.mu_tau + sc.lambda_tau - sc.r_inf
+    return _level(sc, n)[3]
 
 
 @dataclass(frozen=True)
@@ -233,17 +242,12 @@ def sha_table(sc: GrowthScenario, n_max: int) -> list[TableRow]:
     rows = []
     cum = sc.base_e0
     for n in range(sc.base_n0 + 1, n_max + 1):
-        odd = n % 2 == 1
-        term = s_term(sc, n) if odd else t_term(sc, n)
-        mu = sc.mu_sigma if odd else sc.mu_tau
-        lam = sc.lambda_sigma if odd else sc.lambda_tau
-        phi_mu = totient(sc.prime, n) * mu
-        delta = term + phi_mu + lam - sc.r_inf
+        term, phi_mu, lam, delta = _level(sc, n)
         cum += delta
         warning = None
         if cum < 0:
             warning = f"cumulative exponent {cum} is negative: inconsistent inputs"
-        rows.append(TableRow(n, "odd" if odd else "even", term, phi_mu, lam,
+        rows.append(TableRow(n, "odd" if n % 2 == 1 else "even", term, phi_mu, lam,
                              sc.r_inf, delta, cum, warning))
     return rows
 
@@ -282,10 +286,10 @@ def validate_scenario(sc: GrowthScenario) -> ScenarioReport:
         default_sigma = tuple(signature(d, 1) for d in places)
         default_tau = tuple(signature(d, 2) for d in places)
         for parity, vec in (1, sc.sigma or default_sigma), (2, sc.tau or default_tau):
-            carries_rv = SHARP if parity == 1 else FLAT
+            carrier = parity_tails(sc.prime, parity)[0]
             which = "sigma" if parity == 1 else "tau"
             for i, (d, s) in enumerate(zip(places, vec)):
-                if s == carries_rv and d.r_v.is_infinite:
+                if s == carrier and d.r_v.is_infinite:
                     violations.append(
                         f"{which}[{i}] = {s} needs finite ord_p(a_v) but a_v = {d.a_v}"
                     )

@@ -215,19 +215,6 @@ class CycloElement:
         if self.rep.degree >= totient(self.prime, self.level):
             raise ValidationError("representative not reduced mod Phi_n")
 
-    def __add__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
-        return CycloElement(self.prime, self.level, self.rep + other.rep)
-
-    def __mul__(self, other: "CycloElement") -> "CycloElement":
-        self._check(other)
-        phi = phi_poly(self.prime, self.level)
-        return CycloElement(self.prime, self.level, (self.rep * other.rep) % phi)
-
-    def _check(self, other: "CycloElement"):
-        if (self.prime, self.level) != (other.prime, other.level):
-            raise ValidationError("mixed cyclotomic levels")
-
 
 @dataclass(frozen=True)
 class WeierstrassData:

@@ -5,9 +5,11 @@ Three routes that must agree on finite towers:
 * closed form: ord_eps of f(eps_n), scaled by the coefficient-ring degree;
 * resultant oracle: first differences of ord_p Res(f, omega_n), using that
   the tower module has size p^(ord_p Res);
-* elementary-divisor oracle: the kernel/cokernel lengths of the projection
-  between consecutive levels, read off from valuation-pivot elimination of
-  multiplication-by-f lattices over Z/p^N.
+* elementary-divisor oracle: the kernel minus the cokernel length of the
+  projection between consecutive levels.  That difference is e_n - e_(n-1),
+  the size exponents of Lambda/(f, omega_n) read off from valuation-pivot
+  elimination of the multiplication-by-f lattices over Z/p^N; no resultant
+  is involved.
 """
 
 from __future__ import annotations
@@ -177,13 +179,19 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int, prec: int | None = None) -> Na
     """length ker pi - length coker pi for pi: Lambda/(f, omega_n) ->
     Lambda/(f, omega_(n-1)), via elementary divisors over Z/p^prec.
 
-    length ker is read from the cokernel of the augmented lattice
-    (f, omega_(n-1)) inside Z[X]/omega_n; the cokernel length of pi comes out
-    as a consistency difference (the projection is surjective, so it is 0).
+    With e_m the size exponent of Lambda/(f, omega_m), length ker pi =
+    e_n - e_aug and length coker pi = e_prev - e_aug, where e_aug is the size
+    exponent of the image of the augmented lattice (f, omega_(n-1)) inside
+    Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
+    the augmented lattice is never eliminated.  Lambda/(f, omega_(n-1)) is a
+    quotient of Lambda/(f, omega_n), so once the level-n elimination finishes
+    at p^prec the level-(n-1) one cannot exhaust that precision.
     With prec=None the modulus is grown adaptively.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    if prec is not None and prec < 1:
+        raise ValidationError("precision must be >= 1")
     f = t.f
     if f.mod_prec is not None:
         f = f.lift()
@@ -195,17 +203,11 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int, prec: int | None = None) -> Na
     for pr in precisions:
         try:
             e_n = _module_size_exponent(f, n, p, pr)
-            aug = _mult_matrix_columns(f, n) + _mult_matrix_columns(
-                omega(p, n - 1), n
-            )
-            e_aug = sum(elementary_divisor_valuations(aug, p, pr))
-            e_prev = _module_size_exponent(f, n - 1, p, pr)
         except PrecisionExhausted as exc:
             last_exc = exc
             continue
-        length_ker = e_n - e_aug
-        length_coker = e_prev - e_aug
-        return NablaResult(n, t.coeff_degree * (length_ker - length_coker), SNF_ORACLE)
+        e_prev = _module_size_exponent(f, n - 1, p, pr)
+        return NablaResult(n, t.coeff_degree * (e_n - e_prev), SNF_ORACLE)
     raise last_exc
 
 

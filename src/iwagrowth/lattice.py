@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NonUnit, ValidationError
 from .iwapoly import IwaPoly, omega
-from .logmat import LocalCurveData, h_entries
+from .logmat import LocalCurveData, cross_identity_check, h_entries  # noqa: F401  (re-exported)
 from .padic import DEFAULT_PRECISION, PadicNumber, unit_from_int
 
 
@@ -104,25 +104,3 @@ def witness(data: LocalCurveData, n: int, u) -> LatticePair:
         -(x * flat),
         (x * sharp).scale(inv).with_modulus(uu.precision),
     )
-
-
-def cross_identity_check(data: LocalCurveData, n: int,
-                         sharp_n: IwaPoly | None = None,
-                         flat_n: IwaPoly | None = None):
-    """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly."""
-    from .logmat import StructureReport
-
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    p = data.prime
-    s_n, f_n = h_entries(data, n)
-    if sharp_n is not None:
-        s_n = sharp_n
-    if flat_n is not None:
-        f_n = flat_n
-    s_prev, f_prev = h_entries(data, n - 1)
-    lhs = -(s_n * f_prev) + f_n * s_prev
-    rhs = omega(p, n - 1) // omega(p, 0)
-    if lhs == rhs:
-        return StructureReport(True)
-    return StructureReport(False, [f"cross identity off by {str(lhs - rhs)}"])

@@ -167,6 +167,29 @@ def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return _first_row(data.prime, data.a_v, n)
 
 
+def cross_identity_check(data: LocalCurveData, n: int,
+                         sharp_n: IwaPoly | None = None,
+                         flat_n: IwaPoly | None = None) -> StructureReport:
+    """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly.
+
+    sharp_n and flat_n replace the level-n first row when given.
+    """
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    p = data.prime
+    s_n, f_n = h_entries(data, n)
+    if sharp_n is not None:
+        s_n = sharp_n
+    if flat_n is not None:
+        f_n = flat_n
+    s_prev, f_prev = h_entries(data, n - 1)
+    lhs = -(s_n * f_prev) + f_n * s_prev
+    rhs = omega(p, n - 1) // omega(p, 0)
+    if lhs == rhs:
+        return StructureReport(True)
+    return StructureReport(False, [f"cross identity off by {str(lhs - rhs)}"])
+
+
 def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     """H_(v,n) = C_(v,n)...C_(v,1); H_0 is the identity.
 
@@ -214,8 +237,8 @@ def det_structure_check(data: LocalCurveData, n: int,
     is checked first.  When it holds, det H = Phi_n * (H01 H_sharp(n-1) -
     H00 H_flat(n-1)) and omega_n / X = Phi_n * omega_(n-1) / X, so in the
     domain Z[X] the determinant identity is H01 H_sharp(n-1) - H00 H_flat(n-1)
-    = omega_(n-1) / X, a product of first-row-sized entries only.  When it
-    fails, the full determinant is compared.
+    = omega_(n-1) / X, which is cross_identity_check on the first row of h.
+    When the shape fails, the full determinant is compared.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -232,7 +255,7 @@ def det_structure_check(data: LocalCurveData, n: int,
     if shape:
         det_ok = h.det() == omega(p, n) // omega(p, 0)
     else:
-        det_ok = h[0, 1] * ps - h[0, 0] * pf == omega(p, n - 1) // omega(p, 0)
+        det_ok = cross_identity_check(data, n, h[0, 0], h[0, 1]).passed
     failures = ([] if det_ok else ["det != omega_n/X"]) + shape
     return StructureReport(not failures, failures)
 
@@ -257,23 +280,29 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     return ValuationMatrix((tuple(first), (INF, INF)))
 
 
+def parity_tails(p: int, n: int) -> tuple[str, Fraction, Fraction]:
+    """(carrier, even_tail, odd_tail): the parity-split closed form of the
+    first row of ord_p H_(v,n)(eps_n).
+
+    The carrier entry is sharp at odd n and flat at even n and equals
+    r_v + even_tail, even_tail = sum_(i=1..floor((n-1)/2)) p^(-2i); the
+    other entry is odd_tail = sum_(i=1..floor(n/2)) p^(-(2i-1)).
+    """
+    carrier = SHARP if n % 2 == 1 else FLAT
+    even_tail = sum((Fraction(1, p ** (2 * i)) for i in range(1, (n - 1) // 2 + 1)), Fraction(0))
+    odd_tail = sum((Fraction(1, p ** (2 * i - 1)) for i in range(1, n // 2 + 1)), Fraction(0))
+    return carrier, even_tail, odd_tail
+
+
 def valuation_matrix_closed_form(data: LocalCurveData, n: int) -> ValuationMatrix:
     """The parity-split closed form for ord_p(H_(v,n)(eps_n))."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = data.prime
-    r_v = data.r_v
-    even_sum = lambda m: sum(Fraction(1, p ** (2 * i)) for i in range(1, m + 1))  # noqa: E731
-    odd_sum = lambda m: sum(Fraction(1, p ** (2 * i - 1)) for i in range(1, m + 1))  # noqa: E731
-    if n % 2 == 1:
-        half = (n - 1) // 2
-        sharp = r_v + ExtendedRational(even_sum(half))
-        flat = ExtendedRational(odd_sum(half))
-    else:
-        half = n // 2
-        sharp = ExtendedRational(odd_sum(half))
-        flat = r_v + ExtendedRational(even_sum(half - 1))
-    return ValuationMatrix(((sharp, flat), (INF, INF)))
+    carrier, even_tail, odd_tail = parity_tails(data.prime, n)
+    rv_entry = data.r_v + ExtendedRational(even_tail)
+    other = ExtendedRational(odd_tail)
+    first = (rv_entry, other) if carrier == SHARP else (other, rv_entry)
+    return ValuationMatrix((first, (INF, INF)))
 
 
 def signature(data: LocalCurveData, n: int) -> str:

@@ -24,7 +24,6 @@ from .kobayashi import (
     nabla_snf_oracle,
 )
 from .lattice import h_u_map, in_image, witness
-from .lattice import cross_identity_check
 from .logmat import (
     LocalCurveData,
     c_matrix,
@@ -101,10 +100,6 @@ def check_matrix_structure(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionR
         rep = det_structure_check(data, n)
         if not rep.passed:
             failures.append(f"p={data.prime} av={data.a_v} n={n}: {rep.failures[0]}")
-            continue
-        rep = cross_identity_check(data, n)
-        if not rep.passed:
-            failures.append(f"p={data.prime} av={data.a_v} n={n}: {rep.failures[0]}")
     return _finish(2, "determinant and block structure", failures, count, t0)
 
 
@@ -141,14 +136,14 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
 def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> CriterionResult:
     t0 = time.time()
     failures, count = [], 0
-    for p in (3, 5):
+    for p, cap in ((3, 4), (5, 3), (7, 2)):
         if p not in p_list:
             continue
         rng = random.Random(seed * 1000003 + p)
         for _ in range(samples):
-            f = _random_coprime_poly(rng, p, 10, p**6, 3)
+            f = _random_coprime_poly(rng, p, 10, p**6, cap)
             tower = TowerOfQuotients(f)
-            for n in range(1, min(3, n_max) + 1):
+            for n in range(1, min(cap, n_max) + 1):
                 count += 1
                 a = nabla_closed_form(tower, n).value
                 b = nabla_resultant_oracle(tower, n).value

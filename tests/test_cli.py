@@ -164,6 +164,27 @@ class TestGrowth:
         assert code == 0 and "negative" in err
 
 
+@pytest.mark.parametrize("scenario, argv, named", [
+    ({"p": 3.0, "ss_primes": [{"degree": 2, "a_v": 0}]}, None, "p must be an integer"),
+    ({"p": 3, "ss_primes": [{"degree": 2.5, "a_v": 0}]}, None, "degree must be an integer"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": "0"}]}, None, "a_v must be an integer"),
+    ([], None, "scenario must be a JSON object"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "r_inf": True}, None,
+     "r_inf must be an integer"),
+    (None, ["kobrank", "--p", "3", "--f", "3", "--n", "2", "--methods", "snf_oracle",
+            "--prec", "0"], "precision must be >= 1"),
+], ids=["float_p", "float_degree", "string_a_v", "top_level_list", "bool_r_inf",
+        "kobrank_prec_0"])
+def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, argv, named):
+    if argv is None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["growth", "--scenario", str(path), "--n-max", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
 class TestSelfcheck:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--n-max", "2",

@@ -93,6 +93,8 @@ def test_snf_fixed_precision_can_exhaust():
     with pytest.raises(PrecisionExhausted):
         nabla_snf_oracle(t, 1, prec=2)
     assert nabla_snf_oracle(t, 1, prec=16).value == 4 * totient(3, 1)
+    with pytest.raises(ValidationError):
+        nabla_snf_oracle(t, 1, prec=0)
 
 
 def test_triple_agreement_random():
@@ -111,6 +113,19 @@ def test_triple_agreement_random():
             b = nabla_resultant_oracle(t, n).value
             c = nabla_snf_oracle(t, n).value
             assert a == b == c, (coeffs, n, a, b, c)
+
+
+@pytest.mark.parametrize("coeffs, expect", [
+    ((10, 7, 1), 1),
+    ((375, 5, 1), 2),
+    ((25, 0, 0, 1), 3),
+])
+def test_three_routes_agree_at_p5_level_4(coeffs, expect):
+    # Z[X]/omega_4 has rank 625 at p = 5: the elimination route must stay
+    # cheap enough for this to be a unit test.
+    t = TowerOfQuotients(IwaPoly(5, coeffs))
+    routes = (nabla_closed_form, nabla_resultant_oracle, nabla_snf_oracle)
+    assert [route(t, 4).value for route in routes] == [expect] * 3
 
 
 def test_asymptotic():
