@@ -4,12 +4,10 @@ logarithmic matrices and their valuation tables, signed Coleman image
 lattices, Kobayashi ranks, and Sha-growth predictions."""
 
 from .errors import (
-    AmbiguousSignature,
     DivisionByZero,
     IndeterminateValuation,
     InfiniteTerm,
     IwagrowthError,
-    NonIntegerResult,
     NonUnit,
     NonUnitLeadingCoefficient,
     NotAvZero,

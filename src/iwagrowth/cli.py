@@ -125,14 +125,13 @@ def cmd_growth(args) -> int:
     for r in rows:
         if r.warning:
             print(f"warning: n={r.n}: {r.warning}", file=sys.stderr)
+    fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
     if args.format == "csv":
-        fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
         writer = csv.DictWriter(sys.stdout, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
         for r in rows:
             writer.writerow(r.to_json())
     elif args.pretty:
-        fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
         print("  ".join(f"{h:>10}" for h in fields))
         for r in rows:
             d = r.to_json()
@@ -200,26 +199,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+# Exit code of each error class; any other IwagrowthError exits EXIT_VALIDATION.
+_EXIT_CODES = (
+    (PrecisionExhausted, EXIT_PRECISION),
+    (NotFinite, EXIT_PRECONDITION),
+    (PhiDividesF, EXIT_PRECONDITION),
+    (InfiniteTerm, EXIT_INFINITE),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except PrecisionExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECISION
-    except (NotFinite, PhiDividesF) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except InfiniteTerm as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFINITE
     except IwagrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),
+                    EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -37,20 +37,12 @@ class NotFinite(IwagrowthError):
     """An oracle restricted to finite modules was asked about an infinite one."""
 
 
-class AmbiguousSignature(IwagrowthError):
-    """Neither first-row valuation strictly dominates."""
-
-
 class NonUnit(IwagrowthError):
     """A p-adic unit was required."""
 
 
 class InfiniteTerm(IwagrowthError):
     """A growth summand is infinite (inconsistent signature choice)."""
-
-
-class NonIntegerResult(IwagrowthError):
-    """An exact-rational computation that must be integral failed to be."""
 
 
 class NotAvZero(IwagrowthError):

@@ -2,16 +2,17 @@
 
 The level-n delta is S (odd n) or T (even n) plus phi(p^n)*mu + lambda minus
 r_inf, where S and T are degree-weighted valuation sums over the supersingular
-places and mu, lambda, r_inf are user-supplied global invariants.  Cumulative
-tables prefix-sum the deltas from a base anchor.
+places and mu, lambda, r_inf are user-supplied global invariants.  S and T are
+summed in integers from logmat.parity_tails: a place whose sign is the
+carrier adds degree * (phi(p^n)*r_v + even), any other place degree * odd.
+Cumulative tables prefix-sum the deltas from a base anchor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .errors import InfiniteTerm, NonIntegerResult, NotAvZero, ValidationError
+from .errors import InfiniteTerm, NotAvZero, ValidationError
 from .iwapoly import totient
 from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
 
@@ -53,9 +54,11 @@ class GrowthScenario:
     """Inputs of a growth prediction.
 
     sigma is used at odd levels, tau at even levels; None means the defaults
-    chosen by the valuation-matrix signature.  Construction only checks
-    shapes; semantic problems (bad traces, inconsistent signatures) are
-    reported by validate_scenario and raised by the term evaluators.
+    chosen by logmat.signature (flat at odd levels, sharp at even ones).
+    Construction checks shapes and that the invariants and the anchor
+    (base_n0, base_e0) are nonnegative; semantic problems (bad traces,
+    inconsistent signatures) are reported by validate_scenario and raised by
+    the term evaluators.
     """
 
     prime: int
@@ -83,7 +86,7 @@ class GrowthScenario:
                 raise ValidationError(f"{name} entries must be 'sharp' or 'flat'")
             object.__setattr__(self, name, vec)
         for name in ("mu_sigma", "lambda_sigma", "mu_tau", "lambda_tau", "r_inf",
-                     "base_e0"):
+                     "base_n0", "base_e0"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
@@ -143,8 +146,9 @@ def _weighted_sum(sc: GrowthScenario, n: int) -> int:
     p = sc.prime
     places = _require_places(sc)
     signs = sc.signs(n)
-    carrier, even_tail, odd_tail = parity_tails(p, n)
-    total = Fraction(0)
+    carrier, even, odd = parity_tails(p, n)
+    phi_deg = totient(p, n)
+    total = 0
     for w, data, s in zip(sc.ss_primes, places, signs):
         if s == carrier:
             r_v = data.r_v
@@ -152,13 +156,10 @@ def _weighted_sum(sc: GrowthScenario, n: int) -> int:
                 raise InfiniteTerm(
                     f"signature {s} needs finite ord_p(a_v) but a_v = {w.a_v}"
                 )
-            total += w.degree * (r_v.value + even_tail)
+            total += w.degree * (phi_deg * int(r_v.value) + even)
         else:
-            total += w.degree * odd_tail
-    value = totient(p, n) * total
-    if value.denominator != 1:
-        raise NonIntegerResult(f"term {value} is not an integer")
-    return int(value)
+            total += w.degree * odd
+    return total
 
 
 def s_term(sc: GrowthScenario, n: int) -> int:

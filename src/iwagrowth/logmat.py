@@ -6,6 +6,9 @@ selfcheck and the tests.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
+The parity-split closed form of the valuation table is stated once, in
+integers scaled by phi(p^n), by parity_tails; the closed-form table, the
+signature and the growth terms all read it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import AmbiguousSignature, ValidationError
+from .errors import ValidationError
 from .iwapoly import IwaPoly, eval_at_eps, omega, ord_eps, phi_poly, totient
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
@@ -24,11 +27,10 @@ FLAT = "flat"
 
 @dataclass(frozen=True)
 class LocalCurveData:
-    """Supersingular local data: prime, trace of Frobenius, residue degrees."""
+    """Supersingular local data: prime and trace of Frobenius."""
 
     prime: int
     a_v: int
-    degrees: tuple[int, ...] = (1,)
 
     def __post_init__(self):
         if not is_odd_prime(self.prime):
@@ -41,9 +43,6 @@ class LocalCurveData:
             raise ValidationError(
                 f"Weil bound violated: a_v^2={self.a_v**2} > 4p={4 * self.prime}"
             )
-        if not self.degrees or any(d < 1 for d in self.degrees):
-            raise ValidationError("degrees must be positive")
-        object.__setattr__(self, "degrees", tuple(self.degrees))
 
     @property
     def r_v(self) -> ExtendedRational:
@@ -76,15 +75,6 @@ class LogMatrix2:
             for i in range(2)
         )
         return LogMatrix2(rows, self.denom_exp + other.denom_exp)
-
-    def __sub__(self, other: "LogMatrix2") -> "LogMatrix2":
-        if self.denom_exp != other.denom_exp:
-            raise ValidationError("align denominator exponents before subtracting")
-        a, b = self.entries, other.entries
-        return LogMatrix2(
-            tuple(tuple(a[i][j] - b[i][j] for j in range(2)) for i in range(2)),
-            self.denom_exp,
-        )
 
     def to_json(self) -> dict:
         return {
@@ -280,39 +270,42 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     return ValuationMatrix((tuple(first), (INF, INF)))
 
 
-def parity_tails(p: int, n: int) -> tuple[str, Fraction, Fraction]:
-    """(carrier, even_tail, odd_tail): the parity-split closed form of the
-    first row of ord_p H_(v,n)(eps_n).
+def parity_tails(p: int, n: int) -> tuple[str, int, int]:
+    """(carrier, even, odd): the parity-split closed form of the first row of
+    ord_p H_(v,n)(eps_n), with both tails scaled by phi(p^n) to integers.
 
     The carrier entry is sharp at odd n and flat at even n and equals
-    r_v + even_tail, even_tail = sum_(i=1..floor((n-1)/2)) p^(-2i); the
-    other entry is odd_tail = sum_(i=1..floor(n/2)) p^(-(2i-1)).
+    r_v + even/phi(p^n); the other entry is odd/phi(p^n).  Let
+    O(m) = (p^m - p^(m mod 2))/(p+1), exact because p = -1 (mod p+1); then
+    O(m) = p^(m-1) - p^(m-2) + ... = phi(p^m) * sum_(i=1..floor(m/2)) p^(1-2i),
+    and odd = O(n), even = O(n-1).
     """
-    carrier = SHARP if n % 2 == 1 else FLAT
-    even_tail = sum((Fraction(1, p ** (2 * i)) for i in range(1, (n - 1) // 2 + 1)), Fraction(0))
-    odd_tail = sum((Fraction(1, p ** (2 * i - 1)) for i in range(1, n // 2 + 1)), Fraction(0))
-    return carrier, even_tail, odd_tail
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    even, odd = ((p**m - p ** (m % 2)) // (p + 1) for m in (n - 1, n))
+    return (SHARP if n % 2 == 1 else FLAT), even, odd
 
 
 def valuation_matrix_closed_form(data: LocalCurveData, n: int) -> ValuationMatrix:
     """The parity-split closed form for ord_p(H_(v,n)(eps_n))."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    carrier, even_tail, odd_tail = parity_tails(data.prime, n)
-    rv_entry = data.r_v + ExtendedRational(even_tail)
-    other = ExtendedRational(odd_tail)
+    carrier, even, odd = parity_tails(data.prime, n)
+    phi_deg = totient(data.prime, n)
+    rv_entry = data.r_v + ExtendedRational(Fraction(even, phi_deg))
+    other = ExtendedRational(Fraction(odd, phi_deg))
     first = (rv_entry, other) if carrier == SHARP else (other, rv_entry)
     return ValuationMatrix((first, (INF, INF)))
 
 
 def signature(data: LocalCurveData, n: int) -> str:
     """The dominant column of the first row: the symbol with strictly
-    smaller ord_p.  For a_v = 0 this is flat at odd n and sharp at even n."""
-    vm = valuation_matrix_closed_form(data, n)
-    sharp, flat = vm[0, 0], vm[0, 1]
-    if sharp == flat:
-        raise AmbiguousSignature(f"first-row valuations tie at {sharp}")
-    return SHARP if sharp < flat else FLAT
+    smaller ord_p.  For every place this is flat at odd n and sharp at even n.
+
+    It is the column parity_tails does not name as the carrier: the carrier
+    entry is at least r_v >= 1 (r_v is 1 or infinity by the Weil bound), and
+    the other is O(n)/phi(p^n) <= p/(p^2-1) < 1, so the two never tie.
+    """
+    carrier = parity_tails(data.prime, n)[0]
+    return FLAT if carrier == SHARP else SHARP
 
 
 def m_convergence_gap(data: LocalCurveData, n: int, deg_cap: int) -> ExtendedRational:

@@ -185,6 +185,16 @@ def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, argv, named):
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("n0, n_max", [(-1, 2), (-3, -3)])
+def test_negative_anchor_level_exits_2(capsys, tmp_path, n0, n_max):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"p": 3, "ss_primes": [{"degree": 1, "a_v": 0}],
+                                "base": {"n0": n0, "e0": 0}}))
+    code, out, err = run(capsys, "growth", "--scenario", str(path), "--n-max", str(n_max))
+    assert code == 2 and out == ""
+    assert err == "error: base_n0 must be nonnegative\n"
+
+
 class TestSelfcheck:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--n-max", "2",

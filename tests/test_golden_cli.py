@@ -150,6 +150,18 @@ def test_replay(index, golden, tmp_path, monkeypatch):
     assert _run(*CASES[index]) == golden[index]
 
 
+def test_parser_refusal_leaves_no_state(golden, tmp_path, monkeypatch):
+    """The parser is built once per process; a refused argv must not change
+    what the next call prints."""
+    monkeypatch.chdir(tmp_path)
+    for index in (CASES.index((["valmat", "--p", "3", "--av", "0", "--n", "3"], None)),
+                  next(i for i, (argv, _) in enumerate(CASES) if argv[0] == "growth")):
+        with contextlib.redirect_stderr(io.StringIO()), pytest.raises(SystemExit) as exc:
+            main(["valmat", "--p", "3", "--av", "0"])
+        assert exc.value.code == 2
+        assert _run(*CASES[index]) == golden[index]
+
+
 if __name__ == "__main__":
     import tempfile
 

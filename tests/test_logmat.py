@@ -17,6 +17,7 @@ from iwagrowth.logmat import (
     h_matrix,
     m_convergence_gap,
     m_matrix,
+    parity_tails,
     signature,
     valuation_matrix,
     valuation_matrix_closed_form,
@@ -194,6 +195,37 @@ def test_signature():
     d3 = LocalCurveData(3, 3)
     assert signature(d3, 3) == FLAT
     assert signature(d3, 2) == SHARP
+
+
+PRIMES = (3, 5, 7, 11, 13)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_parity_tails_match_the_fraction_sums(p):
+    for n in range(1, 41):
+        even_tail = sum((Fraction(1, p ** (2 * i)) for i in range(1, (n - 1) // 2 + 1)),
+                        Fraction(0))
+        odd_tail = sum((Fraction(1, p ** (2 * i - 1)) for i in range(1, n // 2 + 1)),
+                       Fraction(0))
+        carrier, even, odd = parity_tails(p, n)
+        assert type(even) is int and type(odd) is int
+        assert carrier == (SHARP if n % 2 == 1 else FLAT)
+        assert (even, odd) == (totient(p, n) * even_tail, totient(p, n) * odd_tail)
+
+
+def test_parity_tails_need_a_positive_level():
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        parity_tails(3, 0)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_signature_is_the_strictly_smaller_closed_form_entry(p):
+    for av in (a for a in range(-2 * p, 2 * p + 1) if a % p == 0 and a * a <= 4 * p):
+        d = LocalCurveData(p, av)
+        for n in range(1, 41):
+            sharp, flat = valuation_matrix_closed_form(d, n).entries[0]
+            assert sharp < flat or flat < sharp
+            assert signature(d, n) == (SHARP if sharp < flat else FLAT)
 
 
 def test_convergence_gap_monotone():
