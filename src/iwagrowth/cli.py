@@ -2,8 +2,10 @@
 
 Subcommands: logmat, valmat, kobrank, growth, selfcheck.  Output is JSON by
 default (--pretty for indented or tabular form).  Exit codes: 0 success,
-2 validation failure, 3 precision exhausted, 4 precondition failure,
-5 infinite term.
+1 selfcheck found a failing criterion, 2 validation failure, 3 precision
+exhausted, 4 precondition failure, 5 infinite term, 70 internal error (an
+exception that is not an IwagrowthError, reported on one stderr line with no
+traceback).
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
 EXIT_PRECONDITION = 4
 EXIT_INFINITE = 5
+EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
 
 
 def _emit(payload, pretty: bool):
@@ -202,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
 # Built once per process: parse_args keeps no state between calls.
 _PARSER = build_parser()
 
-# Exit code of each error class; any other IwagrowthError exits EXIT_VALIDATION.
+# Exit code of each error class; any other IwagrowthError exits EXIT_VALIDATION,
+# and any exception that is not an IwagrowthError exits EXIT_INTERNAL.
 _EXIT_CODES = (
     (PrecisionExhausted, EXIT_PRECISION),
     (NotFinite, EXIT_PRECONDITION),
@@ -219,6 +223,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),
                     EXIT_VALIDATION)
+    except Exception as exc:  # a defect, not a refusal: one line, no traceback
+        print(f"error: internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

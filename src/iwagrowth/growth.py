@@ -93,12 +93,18 @@ class GrowthScenario:
     def local_data(self) -> list[LocalCurveData]:
         return [LocalCurveData(self.prime, w.a_v) for w in self.ss_primes]
 
-    def signs(self, parity_n: int) -> tuple[str, ...]:
-        """The effective signature vector at a level of the given parity."""
+    def signs(self, parity_n: int,
+              places: list[LocalCurveData] | None = None) -> tuple[str, ...]:
+        """The effective signature vector at a level of the given parity.
+
+        places, when given, is the already built local_data() list.
+        """
         explicit = self.sigma if parity_n % 2 == 1 else self.tau
         if explicit is not None:
             return explicit
-        return tuple(signature(d, parity_n) for d in self.local_data())
+        if places is None:
+            places = self.local_data()
+        return tuple(signature(d, parity_n) for d in places)
 
     def to_json(self) -> dict:
         return {
@@ -145,7 +151,7 @@ def _weighted_sum(sc: GrowthScenario, n: int) -> int:
     in the column of its sign."""
     p = sc.prime
     places = _require_places(sc)
-    signs = sc.signs(n)
+    signs = sc.signs(n, places)
     carrier, even, odd = parity_tails(p, n)
     phi_deg = totient(p, n)
     total = 0

@@ -73,7 +73,10 @@ def in_image(pair: LatticePair, data: LocalCurveData, n_prec: int | None = None)
 def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
     """H_sharp G_1 + u H_flat G_2 mod omega_n, at the working modulus of u.
 
-    u = +-1 (as plain int) keeps the computation exact.
+    u = +-1 (as plain int) keeps the computation exact.  The reduction is
+    skipped when the total has degree below p^n = deg omega_n, where it
+    would return the total unchanged; a witness image (degree at most
+    p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built for it.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -85,6 +88,8 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
         uu = _as_unit(u, p)
         total = (sharp * pair.g1 + (flat * pair.g2).scale(uu.unit_residue())) \
             .with_modulus(uu.precision)
+    if total.degree < p**n:
+        return total
     return total % omega(p, n)
 
 

@@ -2,7 +2,9 @@
 
 H_(v,n) = C_(v,n)...C_(v,1) is built once, from the second-order recursion on
 first-row entries; the direct product of the C_(v,m) is kept as an oracle in
-selfcheck and the tests.
+selfcheck and the tests.  The second row of H_(v,n) is -Phi_n times the first
+row of H_(v,n-1), and by the recursion that product is already the level-(n+1)
+first row minus a_v times the level-n one, so each Phi_n product is built once.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -138,7 +140,11 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
 @functools.lru_cache(maxsize=None)
 def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     """First row of H_(v,n) by the recursion
-    H_n = a_v*H_(n-1) - Phi_(n-1)*H_(n-2), seeded by H_0 = (1, 0), H_1 = (a_v, 1)."""
+    H_n = a_v*H_(n-1) - Phi_(n-1)*H_(n-2), seeded by H_0 = (1, 0), H_1 = (a_v, 1).
+
+    The term -Phi_(n-1)*H_(n-2) is the second row of H_(v,n-1) (see
+    _second_row), so the cache holds one level past the highest H requested.
+    """
     if n == 0:
         return IwaPoly.const(p, 1), IwaPoly.const(p, 0)
     if n == 1:
@@ -148,6 +154,16 @@ def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     av = IwaPoly.const(p, a_v)
     phi = phi_poly(p, n - 1)
     return av * s1 - phi * s2, av * f1 - phi * f2
+
+
+def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
+    """Second row of H_(v,n), n >= 1: -Phi_n times the first row of H_(v,n-1),
+    read as _first_row(n+1) - a_v*_first_row(n).  For a_v = 0 these are the
+    cached level-(n+1) entries themselves."""
+    up = _first_row(p, a_v, n + 1)
+    if a_v == 0:
+        return up
+    return tuple(u - c.scale(a_v) for u, c in zip(up, _first_row(p, a_v, n)))
 
 
 def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
@@ -186,7 +202,9 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     Built from the first-row recursion and the block shape
     H_(v,n) = [[H_sharp(n), H_flat(n)], [-Phi_n H_sharp(n-1), -Phi_n H_flat(n-1)]],
     which holds because H_(v,n) = C_(v,n) H_(v,n-1) and the second row of
-    C_(v,n) is (-Phi_n, 0).
+    C_(v,n) is (-Phi_n, 0).  The second row is read off the recursion as
+    (H_sharp(n+1), H_flat(n+1)) - a_v (H_sharp(n), H_flat(n)), so no Phi_n
+    product is formed here.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -194,10 +212,7 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     if n == 0:
         one, zero = IwaPoly.const(p, 1), IwaPoly.const(p, 0)
         return LogMatrix2(((one, zero), (zero, one)))
-    sharp, flat = _first_row(p, data.a_v, n)
-    ps, pf = _first_row(p, data.a_v, n - 1)
-    phi = phi_poly(p, n)
-    return LogMatrix2(((sharp, flat), (-(phi * ps), -(phi * pf))))
+    return LogMatrix2((_first_row(p, data.a_v, n), _second_row(p, data.a_v, n)))
 
 
 def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
@@ -224,8 +239,11 @@ def det_structure_check(data: LocalCurveData, n: int,
     """Assert det H_(v,n) = omega_n / X and the block shape of H_(v,n).
 
     The block shape (second row = -Phi_n times the first row of H_(v,n-1))
-    is checked first.  When it holds, det H = Phi_n * (H01 H_sharp(n-1) -
-    H00 H_flat(n-1)) and omega_n / X = Phi_n * omega_(n-1) / X, so in the
+    is checked first, against _second_row: the recursion's level-(n+1) first
+    row is literally a_v H(n) - Phi_n H(n-1), so subtracting a_v H(n) gives
+    the product without forming it again.  When the shape holds,
+    det H = Phi_n * (H01 H_sharp(n-1) - H00 H_flat(n-1)) and
+    omega_n / X = Phi_n * omega_(n-1) / X, so in the
     domain Z[X] the determinant identity is H01 H_sharp(n-1) - H00 H_flat(n-1)
     = omega_(n-1) / X, which is cross_identity_check on the first row of h.
     When the shape fails, the full determinant is compared.
@@ -235,12 +253,11 @@ def det_structure_check(data: LocalCurveData, n: int,
     p = data.prime
     if h is None:
         h = h_matrix(data, n)
-    ps, pf = h_entries(data, n - 1)
-    phi = phi_poly(p, n)
+    low_sharp, low_flat = _second_row(p, data.a_v, n)
     shape = []
-    if h[1, 0] != -(phi * ps):
+    if h[1, 0] != low_sharp:
         shape.append("entry (1,0) != -Phi_n * H_sharp(n-1)")
-    if h[1, 1] != -(phi * pf):
+    if h[1, 1] != low_flat:
         shape.append("entry (1,1) != -Phi_n * H_flat(n-1)")
     if shape:
         det_ok = h.det() == omega(p, n) // omega(p, 0)

@@ -185,6 +185,19 @@ def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, argv, named):
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
+def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
+    from iwagrowth import cli
+
+    def boom(data, n):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "h_matrix", boom)
+    code, out, err = run(capsys, "logmat", "--p", "3", "--av", "0", "--n", "2")
+    assert code == cli.EXIT_INTERNAL == 70 and out == ""
+    assert err == "error: internal error: RuntimeError('boom')\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("n0, n_max", [(-1, 2), (-3, -3)])
 def test_negative_anchor_level_exits_2(capsys, tmp_path, n0, n_max):
     path = tmp_path / "scenario.json"

@@ -16,6 +16,7 @@ from iwagrowth.growth import (
 )
 from iwagrowth.iwapoly import totient
 from iwagrowth.kobayashi import nabla_finite_tower
+from iwagrowth.logmat import LocalCurveData
 
 
 def one_prime(p, degree=1, a_v=0, **kw):
@@ -45,6 +46,20 @@ class TestScenario:
         sc = one_prime(3)
         assert sc.signs(1) == ("flat",)
         assert sc.signs(2) == ("sharp",)
+
+    def test_places_built_once_per_level(self, monkeypatch):
+        from iwagrowth import growth
+
+        built = []
+
+        def counting(p, a_v):
+            built.append((p, a_v))
+            return LocalCurveData(p, a_v)
+
+        monkeypatch.setattr(growth, "LocalCurveData", counting)
+        sc = GrowthScenario(3, (SsPrime(1, 0), SsPrime(2, 3)))
+        sha_table(sc, 4)
+        assert len(built) == 4 * 2
 
 
 class TestTerms:

@@ -1,6 +1,6 @@
 import pytest
 
-from iwagrowth.errors import NonUnit, ValidationError
+from iwagrowth.errors import NonUnit, PrecisionExhausted, ValidationError
 from iwagrowth.iwapoly import IwaPoly, omega
 from iwagrowth.lattice import (
     LatticePair,
@@ -91,6 +91,33 @@ class TestFiniteLevelMap:
                     if img.mod_prec is not None:
                         target = target.with_modulus(img.mod_prec)
                     assert img == target
+
+    @pytest.mark.parametrize("p, av, n", [(3, 3, 2), (3, 0, 3), (3, -3, 1), (5, 0, 2)])
+    def test_reduction_at_the_omega_degree(self, p, av, n):
+        # totals of degree p^n - 1 (no reduction is needed) and p^n (one is)
+        d = LocalCurveData(p, av)
+        sharp, flat = h_entries(d, n)
+        for top in (p**n - 1, p**n):
+            col = sharp if not sharp.is_zero else flat
+            lead = IwaPoly(p, (0,) * (top - col.degree) + (1,))
+            pair = LatticePair(lead, IwaPoly(p, (2, 1))) if col is sharp \
+                else LatticePair(IwaPoly(p, (2, 1)), lead)
+            for u in (1, -1, unit_from_int(1 + p, p, 32)):
+                if isinstance(u, int):
+                    total = sharp * pair.g1 + (flat * pair.g2).scale(u)
+                else:
+                    total = (sharp * pair.g1 + (flat * pair.g2).scale(u.unit_residue())) \
+                        .with_modulus(u.precision)
+                assert total.degree == top
+                img = h_u_map(pair, d, n, u)
+                assert img == total % omega(p, n)
+                assert img.mod_prec == (None if isinstance(u, int) else 32)
+
+    def test_pair_modulus_below_the_unit_precision_raises(self):
+        d = LocalCurveData(3, 3)
+        pair = LatticePair(IwaPoly(3, (1, 1), mod_prec=5), IwaPoly(3, (2,)))
+        with pytest.raises(PrecisionExhausted):
+            h_u_map(pair, d, 2, unit_from_int(4, 3, 32))
 
     def test_linearity(self):
         d = LocalCurveData(3, 3)

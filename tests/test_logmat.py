@@ -69,6 +69,24 @@ def test_h_matrix_equals_explicit_product():
     assert h_matrix(d, 3).entries == prod.entries
 
 
+# The second row of H_(v,n) is read off the first-row recursion; the product
+# -Phi_n * (first row of H_(v,n-1)) it stands for is the oracle here.
+SECOND_ROW_GRID = [(3, av, n) for av in (0, 3, -3) for n in range(1, 7)] \
+    + [(5, 0, n) for n in range(1, 5)] + [(7, 0, n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("p, av, n", SECOND_ROW_GRID)
+def test_h_second_row_equals_the_phi_product(p, av, n):
+    d = LocalCurveData(p, av)
+    h = h_matrix(d, n)
+    ps, pf = h_entries(d, n - 1)
+    phi = phi_poly(p, n)
+    assert h.entries[1] == (-(phi * ps), -(phi * pf))
+    if av == 0:
+        # the cached level-(n+1) first row itself, not a copy of it
+        assert h.entries[1] is h_entries(d, n + 1)
+
+
 def test_det_and_block_structure():
     for p, av, nmax in ((3, 0, 4), (3, 3, 4), (5, 0, 2)):
         d = LocalCurveData(p, av)
@@ -108,7 +126,8 @@ def _full_det_report(d, n, h):
 
 def test_det_structure_matches_full_determinant_rule():
     # H itself, H with its rows swapped, and H with one entry bumped by 1
-    for p, av, n in ((3, 0, 1), (3, 0, 4), (3, 3, 3), (3, -3, 4), (5, 0, 2), (7, 0, 2)):
+    for p, av, n in ((3, 0, 1), (3, 0, 4), (3, 3, 1), (3, 3, 3), (3, -3, 4), (5, 0, 2),
+                     (7, 0, 2)):
         d = LocalCurveData(p, av)
         h = h_matrix(d, n)
         one = IwaPoly.const(p, 1)
@@ -121,6 +140,11 @@ def test_det_structure_matches_full_determinant_rule():
         for v in variants:
             assert det_structure_check(d, n, h=v) == _full_det_report(d, n, v)
         assert det_structure_check(d, n, h=h).passed
+        # bumped (1,0) and (1,1): variants 4 and 5
+        assert "entry (1,0) != -Phi_n * H_sharp(n-1)" in \
+            det_structure_check(d, n, h=variants[4]).failures
+        assert "entry (1,1) != -Phi_n * H_flat(n-1)" in \
+            det_structure_check(d, n, h=variants[5]).failures
 
 
 def test_m_matrix_example():
