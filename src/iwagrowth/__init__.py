@@ -30,10 +30,8 @@ from .growth import (
     validate_scenario,
 )
 from .iwapoly import (
-    CycloElement,
     IwaPoly,
     WeierstrassData,
-    eval_at_eps,
     gcd_with_omega,
     mu_lambda,
     omega,

@@ -17,9 +17,12 @@ from .iwapoly import totient
 from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
 
 
-def _require_object(value, name: str) -> None:
-    if not isinstance(value, dict):
-        raise ValidationError(f"{name} must be a JSON object, got {type(value).__name__}")
+def _require_json(value, kind: type, name: str):
+    """value when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        label = "object" if kind is dict else "array"
+        raise ValidationError(f"{name} must be a JSON {label}, got {type(value).__name__}")
+    return value
 
 
 def _require_int(value, name: str) -> int:
@@ -27,6 +30,12 @@ def _require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _optional_array(d: dict, name: str) -> tuple | None:
+    """d[name] as a tuple when it is a JSON array; None when absent or null."""
+    value = d.get(name)
+    return None if value is None else tuple(_require_json(value, list, name))
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class SsPrime:
 
     @classmethod
     def from_json(cls, d: dict) -> "SsPrime":
-        _require_object(d, "ss_primes entry")
+        _require_json(d, dict, "ss_primes entry")
         return cls(_require_int(d["degree"], "degree"), _require_int(d["a_v"], "a_v"))
 
 
@@ -122,19 +131,20 @@ class GrowthScenario:
 
     @classmethod
     def from_json(cls, d: dict) -> "GrowthScenario":
-        _require_object(d, "scenario")
+        _require_json(d, dict, "scenario")
         base = d.get("base", {"n0": 0, "e0": 0})
         return cls(
             prime=_require_int(d["p"], "p"),
-            ss_primes=tuple(SsPrime.from_json(w) for w in d["ss_primes"]),
-            sigma=tuple(d["sigma"]) if d.get("sigma") is not None else None,
-            tau=tuple(d["tau"]) if d.get("tau") is not None else None,
+            ss_primes=tuple(SsPrime.from_json(w)
+                            for w in _require_json(d["ss_primes"], list, "ss_primes")),
+            sigma=_optional_array(d, "sigma"),
+            tau=_optional_array(d, "tau"),
             mu_sigma=_require_int(d.get("mu_sigma", 0), "mu_sigma"),
             lambda_sigma=_require_int(d.get("lambda_sigma", 0), "lambda_sigma"),
             mu_tau=_require_int(d.get("mu_tau", 0), "mu_tau"),
             lambda_tau=_require_int(d.get("lambda_tau", 0), "lambda_tau"),
             r_inf=_require_int(d.get("r_inf", 0), "r_inf"),
-            base_n0=_require_int(base["n0"], "base.n0"),
+            base_n0=_require_int(_require_json(base, dict, "base")["n0"], "base.n0"),
             base_e0=_require_int(base["e0"], "base.e0"),
         )
 

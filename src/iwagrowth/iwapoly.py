@@ -1,13 +1,14 @@
 """Polynomial arithmetic in Lambda = Z_p[[X]] truncated to polynomials.
 
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
-Phi_n = omega_n / omega_(n-1), both read off binomial rows, evaluation at
-eps_n = zeta_(p^n) - 1 inside the totally ramified quotient Z_p[X]/Phi_n, the
-eps_n-adic valuation there (read off the reduced representative's
-coefficients), and mu/lambda extraction.  Coefficients are exact
-arbitrary-size integers; a polynomial may optionally carry a p^N reduction
-flag, in which case every operation stays at (the minimum of) the working
-moduli and precision loss is reported by raising, never by silent truncation.
+Phi_n = omega_n / omega_(n-1), both read off binomial rows; ord_eps(f, n),
+the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
+quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
+only when its degree reaches phi(p^n)); and mu/lambda extraction.
+Coefficients are exact arbitrary-size integers; a polynomial may optionally
+carry a p^N reduction flag, in which case every operation stays at (the
+minimum of) the working moduli and precision loss is reported by raising,
+never by silent truncation.
 """
 
 from __future__ import annotations
@@ -202,21 +203,6 @@ class IwaPoly:
 
 
 @dataclass(frozen=True)
-class CycloElement:
-    """Element of Z_p[eps_n] as a residue mod Phi_n; the class of X is eps_n."""
-
-    prime: int
-    level: int
-    rep: IwaPoly
-
-    def __post_init__(self):
-        if self.level < 1:
-            raise ValidationError("level must be >= 1")
-        if self.rep.degree >= totient(self.prime, self.level):
-            raise ValidationError("representative not reduced mod Phi_n")
-
-
-@dataclass(frozen=True)
 class WeierstrassData:
     """mu = minimal coefficient valuation, lambda = least index attaining it."""
 
@@ -267,35 +253,34 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     return IwaPoly(p, tuple(coeffs))
 
 
-def eval_at_eps(f: IwaPoly, n: int) -> CycloElement:
-    """Reduce f mod Phi_n: the ring map sending X to eps_n."""
+def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
+    """eps_n-adic valuation of f(eps_n), normalized so ord(eps_n) = 1
+    (= totient * ord_p).
+
+    Z_p[eps_n] = Z_p[X]/Phi_n is totally ramified of degree e = phi(p^n) and
+    eps_n is a uniformizer (Serre, Local Fields, I.6).  f is reduced mod
+    Phi_n only when deg f >= e, so Phi_n is built only then.  For the
+    representative sum c_i eps_n^i with i < e, the term valuations
+    e*ord_p(c_i) + i are distinct mod e, so no cancellation is possible and
+    the valuation is their minimum.  It equals ord_p of the norm
+    Res(Phi_n, rep).
+    """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    return CycloElement(f.prime, n, f % phi_poly(f.prime, n))
-
-
-def ord_eps(e: CycloElement) -> ExtendedRational:
-    """eps_n-adic valuation, normalized so ord(eps_n) = 1 (= totient * ord_p).
-
-    Z_p[eps_n] is totally ramified of degree e = phi(p^n) and eps_n is a
-    uniformizer (Serre, Local Fields, I.6).  For a representative
-    sum c_i eps_n^i with i < e, the term valuations e*ord_p(c_i) + i are
-    distinct mod e, so no cancellation is possible and the valuation is
-    their minimum.  It equals ord_p of the norm Res(Phi_n, rep).
-    """
-    rep = e.rep
-    phi_deg = totient(e.prime, e.level)
-    if rep.is_zero:
-        if rep.mod_prec is not None:
+    p = f.prime
+    phi_deg = totient(p, n)
+    if f.degree >= phi_deg:
+        f = f % phi_poly(p, n)
+    if f.is_zero:
+        if f.mod_prec is not None:
             raise PrecisionExhausted(
-                f"element vanishes mod {e.prime}^{rep.mod_prec}: ord only bounded below"
+                f"element vanishes mod {p}^{f.mod_prec}: ord only bounded below"
             )
         return INF
-    v = min(phi_deg * int_valuation(c, e.prime) + i
-            for i, c in enumerate(rep.coeffs) if c)
-    if rep.mod_prec is not None and v >= rep.mod_prec * phi_deg:
+    v = min(phi_deg * int_valuation(c, p) + i for i, c in enumerate(f.coeffs) if c)
+    if f.mod_prec is not None and v >= f.mod_prec * phi_deg:
         raise PrecisionExhausted(
-            f"ord {v} reaches the modulus bound {rep.mod_prec}*{phi_deg}"
+            f"ord {v} reaches the modulus bound {f.mod_prec}*{phi_deg}"
         )
     return ExtendedRational(v)
 
@@ -323,9 +308,10 @@ def gcd_with_omega(f: IwaPoly, n: int) -> IwaPoly:
     """gcd(omega_(n-1), f): the product of the factors X, Phi_1..Phi_(n-1)
     of omega_(n-1) dividing f.
 
-    Exact f: divisibility by exact remainder.  Modular f at p^N: a factor
-    divides when the residue of f vanishes mod p^N (equivalently the
-    ord_eps threshold N*phi(p^m); f(0) = 0 mod p^N for the factor X).
+    A factor divides when the remainder of f by it is zero.  Every factor is
+    monic, so for modular f at p^N the division stays mod p^N and the test
+    reads "the residue of f vanishes mod p^N" (f(0) = 0 mod p^N for the
+    factor X).
     """
     if f.is_zero and f.mod_prec is None:
         raise ZeroPolynomial("gcd with omega undefined for exact 0")
@@ -335,10 +321,6 @@ def gcd_with_omega(f: IwaPoly, n: int) -> IwaPoly:
     out = IwaPoly.const(p, 1)
     factors = [omega(p, 0)] + [phi_poly(p, m) for m in range(1, n)]
     for fac in factors:
-        if f.mod_prec is None:
-            divides = (f % fac).is_zero
-        else:
-            divides = (f.lift() % fac).with_modulus(f.mod_prec).is_zero
-        if divides:
+        if (f % fac).is_zero:
             out = out * fac
     return out

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
-from .iwapoly import IwaPoly, WeierstrassData, eval_at_eps, gcd_with_omega, omega, ord_eps, totient
+from .iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, omega, ord_eps, totient
 from .padic import int_valuation
 from .polyres import resultant
 
@@ -62,9 +62,7 @@ class NablaResult:
 
 def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
     """k * ord_eps f(eps_n); requires Phi_n not dividing f."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    o = ord_eps(eval_at_eps(t.f, n))
+    o = ord_eps(t.f, n)
     if o.is_infinite:
         raise PhiDividesF(f"Phi_{n} divides f")
     return NablaResult(n, t.coeff_degree * int(o.value), CLOSED_FORM)

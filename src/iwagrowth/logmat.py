@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .iwapoly import IwaPoly, eval_at_eps, omega, ord_eps, phi_poly, totient
+from .iwapoly import IwaPoly, omega, ord_eps, phi_poly, totient
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
 SHARP = "sharp"
@@ -272,14 +272,16 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
 
     By the block shape of H_(v,n) (see h_matrix) the second row is Phi_n
     times a polynomial, so it vanishes at eps_n and its entries are INF;
-    only the first row, H_sharp(n) and H_flat(n), is reduced and valued.
+    only the first row, H_sharp(n) and H_flat(n), is valued.  Its entries
+    have degree < p^(n-1) <= phi(p^n), so they are their own residues mod
+    Phi_n and ord_eps never builds Phi_n here.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     phi_deg = totient(data.prime, n)
     first = []
     for entry in h_entries(data, n):
-        o = ord_eps(eval_at_eps(entry, n))
+        o = ord_eps(entry, n)
         if o.is_infinite:
             first.append(INF)
         else:

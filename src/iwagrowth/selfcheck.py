@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .growth import GrowthScenario, SsPrime, av_zero_closed_form, s_term, sha_delta, sha_table, t_term
-from .iwapoly import IwaPoly, eval_at_eps, gcd_with_omega, mu_lambda, omega, ord_eps, totient
+from .iwapoly import IwaPoly, gcd_with_omega, mu_lambda, omega, ord_eps, totient
 from .kobayashi import (
     TowerOfQuotients,
     nabla_closed_form,
@@ -178,7 +178,7 @@ def check_asymptotic_law(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=20) -> 
                 start += 1
             for n in range(start, min(5, n_max) + 1):
                 count += 1
-                o = ord_eps(eval_at_eps(f, n))
+                o = ord_eps(f, n)
                 expect = totient(p, n) * mu + d_deg
                 if o.is_infinite or o.value != expect:
                     failures.append(f"f={f.coeffs} n={n}: {o} != {expect}")

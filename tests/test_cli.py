@@ -173,8 +173,15 @@ class TestGrowth:
      "r_inf must be an integer"),
     (None, ["kobrank", "--p", "3", "--f", "3", "--n", "2", "--methods", "snf_oracle",
             "--prec", "0"], "precision must be >= 1"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "sigma": "flat"}, None,
+     "sigma must be a JSON array, got str"),
+    ({"p": 3, "ss_primes": {"degree": 1}}, None, "ss_primes must be a JSON array, got dict"),
+    ({"p": 3, "ss_primes": 5}, None, "ss_primes must be a JSON array, got int"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "base": []}, None,
+     "base must be a JSON object, got list"),
 ], ids=["float_p", "float_degree", "string_a_v", "top_level_list", "bool_r_inf",
-        "kobrank_prec_0"])
+        "kobrank_prec_0", "string_sigma", "object_ss_primes", "int_ss_primes",
+        "list_base"])
 def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, argv, named):
     if argv is None:
         path = tmp_path / "scenario.json"

@@ -12,7 +12,6 @@ from iwagrowth.errors import (
 )
 from iwagrowth.iwapoly import (
     IwaPoly,
-    eval_at_eps,
     gcd_with_omega,
     mu_lambda,
     omega,
@@ -101,58 +100,66 @@ def test_omega_and_phi():
 def test_ord_eps_uniformizer():
     # ord(eps_n) = 1 and ord(p) = totient
     for p, n in ((3, 1), (3, 2), (5, 2), (7, 1)):
-        assert ord_eps(eval_at_eps(IwaPoly.x(p), n)) == 1
-        assert ord_eps(eval_at_eps(IwaPoly.const(p, p), n)) == totient(p, n)
+        assert ord_eps(IwaPoly.x(p), n) == 1
+        assert ord_eps(IwaPoly.const(p, p), n) == totient(p, n)
 
 
 def test_ord_eps_multiplicative():
     f = IwaPoly(3, (3, 1))
     g = IwaPoly(3, (0, 2, 1))
     n = 2
-    of = ord_eps(eval_at_eps(f, n))
-    og = ord_eps(eval_at_eps(g, n))
-    assert ord_eps(eval_at_eps(f * g, n)) == of + og
+    of = ord_eps(f, n)
+    og = ord_eps(g, n)
+    assert ord_eps(f * g, n) == of + og
 
 
 def test_ord_eps_exact_zero_is_infinite():
-    assert ord_eps(eval_at_eps(phi_poly(3, 2), 2)).is_infinite
+    assert ord_eps(phi_poly(3, 2), 2).is_infinite
 
 
 def test_ord_eps_modular_zero_raises():
-    e = eval_at_eps(IwaPoly.const(3, 9, mod_prec=2), 1)
     with pytest.raises(PrecisionExhausted):
-        ord_eps(e)
+        ord_eps(IwaPoly.const(3, 9, mod_prec=2), 1)
 
 
 @settings(max_examples=80, deadline=None)
 @given(
     st.sampled_from((3, 5, 7)),
-    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=3),
     st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-50, max_value=50), max_size=3),
     st.one_of(st.none(), st.integers(min_value=1, max_value=4)),
     st.booleans(),
 )
-def test_ord_eps_is_ord_of_norm(p, n, coeffs, mod_prec, vanish):
-    """ord_eps agrees with ord_p Res(Phi_n, rep), the norm of the element."""
+def test_ord_eps_is_ord_of_norm(p, n, coeffs, pad, mod_prec, vanish):
+    """ord_eps agrees with ord_p Res(Phi_n, rep), the norm of the element,
+    where rep = f mod Phi_n; pad raises deg f past phi(p^n) without
+    changing rep."""
     f = IwaPoly(p, tuple(coeffs))
+    if n == 0:
+        with pytest.raises(ValidationError, match="n must be >= 1"):
+            ord_eps(f, n)
+        return
+    phi = phi_poly(p, n)
+    f = f + IwaPoly(p, tuple(pad)) * phi
     if vanish:  # a multiple of Phi_n, or a polynomial that is 0 mod p^N
-        f = f * phi_poly(p, n) if mod_prec is None else f.scale(p**mod_prec)
+        f = f * phi if mod_prec is None else f.scale(p**mod_prec)
     if mod_prec is not None:
         f = f.with_modulus(mod_prec)
-    e = eval_at_eps(f, n)
-    if e.rep.is_zero:
+    rep = f % phi
+    if rep.is_zero:
         if mod_prec is None:
-            assert ord_eps(e).is_infinite
+            assert ord_eps(f, n).is_infinite
         else:
             with pytest.raises(PrecisionExhausted):
-                ord_eps(e)
+                ord_eps(f, n)
         return
-    v = int_valuation(resultant(phi_poly(p, n).coeffs, e.rep.coeffs), p)
+    v = int_valuation(resultant(phi.coeffs, rep.coeffs), p)
     if mod_prec is not None and v >= mod_prec * totient(p, n):
         with pytest.raises(PrecisionExhausted):
-            ord_eps(e)
+            ord_eps(f, n)
     else:
-        assert ord_eps(e) == ExtendedRational(v)
+        assert ord_eps(f, n) == ExtendedRational(v)
 
 
 def test_mu_lambda():
@@ -173,6 +180,33 @@ def test_gcd_with_omega():
     g = omega(3, 0) * phi_poly(3, 2)
     assert gcd_with_omega(g, 3) == omega(3, 0) * phi_poly(3, 2)
     assert gcd_with_omega(IwaPoly.const(3, 7), 3).degree == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7)),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=8),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+    st.booleans(),
+)
+def test_gcd_with_omega_modular(p, prec, n, coeffs, planted, vanish):
+    """At p^N a factor X or Phi_m of omega_(n-1) divides f exactly when the
+    exact remainder of f's lift by it vanishes mod p^N."""
+    factors = [omega(p, 0)] + [phi_poly(p, m) for m in range(1, n)]
+    f = IwaPoly(p, tuple(coeffs))
+    for fac, plant in zip(factors, planted):
+        if plant:
+            f = f * fac
+    if vanish:  # the modular zero: every factor divides
+        f = f.scale(p**prec)
+    f = f.with_modulus(prec)
+    expect = IwaPoly.const(p, 1)
+    for fac in factors:
+        if (f.lift() % fac).with_modulus(prec).is_zero:
+            expect = expect * fac
+    assert gcd_with_omega(f, n) == expect
 
 
 small_polys = st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=6)

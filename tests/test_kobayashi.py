@@ -128,6 +128,13 @@ def test_three_routes_agree_at_p5_level_4(coeffs, expect):
     assert [route(t, 4).value for route in routes] == [expect] * 3
 
 
+@pytest.mark.parametrize("route", [nabla_closed_form, nabla_resultant_oracle,
+                                   nabla_snf_oracle])
+def test_routes_refuse_level_0(route):
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        route(TowerOfQuotients(IwaPoly(3, (1, 1))), 0)
+
+
 def test_asymptotic():
     assert nabla_asymptotic(WeierstrassData(1, 2), 3, 2) == 8
     assert nabla_asymptotic(WeierstrassData(0, 5), 3, 4) == 5

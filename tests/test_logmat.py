@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from iwagrowth.errors import ValidationError
-from iwagrowth.iwapoly import IwaPoly, eval_at_eps, omega, ord_eps, phi_poly, totient
+from iwagrowth.iwapoly import IwaPoly, omega, ord_eps, phi_poly, totient
 from iwagrowth.logmat import (
     FLAT,
     SHARP,
@@ -201,10 +201,31 @@ def test_valuation_matrix_matches_every_entry_of_h():
             h = h_matrix(d, n)
             e = totient(p, n)
             full = tuple(
-                tuple(INF if (o := ord_eps(eval_at_eps(h[i, j], n))).is_infinite
+                tuple(INF if (o := ord_eps(h[i, j], n)).is_infinite
                       else ExtendedRational(Fraction(o.value, e)) for j in range(2))
                 for i in range(2))
             assert valuation_matrix(d, n).entries == full
+
+
+def test_valuation_matrix_builds_no_phi_at_its_level(monkeypatch):
+    # H_(v,n)'s first row has degree < phi(p^n), so valuing it needs no
+    # reduction mod Phi_n: the recursion builds Phi_m for m < n only.
+    from iwagrowth import iwapoly, logmat
+
+    real = iwapoly.phi_poly
+    levels = []
+
+    def recording(p, n):
+        levels.append(n)
+        return real(p, n)
+
+    for module in (iwapoly, logmat):
+        monkeypatch.setattr(module, "phi_poly", recording)
+    real.cache_clear()
+    iwapoly.omega.cache_clear()
+    logmat._first_row.cache_clear()
+    valuation_matrix(LocalCurveData(5, 0), 4)
+    assert levels and max(levels) < 4
 
 
 def test_valuation_matrix_json_round_trip():
