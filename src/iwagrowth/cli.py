@@ -1,11 +1,13 @@
 """Command-line frontend.
 
 Subcommands: logmat, valmat, kobrank, growth, selfcheck.  Output is JSON by
-default (--pretty for indented or tabular form).  Exit codes: 0 success,
-1 selfcheck found a failing criterion, 2 validation failure, 3 precision
-exhausted, 4 precondition failure, 5 infinite term, 70 internal error (an
-exception that is not an IwagrowthError, reported on one stderr line with no
-traceback).
+default (--pretty for indented or tabular form).  kobrank takes no working
+precision: its elementary-divisor oracle doubles its modulus until the
+finite level-n module is eliminated.  Exit codes: 0 success, 1 selfcheck
+found a failing criterion, 2 validation failure, 3 precision exhausted (a
+library PrecisionExhausted), 4 precondition failure, 5 infinite term, 70
+internal error (an exception that is not an IwagrowthError, reported on one
+stderr line with no traceback).
 """
 
 from __future__ import annotations
@@ -104,12 +106,7 @@ def cmd_kobrank(args) -> int:
         unknown = [m for m in methods if m not in _METHOD_MAP]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; choose from {list(_METHOD_MAP)}")
-    results = []
-    for m in methods:
-        if m == SNF_ORACLE and args.prec is not None:
-            results.append(nabla_snf_oracle(tower, args.n, args.prec))
-        else:
-            results.append(_METHOD_MAP[m](tower, args.n))
+    results = [_METHOD_MAP[m](tower, args.n) for m in methods]
     payload = {"results": [r.to_json() for r in results]}
     if len(results) > 1:
         payload["all_agree"] = len({r.value for r in results}) == 1
@@ -122,7 +119,7 @@ def cmd_growth(args) -> int:
         with open(args.scenario) as fh:
             raw = json.load(fh)
         sc = GrowthScenario.from_json(raw)
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"bad scenario file {args.scenario}: {exc!r}")
     rows = sha_table(sc, args.n_max)
     for r in rows:
@@ -181,8 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     kb.add_argument("--n", type=int, required=True)
     kb.add_argument("--methods", default="all",
                     help="comma list of closed_form,resultant_oracle,snf_oracle")
-    kb.add_argument("--prec", type=int, default=None,
-                    help="working precision for the elementary-divisor oracle")
     kb.add_argument("--pretty", action="store_true")
     kb.set_defaults(func=cmd_kobrank)
 

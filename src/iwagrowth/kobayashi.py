@@ -8,8 +8,9 @@ Three routes that must agree on finite towers:
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n) read off from valuation-pivot
-  elimination of the multiplication-by-f lattices over Z/p^N; no resultant
-  is involved.
+  elimination of the multiplication-by-f lattices over Z/p^N, with N
+  doubled from 16 until the finite level-n module is eliminated; no
+  resultant is involved.
 """
 
 from __future__ import annotations
@@ -68,20 +69,20 @@ def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
     return NablaResult(n, t.coeff_degree * int(o.value), CLOSED_FORM)
 
 
-def _is_coprime_to_omega(f: IwaPoly, n: int) -> bool:
-    g = gcd_with_omega(f, n + 1)  # factors X, Phi_1..Phi_n of omega_n
-    return g.degree == 0
+def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
+    """The oracles' shared preamble: f with any modulus lifted away, once n
+    is a valid level and Lambda/(f, omega_n) is known to be finite."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    f = t.f if t.f.mod_prec is None else t.f.lift()
+    if gcd_with_omega(f, n + 1).degree > 0:  # factors X, Phi_1..Phi_n of omega_n
+        raise NotFinite("f shares a factor with omega_n")
+    return f
 
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     """ord_p Res(f, omega_n) - ord_p Res(f, omega_(n-1)), exact integers."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    f = t.f
-    if f.mod_prec is not None:
-        f = f.lift()
-    if not _is_coprime_to_omega(f, n):
-        raise NotFinite("f shares a factor with omega_n")
+    f = _finite_tower_f(t, n)
     p = t.prime
     e_hi = int_valuation(resultant(f.coeffs, omega(p, n).coeffs), p)
     e_lo = int_valuation(resultant(f.coeffs, omega(p, n - 1).coeffs), p)
@@ -169,44 +170,36 @@ def _mult_matrix_columns(f: IwaPoly, m: int) -> list[list[int]]:
     return cols
 
 
-def _module_size_exponent(f: IwaPoly, m: int, p: int, prec: int) -> int:
-    return sum(elementary_divisor_valuations(_mult_matrix_columns(f, m), p, prec))
-
-
-def nabla_snf_oracle(t: TowerOfQuotients, n: int, prec: int | None = None) -> NablaResult:
+def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     """length ker pi - length coker pi for pi: Lambda/(f, omega_n) ->
-    Lambda/(f, omega_(n-1)), via elementary divisors over Z/p^prec.
+    Lambda/(f, omega_(n-1)), via elementary divisors over Z/p^N.
 
     With e_m the size exponent of Lambda/(f, omega_m), length ker pi =
     e_n - e_aug and length coker pi = e_prev - e_aug, where e_aug is the size
     exponent of the image of the augmented lattice (f, omega_(n-1)) inside
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
-    the augmented lattice is never eliminated.  Lambda/(f, omega_(n-1)) is a
-    quotient of Lambda/(f, omega_n), so once the level-n elimination finishes
-    at p^prec the level-(n-1) one cannot exhaust that precision.
-    With prec=None the modulus is grown adaptively.
+    the augmented lattice is never eliminated.
+
+    N starts at 16 and doubles until the level-n elimination finishes.  This
+    ends: the coprimality gate makes Lambda/(f, omega_n) finite, of size
+    p^e_n, so no elementary divisor has valuation above e_n, and the
+    elimination over Z/p^N fails only when every remaining divisor reaches
+    p^N.  Lambda/(f, omega_(n-1)) is a quotient of Lambda/(f, omega_n), so
+    its elementary divisors are no larger and its elimination finishes at
+    the same N.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    if prec is not None and prec < 1:
-        raise ValidationError("precision must be >= 1")
-    f = t.f
-    if f.mod_prec is not None:
-        f = f.lift()
-    if not _is_coprime_to_omega(f, n):
-        raise NotFinite("f shares a factor with omega_n")
+    f = _finite_tower_f(t, n)
     p = t.prime
-    precisions = (16, 32, 64, 128) if prec is None else (prec,)
-    last_exc: PrecisionExhausted | None = None
-    for pr in precisions:
+    cols = _mult_matrix_columns(f, n)
+    prec = 16
+    while True:
         try:
-            e_n = _module_size_exponent(f, n, p, pr)
-        except PrecisionExhausted as exc:
-            last_exc = exc
-            continue
-        e_prev = _module_size_exponent(f, n - 1, p, pr)
-        return NablaResult(n, t.coeff_degree * (e_n - e_prev), SNF_ORACLE)
-    raise last_exc
+            e_n = sum(elementary_divisor_valuations(cols, p, prec))
+            break
+        except PrecisionExhausted:
+            prec *= 2
+    e_prev = sum(elementary_divisor_valuations(_mult_matrix_columns(f, n - 1), p, prec))
+    return NablaResult(n, t.coeff_degree * (e_n - e_prev), SNF_ORACLE)
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:

@@ -33,7 +33,7 @@ from .logmat import (
     valuation_matrix,
     valuation_matrix_closed_form,
 )
-from .padic import unit_from_int
+from .padic import is_odd_prime, unit_from_int
 
 DEFAULT_PRIMES = (3, 5, 7)
 
@@ -258,6 +258,9 @@ def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0, out=None) -> bool:
         raise ValidationError("n_max must be >= 1")
     if not p_list:
         raise ValidationError("need at least one prime")
+    for p in p_list:
+        if not is_odd_prime(p):
+            raise ValidationError(f"{p} is not an odd prime")
     ok = True
     for check in ALL_CHECKS:
         result = check(p_list=tuple(p_list), n_max=n_max, seed=seed)

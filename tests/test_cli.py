@@ -164,32 +164,55 @@ class TestGrowth:
         assert code == 0 and "negative" in err
 
 
-@pytest.mark.parametrize("scenario, argv, named", [
-    ({"p": 3.0, "ss_primes": [{"degree": 2, "a_v": 0}]}, None, "p must be an integer"),
-    ({"p": 3, "ss_primes": [{"degree": 2.5, "a_v": 0}]}, None, "degree must be an integer"),
-    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": "0"}]}, None, "a_v must be an integer"),
-    ([], None, "scenario must be a JSON object"),
-    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "r_inf": True}, None,
+@pytest.mark.parametrize("scenario, named", [
+    ({"p": 3.0, "ss_primes": [{"degree": 2, "a_v": 0}]}, "p must be an integer"),
+    ({"p": 3, "ss_primes": [{"degree": 2.5, "a_v": 0}]}, "degree must be an integer"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": "0"}]}, "a_v must be an integer"),
+    ([], "scenario must be a JSON object"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "r_inf": True},
      "r_inf must be an integer"),
-    (None, ["kobrank", "--p", "3", "--f", "3", "--n", "2", "--methods", "snf_oracle",
-            "--prec", "0"], "precision must be >= 1"),
-    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "sigma": "flat"}, None,
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "sigma": "flat"},
      "sigma must be a JSON array, got str"),
-    ({"p": 3, "ss_primes": {"degree": 1}}, None, "ss_primes must be a JSON array, got dict"),
-    ({"p": 3, "ss_primes": 5}, None, "ss_primes must be a JSON array, got int"),
-    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "base": []}, None,
+    ({"p": 3, "ss_primes": {"degree": 1}}, "ss_primes must be a JSON array, got dict"),
+    ({"p": 3, "ss_primes": 5}, "ss_primes must be a JSON array, got int"),
+    ({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "base": []},
      "base must be a JSON object, got list"),
 ], ids=["float_p", "float_degree", "string_a_v", "top_level_list", "bool_r_inf",
-        "kobrank_prec_0", "string_sigma", "object_ss_primes", "int_ss_primes",
-        "list_base"])
-def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, argv, named):
-    if argv is None:
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(scenario))
-        argv = ["growth", "--scenario", str(path), "--n-max", "4"]
-    code, out, err = run(capsys, *argv)
+        "string_sigma", "object_ss_primes", "int_ss_primes", "list_base"])
+def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, named):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run(capsys, "growth", "--scenario", str(path), "--n-max", "4")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("prec", ["0", "100000000000"])
+def test_kobrank_prec_is_refused_at_once(prec):
+    # kobrank takes no working precision: argparse refuses one, however
+    # large, before any work starts.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwagrowth.cli", "kobrank", "--p", "3", "--f", "3,1",
+         "--n", "2", "--methods", "snf_oracle", "--prec", prec],
+        capture_output=True, text=True, timeout=20, env=env,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--prec" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{\"p\": 3}",
+    ('{"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "mu_sigma": -%s}'
+     % ("9" * 5000)).encode(),
+], ids=["not_utf8", "long_negative_literal"])
+def test_unreadable_scenario_exits_2(capsys, tmp_path, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "growth", "--scenario", str(path), "--n-max", "2")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "internal error" not in err and "Traceback" not in err
 
 
 def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
@@ -233,6 +256,12 @@ class TestSelfcheck:
     def test_n_max_zero_exits_2(self, capsys):
         code, _, _ = run(capsys, "selfcheck", "--n-max", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("primes", ["3,4", "4"])
+    def test_non_prime_exits_2_before_any_criterion(self, capsys, primes):
+        code, out, err = run(capsys, "selfcheck", "--p", primes, "--n-max", "2")
+        assert code == 2 and out == ""
+        assert err == "error: 4 is not an odd prime\n"
 
     def test_no_cases_is_not_a_pass(self, capsys):
         # no criterion has a grid point at p = 11

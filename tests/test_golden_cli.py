@@ -63,12 +63,8 @@ def _cases():
     cases.append(["kobrank", "--p", "3", "--f", "9,3,1", "--n", "2", "--pretty"])
     cases.append(["kobrank", "--p", "3", "--f", "3", "--n", "2",
                   "--methods", "closed_form,snf_oracle"])
-    for p, f, n, prec in ((3, "81", 1, 2), (3, "81", 1, 4), (3, "81", 1, 5),
-                          (3, "81", 2, 8), (3, "9,3,1", 2, 1), (3, "9,3,1", 2, 3),
-                          (5, "25,0,0,1", 2, 2), (5, "25,0,0,1", 2, 9)):
-        cases.append(["kobrank", "--p", str(p), "--f", f, "--n", str(n),
-                      "--methods", "snf_oracle", "--prec", str(prec)])
-    cases.append(["kobrank", "--p", "3", "--f", "81", "--n", "1", "--prec", "2"])
+    # a finite tower whose level-1 elementary divisors reach past p^128
+    cases.append(["kobrank", "--p", "3", "--f", f"{3**130},1", "--n", "1"])
     for p, f, n, methods in ((3, "1,zzz", 1, "all"), (3, "1,x", 2, "all"),
                              (3, "3", 1, "magic"), (3, "1,1", 2, "bogus"),
                              (3, "1,1", 0, "all"), (4, "1,1", 1, "all"),

@@ -88,13 +88,11 @@ def test_phi_divisor_raises():
         nabla_snf_oracle(t, 2)
 
 
-def test_snf_fixed_precision_can_exhaust():
-    t = TowerOfQuotients(IwaPoly.const(3, 81))
-    with pytest.raises(PrecisionExhausted):
-        nabla_snf_oracle(t, 1, prec=2)
-    assert nabla_snf_oracle(t, 1, prec=16).value == 4 * totient(3, 1)
-    with pytest.raises(ValidationError):
-        nabla_snf_oracle(t, 1, prec=0)
+def test_snf_modulus_grows_past_p128():
+    # Lambda/(X + 3^130, omega_1) is finite, but its elementary divisors at
+    # level 1 reach past 3^128: the oracle must keep doubling its modulus.
+    t = TowerOfQuotients(IwaPoly(3, (3**130, 1)))
+    assert nabla_snf_oracle(t, 1).value == nabla_closed_form(t, 1).value == 1
 
 
 def test_triple_agreement_random():
