@@ -67,7 +67,7 @@ from .logmat import (
     valuation_matrix,
     valuation_matrix_closed_form,
 )
-from .padic import DEFAULT_PRECISION, INF, ExtendedRational, PadicNumber, ord_p, unit_from_int
+from .padic import DEFAULT_PRECISION, INF, ExtendedRational, PadicNumber, unit_from_int
 from .polyres import resultant, resultant_bareiss
 from .selfcheck import CriterionResult, run_selfcheck
 

@@ -116,7 +116,7 @@ def cmd_kobrank(args) -> int:
 
 def cmd_growth(args) -> int:
     try:
-        with open(args.scenario) as fh:
+        with open(args.scenario, encoding="utf-8") as fh:
             raw = json.load(fh)
         sc = GrowthScenario.from_json(raw)
     except (OSError, ValueError, KeyError, TypeError) as exc:

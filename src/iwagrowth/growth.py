@@ -278,14 +278,6 @@ class ScenarioReport:
     default_sigma: tuple[str, ...] | None = None
     default_tau: tuple[str, ...] | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "violations": self.violations,
-            "default_sigma": list(self.default_sigma) if self.default_sigma else None,
-            "default_tau": list(self.default_tau) if self.default_tau else None,
-        }
-
 
 def validate_scenario(sc: GrowthScenario) -> ScenarioReport:
     violations = []

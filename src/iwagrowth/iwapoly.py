@@ -179,10 +179,6 @@ class IwaPoly:
             "mod_prec": self.mod_prec,
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "IwaPoly":
-        return cls(d["p"], tuple(int(c) for c in d["coeffs"]), d.get("mod_prec"))
-
     def __str__(self):
         if self.is_zero:
             return "0"
@@ -263,7 +259,9 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     representative sum c_i eps_n^i with i < e, the term valuations
     e*ord_p(c_i) + i are distinct mod e, so no cancellation is possible and
     the valuation is their minimum.  It equals ord_p of the norm
-    Res(Phi_n, rep).
+    Res(Phi_n, rep).  For f mod p^N a nonzero coefficient has ord_p below N,
+    so the minimum is below N*e and is the same for every lift of f; only a
+    zero residue raises PrecisionExhausted.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -277,12 +275,9 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
                 f"element vanishes mod {p}^{f.mod_prec}: ord only bounded below"
             )
         return INF
-    v = min(phi_deg * int_valuation(c, p) + i for i, c in enumerate(f.coeffs) if c)
-    if f.mod_prec is not None and v >= f.mod_prec * phi_deg:
-        raise PrecisionExhausted(
-            f"ord {v} reaches the modulus bound {f.mod_prec}*{phi_deg}"
-        )
-    return ExtendedRational(v)
+    return ExtendedRational(
+        min(phi_deg * int_valuation(c, p) + i for i, c in enumerate(f.coeffs) if c)
+    )
 
 
 def mu_lambda(f: IwaPoly) -> WeierstrassData:
@@ -299,8 +294,6 @@ def mu_lambda(f: IwaPoly) -> WeierstrassData:
         v = int_valuation(c, f.prime)
         if mu is None or v < mu:
             mu, lam = v, i
-    if f.mod_prec is not None and mu >= f.mod_prec:
-        raise PrecisionExhausted(f"all coefficients vanish mod p^{f.mod_prec}")
     return WeierstrassData(mu, lam)
 
 

@@ -56,10 +56,6 @@ class NablaResult:
     def to_json(self) -> dict:
         return {"n": self.n, "value": self.value, "method": self.method}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "NablaResult":
-        return cls(d["n"], d["value"], d["method"])
-
 
 def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
     """k * ord_eps f(eps_n); requires Phi_n not dividing f."""
@@ -123,12 +119,10 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
             if best is not None and best[0] == 0:
                 break
         if best is None:
-            if all(m[i][j] == 0 for i in act_rows for j in act_cols):
-                raise PrecisionExhausted(
-                    f"remaining block vanishes mod {p}^{prec} with "
-                    f"{len(act_cols)} columns unpivoted"
-                )
-            raise AssertionError("pivot search missed a nonzero entry")
+            raise PrecisionExhausted(
+                f"remaining block vanishes mod {p}^{prec} with "
+                f"{len(act_cols)} columns unpivoted"
+            )
         v, pi, pj = best
         vals.append(v)
         pivot = m[pi][pj]

@@ -38,13 +38,6 @@ class LatticePair:
     def scale(self, f: IwaPoly) -> "LatticePair":
         return LatticePair(f * self.g1, f * self.g2)
 
-    def to_json(self) -> dict:
-        return {"g1": self.g1.to_json(), "g2": self.g2.to_json()}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "LatticePair":
-        return cls(IwaPoly.from_json(d["g1"]), IwaPoly.from_json(d["g2"]))
-
 
 def _as_unit(u, p: int) -> PadicNumber:
     if isinstance(u, int):
@@ -59,15 +52,16 @@ def _as_unit(u, p: int) -> PadicNumber:
 
 
 def in_image(pair: LatticePair, data: LocalCurveData, n_prec: int | None = None) -> bool:
-    """(p-1) G_1(0) = (2-a_v) G_2(0), mod p^N when a precision is given."""
-    p = pair.prime
-    lhs = (p - 1) * pair.g1(0)
-    rhs = (2 - data.a_v) * pair.g2(0)
-    if n_prec is None:
-        return lhs == rhs
-    if n_prec < 1:
+    """(p-1) G_1(0) = (2-a_v) G_2(0) mod p^N, with N the least of n_prec
+    and the moduli of G_1 and G_2; exactly when none of them is set."""
+    if n_prec is not None and n_prec < 1:
         raise ValidationError("precision must be >= 1")
-    return (lhs - rhs) % p**n_prec == 0
+    p = pair.prime
+    diff = (p - 1) * pair.g1(0) - (2 - data.a_v) * pair.g2(0)
+    precs = [e for e in (n_prec, pair.g1.mod_prec, pair.g2.mod_prec) if e is not None]
+    if not precs:
+        return diff == 0
+    return diff % p ** min(precs) == 0
 
 
 def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:

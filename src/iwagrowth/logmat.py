@@ -84,13 +84,6 @@ class LogMatrix2:
             "entries": [[e.to_json() for e in row] for row in self.entries],
         }
 
-    @classmethod
-    def from_json(cls, d: dict) -> "LogMatrix2":
-        return cls(
-            tuple(tuple(IwaPoly.from_json(e) for e in row) for row in d["entries"]),
-            d["denom_exp"],
-        )
-
 
 @dataclass(frozen=True)
 class ValuationMatrix:
@@ -105,15 +98,6 @@ class ValuationMatrix:
 
     def to_json(self) -> dict:
         return {"entries": [[e.to_json() for e in row] for row in self.entries]}
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ValuationMatrix":
-        return cls(
-            tuple(
-                tuple(ExtendedRational.from_json(e) for e in row)
-                for row in d["entries"]
-            )
-        )
 
 
 @dataclass

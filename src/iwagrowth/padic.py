@@ -71,16 +71,6 @@ class ExtendedRational:
 
     __radd__ = __add__
 
-    def __mul__(self, k: int):
-        # scalar scaling by a positive integer (coefficient-ring degree factor)
-        if not isinstance(k, int) or k < 1:
-            return NotImplemented
-        if self.is_infinite:
-            return ExtendedRational.infinity()
-        return ExtendedRational(self._value * k)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other):
         other = _coerce(other)
         return self._value == other._value
@@ -104,12 +94,6 @@ class ExtendedRational:
 
     def to_json(self) -> str:
         return str(self)
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExtendedRational":
-        if s == "inf":
-            return cls.infinity()
-        return cls(Fraction(s))
 
 
 def _coerce(x) -> ExtendedRational:
@@ -258,30 +242,10 @@ class PadicNumber:
             return INF
         return ExtendedRational(self.valuation)
 
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.prime,
-            "val": "inf" if self.is_zero else self.valuation,
-            "unit": None if self.is_zero else str(self.unit),
-            "prec": self.precision,
-        }
-
-    @classmethod
-    def from_json(cls, d: dict) -> "PadicNumber":
-        if d["val"] == "inf":
-            return cls.zero(d["p"], d["prec"])
-        return cls(d["p"], d["val"], int(d["unit"]), d["prec"])
-
     def __str__(self):
         if self.is_zero:
             return f"0 (exact, p={self.prime})"
         return f"{self.unit}*{self.prime}^{self.valuation} + O({self.prime}^{self.abs_precision})"
-
-
-def ord_p(a: PadicNumber) -> ExtendedRational:
-    return a.ord()
 
 
 def unit_from_int(u: int, p: int, precision: int = DEFAULT_PRECISION) -> PadicNumber:

@@ -215,6 +215,32 @@ def test_unreadable_scenario_exits_2(capsys, tmp_path, content):
     assert "internal error" not in err and "Traceback" not in err
 
 
+def test_scenario_is_decoded_as_utf8_under_the_c_locale(tmp_path):
+    # With locale coercion and UTF-8 mode off, the C locale's default
+    # encoding is ASCII; the scenario file is UTF-8 whatever the locale.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src, LC_ALL="C", PYTHONCOERCECLOCALE="0",
+               PYTHONUTF8="0")
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}],
+                                "note": "caf\u00e9"}, ensure_ascii=False),
+                    encoding="utf-8")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"p": 3, "note": "caf\xe9"}')
+    runs = {}
+    for path in (good, bad):
+        runs[path] = subprocess.run(
+            [sys.executable, "-m", "iwagrowth.cli", "growth", "--scenario", str(path),
+             "--n-max", "2"],
+            capture_output=True, text=True, timeout=20, env=env,
+        )
+    assert runs[good].returncode == 0 and runs[good].stderr == ""
+    assert len(runs[good].stdout.splitlines()) == 2
+    assert runs[bad].returncode == 2 and runs[bad].stdout == ""
+    assert runs[bad].stderr.startswith("error: bad scenario file")
+    assert "Traceback" not in runs[bad].stderr
+
+
 def test_internal_error_exits_70_without_traceback(capsys, monkeypatch):
     from iwagrowth import cli
 
@@ -274,10 +300,9 @@ class TestSelfcheck:
 
 
 def test_round_trip_payloads(capsys):
-    from iwagrowth.logmat import LogMatrix2
+    from iwagrowth.logmat import LocalCurveData, m_matrix
 
     code, out, _ = run(capsys, "logmat", "--p", "3", "--av", "3", "--n", "2",
                        "--which", "m")
     assert code == 0
-    m = LogMatrix2.from_json(json.loads(out))
-    assert m.to_json() == json.loads(out)
+    assert json.loads(out) == m_matrix(LocalCurveData(3, 3), 2).to_json()

@@ -66,10 +66,6 @@ class TestIwaPoly:
             f.with_modulus(5)
         assert f.with_modulus(1).mod_prec == 1
 
-    def test_json_round_trip(self):
-        f = IwaPoly(3, (12, -7, 5), mod_prec=6)
-        assert IwaPoly.from_json(f.to_json()) == f
-
 
 def test_totient():
     assert totient(3, 0) == 1
@@ -155,11 +151,9 @@ def test_ord_eps_is_ord_of_norm(p, n, coeffs, pad, mod_prec, vanish):
                 ord_eps(f, n)
         return
     v = int_valuation(resultant(phi.coeffs, rep.coeffs), p)
-    if mod_prec is not None and v >= mod_prec * totient(p, n):
-        with pytest.raises(PrecisionExhausted):
-            ord_eps(f, n)
-    else:
-        assert ord_eps(f, n) == ExtendedRational(v)
+    # a nonzero residue mod p^N is valued below N*phi(p^n), so it is certified
+    assert mod_prec is None or v < mod_prec * totient(p, n)
+    assert ord_eps(f, n) == ExtendedRational(v)
 
 
 def test_mu_lambda():

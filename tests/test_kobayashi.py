@@ -5,7 +5,6 @@ import pytest
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from iwagrowth.iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, phi_poly, totient
 from iwagrowth.kobayashi import (
-    NablaResult,
     TowerOfQuotients,
     elementary_divisor_valuations,
     nabla_asymptotic,
@@ -154,8 +153,3 @@ def test_finite_tower_differences():
     assert [r.value for r in results] == [2, 3, 4]
     assert [r.n for r in results] == [1, 2, 3]
     assert all(r.method == "finite_tower" for r in results)
-
-
-def test_nabla_result_json_round_trip():
-    r = NablaResult(3, 12, "closed_form")
-    assert NablaResult.from_json(r.to_json()) == r

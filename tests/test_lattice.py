@@ -31,10 +31,6 @@ class TestLatticePair:
         scaled = a.scale(f)
         assert scaled.g1 == IwaPoly(3, (0, 1)) and scaled.g2 == IwaPoly(3, (0, 2))
 
-    def test_json_round_trip(self):
-        a = LatticePair(IwaPoly(3, (1, 2)), IwaPoly(3, (0, 5)))
-        assert LatticePair.from_json(a.to_json()) == a
-
 
 class TestInImage:
     def test_membership(self):
@@ -56,6 +52,16 @@ class TestInImage:
         assert in_image(pair, d, n_prec=3)
         with pytest.raises(ValidationError):
             in_image(pair, d, n_prec=0)
+        # a modular coordinate sets the modulus: 2*(-2) = 2*241 mod 3^5
+        one = LatticePair(IwaPoly.const(3, 1), IwaPoly.const(3, 1, 5))
+        minus_two = LatticePair(IwaPoly.const(3, -2), IwaPoly.const(3, -2, 5))
+        assert in_image(one, d)
+        assert in_image(minus_two, d)
+        assert in_image(one + minus_two, d)
+        assert not in_image(LatticePair(IwaPoly.const(3, 1), IwaPoly.const(3, 2, 5)), d)
+        assert in_image(minus_two, d, n_prec=6)  # the least modulus, p^5, wins
+        with pytest.raises(ValidationError, match="precision must be >= 1"):
+            in_image(minus_two, d, n_prec=0)
 
     def test_lattice_closed_under_module_operations(self):
         d = LocalCurveData(3, 0)

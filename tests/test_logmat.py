@@ -10,7 +10,6 @@ from iwagrowth.logmat import (
     LocalCurveData,
     LogMatrix2,
     StructureReport,
-    ValuationMatrix,
     c_matrix,
     det_structure_check,
     h_entries,
@@ -167,11 +166,6 @@ def test_m_matrix_determinant():
         assert m.det() == expected
 
 
-def test_logmatrix_json_round_trip():
-    m = m_matrix(LocalCurveData(3, 0), 2)
-    assert LogMatrix2.from_json(m.to_json()).entries == m.entries
-
-
 def test_valuation_matrix_spec_values():
     # p=3, a_v=3, n=2: first row (1/3, 1), second row infinite
     vm = valuation_matrix(LocalCurveData(3, 3), 2)
@@ -226,11 +220,6 @@ def test_valuation_matrix_builds_no_phi_at_its_level(monkeypatch):
     logmat._first_row.cache_clear()
     valuation_matrix(LocalCurveData(5, 0), 4)
     assert levels and max(levels) < 4
-
-
-def test_valuation_matrix_json_round_trip():
-    vm = valuation_matrix(LocalCurveData(3, 0), 2)
-    assert ValuationMatrix.from_json(vm.to_json()).entries == vm.entries
 
 
 def test_signature():

@@ -1,7 +1,7 @@
 import math
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iwagrowth.polyres import resultant, resultant_bareiss
 
@@ -50,6 +50,8 @@ coeffs = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size
 
 @settings(max_examples=60, deadline=None)
 @given(coeffs, coeffs)
+@example([1, 0, 1], [0, 1])  # zero pivot: Bareiss swaps rows (Res = 1)
+@example([2, 0, 0, 1], [0, 3])  # and again (Res = -54)
 def test_prs_equals_bareiss(f, g):
     assert resultant(f, g) == resultant_bareiss(f, g)
 
