@@ -7,10 +7,11 @@ Three routes that must agree on finite towers:
   the tower module has size p^(ord_p Res);
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
-  the size exponents of Lambda/(f, omega_n) read off from valuation-pivot
-  elimination of the multiplication-by-f lattices over Z/p^N, with N
-  doubled from 16 until the finite level-n module is eliminated; no
-  resultant is involved.
+  the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
+  elimination over Z/p^N of multiplication by omega_m on Z_p[X]/(g), for a
+  monic g with (g, omega_m) = (f, omega_m).  N doubles from 16 until the
+  finite level-n module is eliminated; no resultant or eps-valuation is
+  involved.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
     """Valuations of the elementary divisors of an integer matrix, computed
     by minimal-valuation pivoting over Z/p^prec.
 
+    The active block's least valuation never falls: after a pivot of
+    valuation v < prec, minimal in its block, every row operation subtracts
+    multiples of entries divisible by p^v, and reduction mod p^prec keeps
+    that divisibility.  So the pivot search stops at the first entry of the
+    last pivot's valuation.
+
     Raises PrecisionExhausted when a needed pivot is indistinguishable from
     zero at the working modulus (an elementary divisor reaching p^prec, or an
     infinite cokernel).
@@ -98,6 +105,7 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
     act_rows = list(range(len(m)))
     act_cols = list(range(len(m[0]))) if m else []
     vals: list[int] = []
+    lo = 0  # the active block's least valuation, a lower bound for every pivot
     while act_rows and act_cols:
         best = None  # (val, row, col)
         for i in act_rows:
@@ -114,9 +122,9 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
                         break
                 else:
                     best = (v, i, j)
-                    if v == 0:
+                    if v == lo:
                         break
-            if best is not None and best[0] == 0:
+            if best is not None and best[0] == lo:
                 break
         if best is None:
             raise PrecisionExhausted(
@@ -124,6 +132,7 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
                 f"{len(act_cols)} columns unpivoted"
             )
         v, pi, pj = best
+        lo = v
         vals.append(v)
         pivot = m[pi][pj]
         unit_inv = pow(pivot // p**v, -1, pn)
@@ -145,22 +154,46 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
     return vals
 
 
-def _mult_matrix_columns(f: IwaPoly, m: int) -> list[list[int]]:
-    """Columns of multiplication by f on Z[X]/omega_m, as coefficient lists."""
+def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[list[int]]:
+    """Columns of multiplication by omega_m on (Z/p^prec)[X]/(g), as
+    coefficient lists, for a monic g with (g, omega_m) = (f, omega_m).
+
+    g is a unit times f when f's leading coefficient is a unit, and
+    otherwise f + X^k omega_m with k = max(0, deg f - p^m + 1), whose
+    leading term is X^(k + p^m).  Either way (g, omega_m) = (f, omega_m),
+    so the cokernel is Z_p[X]/(f, omega_m), which is Lambda/(f, omega_m)
+    because omega_m is distinguished.  The matrix is deg g x deg g: deg f
+    in the first case, max(p^m, deg f + 1) in the second.
+    """
     p = f.prime
-    w = omega(p, m)
-    d = p**m
-    cur = (f % w).coeffs
-    cols = []
-    for _ in range(d):
-        padded = list(cur) + [0] * (d - len(cur))
-        cols.append(padded)
-        # multiply by X and reduce once mod the monic omega_m
-        nxt = [0] + list(cur)
-        if len(nxt) - 1 == d:
-            lead = nxt.pop()
-            nxt = [c - lead * w.coeff(i) for i, c in enumerate(nxt)]
-        cur = tuple(nxt)
+    pn = p**prec
+    w = omega(p, m).coeffs
+    g = list(f.coeffs)
+    if g[-1] % p == 0:
+        k = max(0, f.degree - p**m + 1)
+        g += [0] * (k + len(w) - len(g))
+        for i, c in enumerate(w):
+            g[k + i] += c
+    inv = pow(g.pop(), -1, pn)
+    tail = [c * inv % pn for c in g]  # g made monic is X^d + tail
+    d = len(tail)
+    if not d:
+        return []
+
+    def times_x_plus(cur, c):
+        """X * cur + c mod (g, p^prec); X^d = -tail."""
+        lead = cur[-1]
+        cur = [c % pn] + cur[:-1]
+        if lead:
+            cur = [(a - lead * b) % pn for a, b in zip(cur, tail)]
+        return cur
+
+    col = [0] * d
+    for c in reversed(w):  # Horner: omega_m mod (g, p^prec)
+        col = times_x_plus(col, c)
+    cols = [col]
+    for _ in range(d - 1):
+        cols.append(times_x_plus(cols[-1], 0))
     return cols
 
 
@@ -174,6 +207,11 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
+    Each e_m is read from the small side: Lambda/(f, omega_m) is
+    Z_p[X]/(g, omega_m) for the monic g of _omega_columns, the cokernel of
+    multiplication by omega_m on the free module Z_p[X]/(g) of rank deg g.
+    Those columns are reduced mod p^N, so they are rebuilt for each N.
+
     N starts at 16 and doubles until the level-n elimination finishes.  This
     ends: the coprimality gate makes Lambda/(f, omega_n) finite, of size
     p^e_n, so no elementary divisor has valuation above e_n, and the
@@ -184,15 +222,14 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     """
     f = _finite_tower_f(t, n)
     p = t.prime
-    cols = _mult_matrix_columns(f, n)
     prec = 16
     while True:
         try:
-            e_n = sum(elementary_divisor_valuations(cols, p, prec))
+            e_n = sum(elementary_divisor_valuations(_omega_columns(f, n, prec), p, prec))
             break
         except PrecisionExhausted:
             prec *= 2
-    e_prev = sum(elementary_divisor_valuations(_mult_matrix_columns(f, n - 1), p, prec))
+    e_prev = sum(elementary_divisor_valuations(_omega_columns(f, n - 1, prec), p, prec))
     return NablaResult(n, t.coeff_degree * (e_n - e_prev), SNF_ORACLE)
 
 

@@ -65,6 +65,8 @@ class ExtendedRational:
 
     def __add__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_infinite or other.is_infinite:
             return ExtendedRational.infinity()
         return ExtendedRational(self._value + other._value)
@@ -73,10 +75,14 @@ class ExtendedRational:
 
     def __eq__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self._value == other._value
 
     def __lt__(self, other):
         other = _coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         if self.is_infinite:
             return False
         if other.is_infinite:
@@ -96,10 +102,15 @@ class ExtendedRational:
         return str(self)
 
 
-def _coerce(x) -> ExtendedRational:
+def _coerce(x):
+    """x as an ExtendedRational; NotImplemented unless it is one, an int or
+    a Fraction, so that comparing with or adding anything else falls back to
+    Python's default (unequal, or TypeError) instead of converting it."""
     if isinstance(x, ExtendedRational):
         return x
-    return ExtendedRational(x)
+    if isinstance(x, (int, Fraction)):
+        return ExtendedRational(x)
+    return NotImplemented
 
 
 INF = ExtendedRational.infinity()

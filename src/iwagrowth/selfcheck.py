@@ -133,6 +133,21 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
             return f
 
 
+def _structured_rank_polys(p):
+    """Fixed f for the elementary-divisor route's branches that a random f
+    almost never takes: mu >= 1, and a leading coefficient divisible by p,
+    also with deg f >= p^m (k > 0 in kobayashi._omega_columns; the last f
+    has it at m = 1).  By their Newton polygons none has a root eps_n, so
+    each is coprime to every omega_n."""
+    return [
+        IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1
+        IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2
+        IwaPoly(p, (p**2, 1, 0, p)),  # pX^3 + X + p^2: lambda = 1
+        IwaPoly(p, (1, 1, 0, p)),  # pX^3 + X + 1: a unit
+        IwaPoly(p, (p,) + (0,) * p + (1, p)),  # deg p + 2, lambda = p + 1
+    ]
+
+
 def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> CriterionResult:
     t0 = time.time()
     failures, count = [], 0
@@ -140,8 +155,8 @@ def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> Cr
         if p not in p_list:
             continue
         rng = random.Random(seed * 1000003 + p)
-        for _ in range(samples):
-            f = _random_coprime_poly(rng, p, 10, p**6, cap)
+        fs = [_random_coprime_poly(rng, p, 10, p**6, cap) for _ in range(samples)]
+        for f in fs + _structured_rank_polys(p):
             tower = TowerOfQuotients(f)
             for n in range(1, min(cap, n_max) + 1):
                 count += 1

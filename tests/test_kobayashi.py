@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
-from iwagrowth.iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, phi_poly, totient
+from iwagrowth.iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, omega, phi_poly, totient
 from iwagrowth.kobayashi import (
     TowerOfQuotients,
+    _omega_columns,
     elementary_divisor_valuations,
     nabla_asymptotic,
     nabla_closed_form,
@@ -46,6 +48,79 @@ class TestElementaryDivisors:
     def test_precision_exhausted(self):
         with pytest.raises(PrecisionExhausted):
             elementary_divisor_valuations([[81]], 3, 2)
+
+
+def _outcome(cols, p, prec):
+    try:
+        return sorted(elementary_divisor_valuations(cols, p, prec))
+    except PrecisionExhausted:
+        return "exhausted"
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.sampled_from((3, 5, 7)), c=st.integers(0, 3),
+       rows=st.integers(1, 4).flatmap(lambda k: st.lists(
+           st.lists(st.integers(-30, 30), min_size=k, max_size=k),
+           min_size=k, max_size=k)))
+@example(p=3, c=2, rows=[[1, 1], [1, 4]])  # least valuation rises from 2 to 3
+def test_divisors_shift_under_scaling(p, c, rows):
+    # p^c * A has the divisors of A, each times p^c.  A is eliminated at
+    # p^(prec - c), so each outcome holds exactly when the other does.
+    prec = 12
+    scaled = [[p**c * x for x in row] for row in rows]
+    base = _outcome(rows, p, prec - c)
+    expect = base if base == "exhausted" else [v + c for v in base]
+    assert _outcome(scaled, p, prec) == expect
+
+
+def _f_columns(f, m):
+    """Multiplication by f on Z[X]/omega_m: the p^m x p^m presentation of
+    Lambda/(f, omega_m) from the other side."""
+    p = f.prime
+    w = omega(p, m)
+    d = p**m
+    cur = list((f % w).coeffs)
+    cols = []
+    for _ in range(d):
+        cols.append(cur + [0] * (d - len(cur)))
+        cur = [0] + cur
+        if len(cur) - 1 == d:
+            lead = cur.pop()
+            cur = [c - lead * w.coeff(i) for i, c in enumerate(cur)]
+    return cols
+
+
+@st.composite
+def _tower_levels(draw):
+    """(f, m) with p^m <= 49 and f coprime to omega_m, in four shapes."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    m = draw(st.integers(0, {3: 3, 5: 2, 7: 2}[p]))
+    shape = draw(st.sampled_from(("unit lead", "p | lead", "mu > 0", "deg >= p^m")))
+    deg = draw(st.integers(p**m, p**m + 3) if shape == "deg >= p^m" else st.integers(0, 8))
+    coeffs = draw(st.lists(st.integers(-p**3, p**3), min_size=deg, max_size=deg))
+    lead = draw(st.sampled_from([u for u in range(-p + 1, p) if u]))
+    if shape in ("p | lead", "deg >= p^m"):
+        lead *= p
+    scale = p ** draw(st.integers(1, 2)) if shape == "mu > 0" else 1
+    f = IwaPoly(p, tuple(scale * c for c in coeffs + [lead]))
+    assume(gcd_with_omega(f, m + 1).degree == 0)
+    return f, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(_tower_levels())
+@example((IwaPoly(3, (3, 1, 3)), 1))  # deg f = p^m - 1 with p | lead: k = 0
+@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # deg f = p^m with p | lead: k = 1
+@example((IwaPoly(5, (9, 25)), 0))  # mu = 0, lambda = 0, non-unit lead at omega_0
+def test_omega_columns_match_f_columns(case):
+    # Both presentations have cokernel Lambda/(f, omega_m), so they share
+    # their non-unit elementary divisors; their sizes differ by unit ones.
+    f, m = case
+    p, prec = f.prime, 24
+    dense = _outcome(_f_columns(f, m), p, prec)
+    small = _outcome(_omega_columns(f, m, prec), p, prec)
+    strip = lambda o: o if o == "exhausted" else [v for v in o if v]  # noqa: E731
+    assert strip(small) == strip(dense)
 
 
 def test_constant_p_all_methods():

@@ -41,6 +41,19 @@ class TestExtendedRational:
         assert (INF + ExtendedRational(5)).is_infinite
         assert (ExtendedRational(5) + INF).is_infinite
 
+    def test_compares_only_with_numbers(self):
+        assert ExtendedRational(1) == 1
+        assert ExtendedRational(1) == Fraction(2, 2)
+        assert ExtendedRational(Fraction(1, 2)) < 1
+        assert INF != None  # noqa: E711
+        assert ExtendedRational(1) != "1"
+        assert ExtendedRational(1) != "a"
+        assert ExtendedRational(1) != 1.0
+        with pytest.raises(TypeError):
+            ExtendedRational(1) < "2"
+        with pytest.raises(TypeError):
+            INF + None
+
     def test_json_round_trip(self):
         assert INF.to_json() == "inf"
         assert ExtendedRational(Fraction(-7, 9)).to_json() == "-7/9"
