@@ -111,7 +111,7 @@ def _tower_levels(draw):
 @given(_tower_levels())
 @example((IwaPoly(3, (3, 1, 3)), 1))  # deg f = p^m - 1 with p | lead: k = 0
 @example((IwaPoly(3, (1, 0, 0, 3)), 1))  # deg f = p^m with p | lead: k = 1
-@example((IwaPoly(5, (9, 25)), 0))  # mu = 0, lambda = 0, non-unit lead at omega_0
+@example((IwaPoly(5, (9, 25)), 0))  # unit constant, p | lead: k = 1 at m = 0
 def test_omega_columns_match_f_columns(case):
     # Both presentations have cokernel Lambda/(f, omega_m), so they share
     # their non-unit elementary divisors; their sizes differ by unit ones.
