@@ -1,11 +1,10 @@
 """Exact arithmetic for the local objects of supersingular Iwasawa theory:
-p-adic numbers with tracked precision, the Iwasawa algebra modulo omega_n,
-logarithmic matrices and their valuation tables, signed Coleman image
-lattices, Kobayashi ranks, and Sha-growth predictions."""
+ord_p values extended by infinity and p-adic units known mod p^N, the
+Iwasawa algebra modulo omega_n, logarithmic matrices and their valuation
+tables, signed Coleman image lattices, Kobayashi ranks, and Sha-growth
+predictions."""
 
 from .errors import (
-    DivisionByZero,
-    IndeterminateValuation,
     InfiniteTerm,
     IwagrowthError,
     NonUnit,
@@ -67,7 +66,7 @@ from .logmat import (
     valuation_matrix,
     valuation_matrix_closed_form,
 )
-from .padic import DEFAULT_PRECISION, INF, ExtendedRational, PadicNumber, unit_from_int
+from .padic import DEFAULT_PRECISION, INF, ExtendedRational, PadicUnit, unit_from_int
 from .polyres import resultant, resultant_bareiss
 from .selfcheck import CriterionResult, run_selfcheck
 

@@ -9,14 +9,6 @@ class ValidationError(IwagrowthError):
     """Malformed or inconsistent input data."""
 
 
-class DivisionByZero(IwagrowthError):
-    """Inversion of an exact zero."""
-
-
-class IndeterminateValuation(IwagrowthError):
-    """Cancellation pushed the valuation beyond the known precision."""
-
-
 class PrecisionExhausted(IwagrowthError):
     """A result cannot be decided at the working modulus p^N."""
 

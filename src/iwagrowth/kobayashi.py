@@ -31,17 +31,13 @@ FINITE_TOWER = "finite_tower"
 
 @dataclass(frozen=True)
 class TowerOfQuotients:
-    """The system Lambda/(f, omega_n); coeff_degree k > 1 models coefficients
-    in the ring of integers of a degree-k extension."""
+    """The system Lambda/(f, omega_n)."""
 
     f: IwaPoly
-    coeff_degree: int = 1
 
     def __post_init__(self):
         if self.f.is_zero:
             raise ValidationError("defining element must be nonzero")
-        if self.coeff_degree < 1:
-            raise ValidationError("coefficient degree must be >= 1")
 
     @property
     def prime(self) -> int:
@@ -59,11 +55,11 @@ class NablaResult:
 
 
 def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
-    """k * ord_eps f(eps_n); requires Phi_n not dividing f."""
+    """ord_eps f(eps_n); requires Phi_n not dividing f."""
     o = ord_eps(t.f, n)
     if o.is_infinite:
         raise PhiDividesF(f"Phi_{n} divides f")
-    return NablaResult(n, t.coeff_degree * int(o.value), CLOSED_FORM)
+    return NablaResult(n, int(o.value), CLOSED_FORM)
 
 
 def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
@@ -83,7 +79,7 @@ def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     p = t.prime
     e_hi = int_valuation(resultant(f.coeffs, omega(p, n).coeffs), p)
     e_lo = int_valuation(resultant(f.coeffs, omega(p, n - 1).coeffs), p)
-    return NablaResult(n, t.coeff_degree * (e_hi - e_lo), RESULTANT_ORACLE)
+    return NablaResult(n, e_hi - e_lo, RESULTANT_ORACLE)
 
 
 def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> list[int]:
@@ -230,7 +226,7 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
         except PrecisionExhausted:
             prec *= 2
     e_prev = sum(elementary_divisor_valuations(_omega_columns(f, n - 1, prec), p, prec))
-    return NablaResult(n, t.coeff_degree * (e_n - e_prev), SNF_ORACLE)
+    return NablaResult(n, e_n - e_prev, SNF_ORACLE)
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonUnit, ValidationError
+from .errors import ValidationError
 from .iwapoly import IwaPoly, omega
 from .logmat import LocalCurveData, cross_identity_check, h_entries  # noqa: F401  (re-exported)
-from .padic import DEFAULT_PRECISION, PadicNumber, unit_from_int
+from .padic import DEFAULT_PRECISION, PadicUnit, unit_from_int
 
 
 @dataclass(frozen=True)
@@ -32,23 +32,23 @@ class LatticePair:
     def prime(self) -> int:
         return self.g1.prime
 
-    def __add__(self, other: "LatticePair") -> "LatticePair":
-        return LatticePair(self.g1 + other.g1, self.g2 + other.g2)
 
-    def scale(self, f: IwaPoly) -> "LatticePair":
-        return LatticePair(f * self.g1, f * self.g2)
-
-
-def _as_unit(u, p: int) -> PadicNumber:
+def _unit(u, p: int) -> tuple[int, int | None]:
+    """u as (residue, modulus exponent N): an int +-1 stays exact (N is
+    None); any other int becomes a unit mod p^DEFAULT_PRECISION."""
     if isinstance(u, int):
-        return unit_from_int(u, p, DEFAULT_PRECISION)
-    if not isinstance(u, PadicNumber):
-        raise ValidationError(f"unit must be int or PadicNumber, got {type(u)}")
-    if u.prime != p:
+        if u in (1, -1):
+            return u, None
+        u = unit_from_int(u, p, DEFAULT_PRECISION)
+    elif not isinstance(u, PadicUnit):
+        raise ValidationError(f"unit must be int or PadicUnit, got {type(u)}")
+    elif u.prime != p:
         raise ValidationError("unit prime does not match curve data")
-    if not u.is_unit:
-        raise NonUnit(f"valuation {u.valuation} is not 0")
-    return u
+    return u.residue, u.precision
+
+
+def _at_modulus(f: IwaPoly, prec: int | None) -> IwaPoly:
+    return f if prec is None else f.with_modulus(prec)
 
 
 def in_image(pair: LatticePair, data: LocalCurveData, n_prec: int | None = None) -> bool:
@@ -67,21 +67,17 @@ def in_image(pair: LatticePair, data: LocalCurveData, n_prec: int | None = None)
 def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
     """H_sharp G_1 + u H_flat G_2 mod omega_n, at the working modulus of u.
 
-    u = +-1 (as plain int) keeps the computation exact.  The reduction is
-    skipped when the total has degree below p^n = deg omega_n, where it
-    would return the total unchanged; a witness image (degree at most
+    u is an int or a PadicUnit; the int +-1 keeps the computation exact.
+    The reduction is skipped when the total has degree below p^n =
+    deg omega_n, where it would return the total unchanged; a witness image (degree at most
     p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built for it.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = pair.prime
     sharp, flat = h_entries(data, n)
-    if isinstance(u, int) and u in (1, -1):
-        total = sharp * pair.g1 + (flat * pair.g2).scale(u)
-    else:
-        uu = _as_unit(u, p)
-        total = (sharp * pair.g1 + (flat * pair.g2).scale(uu.unit_residue())) \
-            .with_modulus(uu.precision)
+    residue, prec = _unit(u, p)
+    total = _at_modulus(sharp * pair.g1 + (flat * pair.g2).scale(residue), prec)
     if total.degree < p**n:
         return total
     return total % omega(p, n)
@@ -95,11 +91,6 @@ def witness(data: LocalCurveData, n: int, u) -> LatticePair:
     p = data.prime
     sharp, flat = h_entries(data, n - 1)
     x = IwaPoly.x(p)
-    if isinstance(u, int) and u in (1, -1):
-        return LatticePair(-(x * flat), (x * sharp).scale(u))
-    uu = _as_unit(u, p)
-    inv = uu.inverse().unit_residue()
-    return LatticePair(
-        -(x * flat),
-        (x * sharp).scale(inv).with_modulus(uu.precision),
-    )
+    residue, prec = _unit(u, p)
+    inv = residue if prec is None else pow(residue, -1, p**prec)  # +-1 = its inverse
+    return LatticePair(-(x * flat), _at_modulus((x * sharp).scale(inv), prec))

@@ -22,10 +22,6 @@ class TestTower:
         with pytest.raises(ValidationError):
             TowerOfQuotients(IwaPoly(3, ()))
 
-    def test_rejects_bad_degree(self):
-        with pytest.raises(ValidationError):
-            TowerOfQuotients(IwaPoly.const(3, 1), coeff_degree=0)
-
 
 class TestElementaryDivisors:
     def test_diagonal(self):
@@ -140,12 +136,6 @@ def test_x_is_the_uniformizer():
         nabla_resultant_oracle(t, 1)
     with pytest.raises(NotFinite):
         nabla_snf_oracle(t, 1)
-
-
-def test_coeff_degree_scales():
-    t = TowerOfQuotients(IwaPoly.const(3, 3), coeff_degree=2)
-    assert nabla_closed_form(t, 2).value == 2 * totient(3, 2)
-    assert nabla_snf_oracle(t, 2).value == 2 * totient(3, 2)
 
 
 def test_phi_divisor_raises():

@@ -10,26 +10,21 @@ from iwagrowth.lattice import (
     witness,
 )
 from iwagrowth.logmat import LocalCurveData, h_entries
-from iwagrowth.padic import PadicNumber, unit_from_int
+from iwagrowth.padic import PadicUnit, unit_from_int
 
 
 def const_pair(p, a, b):
     return LatticePair(IwaPoly.const(p, a), IwaPoly.const(p, b))
 
 
+def pair_sum(a, b):
+    return LatticePair(a.g1 + b.g1, a.g2 + b.g2)
+
+
 class TestLatticePair:
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValidationError):
             LatticePair(IwaPoly.const(3, 1), IwaPoly.const(5, 1))
-
-    def test_module_structure(self):
-        a = const_pair(3, 1, 2)
-        b = const_pair(3, 3, 4)
-        s = a + b
-        assert s.g1 == IwaPoly.const(3, 4) and s.g2 == IwaPoly.const(3, 6)
-        f = IwaPoly.x(3)
-        scaled = a.scale(f)
-        assert scaled.g1 == IwaPoly(3, (0, 1)) and scaled.g2 == IwaPoly(3, (0, 2))
 
 
 class TestInImage:
@@ -57,7 +52,7 @@ class TestInImage:
         minus_two = LatticePair(IwaPoly.const(3, -2), IwaPoly.const(3, -2, 5))
         assert in_image(one, d)
         assert in_image(minus_two, d)
-        assert in_image(one + minus_two, d)
+        assert in_image(pair_sum(one, minus_two), d)
         assert not in_image(LatticePair(IwaPoly.const(3, 1), IwaPoly.const(3, 2, 5)), d)
         assert in_image(minus_two, d, n_prec=6)  # the least modulus, p^5, wins
         with pytest.raises(ValidationError, match="precision must be >= 1"):
@@ -68,8 +63,9 @@ class TestInImage:
         a = const_pair(3, 2, 2)
         b = LatticePair(IwaPoly(3, (1, 7)), IwaPoly(3, (1, -4)))
         assert in_image(a, d) and in_image(b, d)
-        assert in_image(a + b, d)
-        assert in_image(a.scale(IwaPoly(3, (5, 1))), d)
+        assert in_image(pair_sum(a, b), d)
+        f = IwaPoly(3, (5, 1))
+        assert in_image(LatticePair(f * a.g1, f * a.g2), d)
 
 
 class TestFiniteLevelMap:
@@ -83,7 +79,39 @@ class TestFiniteLevelMap:
         d = LocalCurveData(3, 0)
         pair = const_pair(3, 1, 1)
         with pytest.raises(NonUnit):
-            h_u_map(pair, d, 1, PadicNumber.from_int(3, 3))
+            h_u_map(pair, d, 1, 3)
+
+    def test_unit_must_match_the_curve_prime(self):
+        d = LocalCurveData(3, 0)
+        pair = const_pair(3, 1, 1)
+        with pytest.raises(ValidationError, match="unit prime does not match curve data"):
+            h_u_map(pair, d, 1, unit_from_int(2, 5, 8))
+        with pytest.raises(ValidationError, match="unit prime does not match curve data"):
+            witness(d, 1, PadicUnit(5, 2, 8))
+
+    @pytest.mark.parametrize("u", [1.0, None])
+    def test_unit_must_be_int_or_padic_unit(self, u):
+        d = LocalCurveData(3, 0)
+        with pytest.raises(ValidationError, match="unit must be int or PadicUnit"):
+            h_u_map(const_pair(3, 1, 1), d, 1, u)
+        with pytest.raises(ValidationError, match="unit must be int or PadicUnit"):
+            witness(d, 1, u)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_unit_minus_one_is_the_exact_map_mod_p_prec(self, p, n):
+        prec = 8
+        d = LocalCurveData(p, 0)
+        u = unit_from_int(-1, p, prec)
+        w, exact_w = witness(d, n, u), witness(d, n, -1)
+        assert w.g1 == exact_w.g1
+        assert w.g2 == exact_w.g2.with_modulus(prec) and w.g2.mod_prec == prec
+        # degree above p^n, so the map reduces mod omega_n
+        pair = LatticePair(IwaPoly(p, (2, 1) + (0,) * p**n + (1,)), IwaPoly(p, (1, -1, 3)))
+        for g in (w, pair):
+            img = h_u_map(g, d, n, u)
+            assert img == h_u_map(g, d, n, -1).with_modulus(prec)
+            assert img.mod_prec == prec
 
     def test_witness_hits_omega(self):
         for p, av, nmax in ((3, 0, 4), (3, -3, 4), (5, 0, 2)):
@@ -112,7 +140,7 @@ class TestFiniteLevelMap:
                 if isinstance(u, int):
                     total = sharp * pair.g1 + (flat * pair.g2).scale(u)
                 else:
-                    total = (sharp * pair.g1 + (flat * pair.g2).scale(u.unit_residue())) \
+                    total = (sharp * pair.g1 + (flat * pair.g2).scale(u.residue)) \
                         .with_modulus(u.precision)
                 assert total.degree == top
                 img = h_u_map(pair, d, n, u)
@@ -129,7 +157,7 @@ class TestFiniteLevelMap:
         d = LocalCurveData(3, 3)
         a = LatticePair(IwaPoly(3, (2, 1)), IwaPoly(3, (0, 3)))
         b = LatticePair(IwaPoly(3, (1,)), IwaPoly(3, (4, 4)))
-        assert h_u_map(a + b, d, 2, 1) == \
+        assert h_u_map(pair_sum(a, b), d, 2, 1) == \
             (h_u_map(a, d, 2, 1) + h_u_map(b, d, 2, 1)) % omega(3, 2)
 
 

@@ -1,18 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
 
-from iwagrowth.errors import (
-    DivisionByZero,
-    IndeterminateValuation,
-    NonUnit,
-    ValidationError,
-)
+from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.padic import (
+    DEFAULT_PRECISION,
     INF,
     ExtendedRational,
-    PadicNumber,
+    PadicUnit,
     int_valuation,
     is_odd_prime,
     unit_from_int,
@@ -60,84 +55,29 @@ class TestExtendedRational:
         assert ExtendedRational(4).to_json() == "4"
 
 
-class TestPadicNumber:
-    def test_from_int(self):
-        a = PadicNumber.from_int(18, 3)
-        assert a.valuation == 2 and a.unit == 2
-
-    def test_from_rational(self):
-        a = PadicNumber.from_rational(Fraction(2, 9), 3, precision=4)
-        assert a.valuation == -2 and a.unit == 2
-        b = PadicNumber.from_rational(Fraction(1, 2), 3, precision=2)
-        assert (2 * b.unit) % 9 == 1
-
-    def test_exact_zero(self):
-        z = PadicNumber.zero(3)
-        assert z.is_zero and z.ord().is_infinite
-        assert (z + PadicNumber.from_int(5, 3)).unit == 5
-
-    def test_addition_tracks_cancellation(self):
-        a = PadicNumber.from_int(1, 3, precision=5)
-        b = PadicNumber.from_int(8, 3, precision=5)
-        s = a + b
-        assert s.valuation == 2 and s.unit == 1
-        # cancellation eats two digits of relative precision
-        assert s.precision == 3
-
-    def test_indeterminate_on_full_cancellation(self):
-        a = PadicNumber.from_int(1, 3, precision=2)
-        b = PadicNumber.from_int(-1 + 27, 3, precision=2)
-        with pytest.raises(IndeterminateValuation):
-            a + b
-
-    def test_inverse(self):
-        a = PadicNumber.from_int(6, 3, precision=4)
-        inv = a.inverse()
-        assert inv.valuation == -1
-        assert (a * inv).unit == 1
-
-    def test_inverse_of_zero(self):
-        with pytest.raises(DivisionByZero):
-            PadicNumber.zero(3).inverse()
-
-    def test_unit_residue_requires_unit(self):
-        with pytest.raises(NonUnit):
-            PadicNumber.from_int(3, 3).unit_residue()
-        with pytest.raises(NonUnit):
-            unit_from_int(6, 3)
+class TestPadicUnit:
+    def test_residue_is_reduced(self):
+        u = PadicUnit(3, -1, 4)
+        assert u.residue == 80 and u.precision == 4
+        assert unit_from_int(161, 3, 4) == u
+        assert unit_from_int(5, 7).precision == DEFAULT_PRECISION
 
     def test_validation(self):
+        with pytest.raises(ValidationError, match="4 is not an odd prime"):
+            PadicUnit(4, 1, 8)
+        with pytest.raises(ValidationError, match="precision must be positive"):
+            PadicUnit(3, 1, 0)
+        with pytest.raises(ValidationError, match="unit part must be invertible mod p"):
+            PadicUnit(3, 3, 8)
+
+    def test_unit_from_int_rejects_multiples_of_p(self):
+        with pytest.raises(NonUnit, match="6 is divisible by 3"):
+            unit_from_int(6, 3)
+
+    @pytest.mark.parametrize("u, p, precision", [
+        (1, 0, 8), (8, 4, 8), (6, 4, 8), (9, 9, 8), (4, 2, 8), (5, -3, 8),
+        (3, 3, 0), (1, 3, -1),
+    ])
+    def test_unit_from_int_checks_prime_and_precision_first(self, u, p, precision):
         with pytest.raises(ValidationError):
-            PadicNumber(4, 0, 1, 8)
-        with pytest.raises(ValidationError):
-            PadicNumber(3, 0, 3, 8)
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0),
-       st.integers(min_value=-10**6, max_value=10**6).filter(lambda n: n != 0))
-def test_multiplication_matches_integers(a, b):
-    p = 5
-    x = PadicNumber.from_int(a, p)
-    y = PadicNumber.from_int(b, p)
-    z = PadicNumber.from_int(a * b, p)
-    prod = x * y
-    assert prod.valuation == z.valuation
-    assert (prod.unit - z.unit) % p**prod.precision == 0
-
-
-@given(st.integers(min_value=-10**6, max_value=10**6),
-       st.integers(min_value=-10**6, max_value=10**6))
-def test_addition_matches_integers(a, b):
-    p = 7
-    x = PadicNumber.from_int(a, p)
-    y = PadicNumber.from_int(b, p)
-    try:
-        s = x + y
-    except IndeterminateValuation:
-        # only possible when the integer sum is 0 beyond precision
-        assert int_valuation(a + b, p) >= 1 if a + b else True
-        return
-    z = PadicNumber.from_int(a + b, p)
-    assert s.valuation == z.valuation
-    if not s.is_zero:
-        assert (s.unit - z.unit) % p**s.precision == 0
+            unit_from_int(u, p, precision)
