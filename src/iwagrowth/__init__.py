@@ -31,7 +31,7 @@ from .growth import (
 from .iwapoly import (
     IwaPoly,
     WeierstrassData,
-    gcd_with_omega,
+    coprime_to_omega,
     mu_lambda,
     omega,
     ord_eps,

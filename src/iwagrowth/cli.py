@@ -55,10 +55,7 @@ EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
 
 
 def _emit(payload, pretty: bool):
-    if pretty:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(json.dumps(payload))
+    print(json.dumps(payload, indent=2 if pretty else None))
 
 
 def _parse_ints(text: str, label: str) -> tuple[int, ...]:

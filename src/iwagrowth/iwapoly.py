@@ -297,23 +297,10 @@ def mu_lambda(f: IwaPoly) -> WeierstrassData:
     return WeierstrassData(mu, lam)
 
 
-def gcd_with_omega(f: IwaPoly, n: int) -> IwaPoly:
-    """gcd(omega_(n-1), f): the product of the factors X, Phi_1..Phi_(n-1)
-    of omega_(n-1) dividing f.
-
-    A factor divides when the remainder of f by it is zero.  Every factor is
-    monic, so for modular f at p^N the division stays mod p^N and the test
-    reads "the residue of f vanishes mod p^N" (f(0) = 0 mod p^N for the
-    factor X).
-    """
-    if f.is_zero and f.mod_prec is None:
-        raise ZeroPolynomial("gcd with omega undefined for exact 0")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    p = f.prime
-    out = IwaPoly.const(p, 1)
-    factors = [omega(p, 0)] + [phi_poly(p, m) for m in range(1, n)]
-    for fac in factors:
-        if (f % fac).is_zero:
-            out = out * fac
-    return out
+def coprime_to_omega(f: IwaPoly, n: int) -> bool:
+    """Whether the exact f shares no factor with omega_n = X Phi_1 ... Phi_n.
+    The factors are irreducible, so that is f(0) != 0 and ord_eps(f, m) < inf
+    for m = 1..n; ord_eps builds Phi_m only when deg f >= phi(p^m)."""
+    if n < 0:
+        raise ValidationError("n must be >= 0")
+    return f.coeff(0) != 0 and all(not ord_eps(f, m).is_infinite for m in range(1, n + 1))

@@ -8,10 +8,10 @@ Three routes that must agree on finite towers:
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
-  elimination over Z/p^N of multiplication by omega_m on Z_p[X]/(g), for a
-  monic g with (g, omega_m) = (f, omega_m).  N doubles from 16 until the
-  finite level-n module is eliminated; no resultant or eps-valuation is
-  involved.
+  elimination over Z/p^N of multiplication by omega_m on Z_p[X]/(f) when
+  f's leading coefficient is a unit, and by f on Z_p[X]/(omega_m)
+  otherwise.  N doubles from 16 until the finite level-n module is
+  eliminated; no resultant or eps-valuation is involved.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
-from .iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, omega, ord_eps, totient
+from .iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, totient
 from .padic import int_valuation
 from .polyres import resultant
 
@@ -68,7 +68,7 @@ def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
     if n < 1:
         raise ValidationError("n must be >= 1")
     f = t.f if t.f.mod_prec is None else t.f.lift()
-    if gcd_with_omega(f, n + 1).degree > 0:  # factors X, Phi_1..Phi_n of omega_n
+    if not coprime_to_omega(f, n):
         raise NotFinite("f shares a factor with omega_n")
     return f
 
@@ -151,41 +151,35 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
 
 
 def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[list[int]]:
-    """Columns of multiplication by omega_m on (Z/p^prec)[X]/(g), as
-    coefficient lists, for a monic g with (g, omega_m) = (f, omega_m).
+    """Columns of multiplication by a on (Z/p^prec)[X]/(b), as coefficient
+    lists, with (a, b) = (omega_m, f) when f's leading coefficient is a unit
+    and (f, omega_m) otherwise, so that b is a unit times a monic polynomial.
 
-    g is a unit times f when f's leading coefficient is a unit, and
-    otherwise f + X^k omega_m with k = max(0, deg f - p^m + 1), whose
-    leading term is X^(k + p^m).  Either way (g, omega_m) = (f, omega_m),
-    so the cokernel is Z_p[X]/(f, omega_m), which is Lambda/(f, omega_m)
-    because omega_m is distinguished.  The matrix is deg g x deg g: deg f
-    in the first case, max(p^m, deg f + 1) in the second.
+    Either cokernel is Z_p[X]/(f, omega_m), which is Lambda/(f, omega_m)
+    because omega_m is distinguished.  The matrix is deg f square in the
+    first case and p^m square in the second.
     """
     p = f.prime
     pn = p**prec
-    w = omega(p, m).coeffs
-    g = list(f.coeffs)
-    if g[-1] % p == 0:
-        k = max(0, f.degree - p**m + 1)
-        g += [0] * (k + len(w) - len(g))
-        for i, c in enumerate(w):
-            g[k + i] += c
-    inv = pow(g.pop(), -1, pn)
-    tail = [c * inv % pn for c in g]  # g made monic is X^d + tail
+    a, b = omega(p, m).coeffs, f.coeffs
+    if b[-1] % p == 0:
+        a, b = b, a
+    inv = pow(b[-1], -1, pn)
+    tail = [c * inv % pn for c in b[:-1]]  # b made monic is X^d + tail
     d = len(tail)
     if not d:
         return []
 
     def times_x_plus(cur, c):
-        """X * cur + c mod (g, p^prec); X^d = -tail."""
+        """X * cur + c mod (b, p^prec); X^d = -tail."""
         lead = cur[-1]
         cur = [c % pn] + cur[:-1]
         if lead:
-            cur = [(a - lead * b) % pn for a, b in zip(cur, tail)]
+            cur = [(x - lead * y) % pn for x, y in zip(cur, tail)]
         return cur
 
     col = [0] * d
-    for c in reversed(w):  # Horner: omega_m mod (g, p^prec)
+    for c in reversed(a):  # Horner: a mod (b, p^prec)
         col = times_x_plus(col, c)
     cols = [col]
     for _ in range(d - 1):
@@ -203,10 +197,9 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
-    Each e_m is read from the small side: Lambda/(f, omega_m) is
-    Z_p[X]/(g, omega_m) for the monic g of _omega_columns, the cokernel of
-    multiplication by omega_m on the free module Z_p[X]/(g) of rank deg g.
-    Those columns are reduced mod p^N, so they are rebuilt for each N.
+    Each e_m is read from _omega_columns' presentation on the small side,
+    of rank deg f or p^m.  Its columns are reduced mod p^N, so they are
+    rebuilt for each N.
 
     N starts at 16 and doubles until the level-n elimination finishes.  This
     ends: the coprimality gate makes Lambda/(f, omega_n) finite, of size

@@ -14,16 +14,36 @@ from fractions import Fraction
 from .errors import NonUnit, ValidationError
 
 DEFAULT_PRECISION = 64
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
 
 
 def is_odd_prime(p: int) -> bool:
-    if p < 3 or p % 2 == 0:
+    """Trial division by _SMALL_PRIMES, then strong probable-prime tests to
+    those bases.  That is exact below PRIMALITY_BOUND, the least strong
+    pseudoprime to all of them (Sorenson and Webster, 2015); from the bound
+    on, p raises ValidationError."""
+    if p >= PRIMALITY_BOUND:
+        raise ValidationError(
+            f"p = {p} is not below {PRIMALITY_BOUND}, the bound of the primality test"
+        )
+    if p < 3:
         return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _SMALL_PRIMES:
+        if p % q == 0:
+            return p == q != 2
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = 2^s d with d odd
+    d = (p - 1) >> s
+    for a in _SMALL_PRIMES:
+        x = pow(a, d, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        d += 2
     return True
 
 

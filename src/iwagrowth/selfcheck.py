@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .growth import GrowthScenario, SsPrime, av_zero_closed_form, s_term, sha_delta, sha_table, t_term
-from .iwapoly import IwaPoly, gcd_with_omega, mu_lambda, omega, ord_eps, totient
+from .iwapoly import IwaPoly, coprime_to_omega, mu_lambda, omega, ord_eps, totient
 from .kobayashi import (
     TowerOfQuotients,
     nabla_closed_form,
@@ -129,16 +129,17 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
         deg = rng.randint(0, deg_cap)
         coeffs = tuple(rng.randint(-coeff_bound, coeff_bound) for _ in range(deg + 1))
         f = IwaPoly(p, coeffs)
-        if not f.is_zero and gcd_with_omega(f, omega_level + 1).degree == 0:
+        if coprime_to_omega(f, omega_level):
             return f
 
 
 def _structured_rank_polys(p):
     """Fixed f for the elementary-divisor route's branches that a random f
-    almost never takes: mu >= 1, and a leading coefficient divisible by p,
-    also with deg f >= p^m (k > 0 in kobayashi._omega_columns; the last f
-    has it at m = 1).  By their Newton polygons none has a root eps_n, so
-    each is coprime to every omega_n."""
+    almost never takes: mu >= 1, and a leading coefficient divisible by p
+    (multiplication by f on Z_p[X]/(omega_m) in kobayashi._omega_columns),
+    also with deg f >= p^m, which that Horner reduces (the last f has it at
+    m = 1).  By their Newton polygons none has a root eps_n, so each is
+    coprime to every omega_n."""
     return [
         IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1
         IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2

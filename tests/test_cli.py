@@ -61,6 +61,18 @@ class TestValmat:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["agree"] is True
 
+    def test_large_prime_finishes(self):
+        # p = 2^61 - 1 is a prime far past what trial division can reach.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwagrowth.cli", "valmat",
+             "--p", str(2**61 - 1), "--av", "0", "--n", "1"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["agree"] is True
+
 
 class TestKobrank:
     def test_single_method(self, capsys):

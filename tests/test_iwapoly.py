@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from iwagrowth.errors import (
     NonUnitLeadingCoefficient,
@@ -12,7 +12,7 @@ from iwagrowth.errors import (
 )
 from iwagrowth.iwapoly import (
     IwaPoly,
-    gcd_with_omega,
+    coprime_to_omega,
     mu_lambda,
     omega,
     ord_eps,
@@ -167,40 +167,39 @@ def test_mu_lambda():
         mu_lambda(IwaPoly(3, (9,), mod_prec=1))
 
 
-def test_gcd_with_omega():
-    f = phi_poly(3, 1) * IwaPoly(3, (1, 1))
-    assert gcd_with_omega(f, 2) == phi_poly(3, 1)
-    assert gcd_with_omega(f, 1) == IwaPoly.const(3, 1)
-    g = omega(3, 0) * phi_poly(3, 2)
-    assert gcd_with_omega(g, 3) == omega(3, 0) * phi_poly(3, 2)
-    assert gcd_with_omega(IwaPoly.const(3, 7), 3).degree == 0
-
-
 @settings(max_examples=80, deadline=None)
 @given(
-    st.sampled_from((3, 5, 7)),
-    st.integers(min_value=1, max_value=4),
-    st.integers(min_value=1, max_value=3),
-    st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=8),
-    st.lists(st.booleans(), min_size=3, max_size=3),
-    st.booleans(),
+    p=st.sampled_from((3, 5, 7)),
+    n=st.integers(min_value=0, max_value=4),
+    coeffs=st.lists(st.integers(min_value=-3000, max_value=3000), min_size=1, max_size=9),
+    planted=st.lists(st.booleans(), min_size=5, max_size=5),
+    nudge=st.integers(min_value=0, max_value=3),
 )
-def test_gcd_with_omega_modular(p, prec, n, coeffs, planted, vanish):
-    """At p^N a factor X or Phi_m of omega_(n-1) divides f exactly when the
-    exact remainder of f's lift by it vanishes mod p^N."""
-    factors = [omega(p, 0)] + [phi_poly(p, m) for m in range(1, n)]
+# deg f = 7 >= phi(9) with no factor; Phi_1 planted; Phi_2 planted above
+# level n = 1; X and Phi_2 planted, then pushed off by 9.
+@example(p=3, n=2, coeffs=[1, 0, 0, 0, 0, 0, 0, 1], planted=[False] * 5, nudge=0)
+@example(p=3, n=1, coeffs=[1, 1], planted=[False, True, False, False, False], nudge=0)
+@example(p=5, n=1, coeffs=[2], planted=[False, False, True, False, False], nudge=0)
+@example(p=3, n=2, coeffs=[1], planted=[True, False, True, False, False], nudge=2)
+def test_coprime_to_omega(p, n, coeffs, planted, nudge):
+    """Against the rule it replaces: f meets omega_n exactly when one of
+    the factors X, Phi_1..Phi_n leaves remainder zero.  Factors of omega_4
+    of degree at most 100 are planted, some pushed off by adding p^nudge, so
+    deg f reaches phi(p^m) both with and without Phi_m dividing f."""
+    factors = [omega(p, 0)] + [phi_poly(p, m) for m in range(1, 5)]
     f = IwaPoly(p, tuple(coeffs))
     for fac, plant in zip(factors, planted):
-        if plant:
+        if plant and fac.degree <= 100:
             f = f * fac
-    if vanish:  # the modular zero: every factor divides
-        f = f.scale(p**prec)
-    f = f.with_modulus(prec)
-    expect = IwaPoly.const(p, 1)
-    for fac in factors:
-        if (f.lift() % fac).with_modulus(prec).is_zero:
-            expect = expect * fac
-    assert gcd_with_omega(f, n) == expect
+    if nudge:
+        f = f + IwaPoly.const(p, p**nudge)
+    meets = any((f % fac).is_zero for fac in factors[: n + 1])
+    assert coprime_to_omega(f, n) is not meets
+
+
+def test_coprime_to_omega_rejects_negative_level():
+    with pytest.raises(ValidationError, match="n must be >= 0"):
+        coprime_to_omega(IwaPoly(3, (1, 1)), -1)
 
 
 small_polys = st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=6)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
-from iwagrowth.iwapoly import IwaPoly, WeierstrassData, gcd_with_omega, omega, phi_poly, totient
+from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, phi_poly, totient
 from iwagrowth.kobayashi import (
     TowerOfQuotients,
     _omega_columns,
@@ -99,15 +99,18 @@ def _tower_levels(draw):
         lead *= p
     scale = p ** draw(st.integers(1, 2)) if shape == "mu > 0" else 1
     f = IwaPoly(p, tuple(scale * c for c in coeffs + [lead]))
-    assume(gcd_with_omega(f, m + 1).degree == 0)
+    assume(coprime_to_omega(f, m))
     return f, m
 
 
 @settings(max_examples=120, deadline=None)
 @given(_tower_levels())
-@example((IwaPoly(3, (3, 1, 3)), 1))  # deg f = p^m - 1 with p | lead: k = 0
-@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # deg f = p^m with p | lead: k = 1
-@example((IwaPoly(5, (9, 25)), 0))  # unit constant, p | lead: k = 1 at m = 0
+# With p | lead the kernel multiplies by f on Z[X]/omega_m, and its Horner
+# reduces f mod omega_m once deg f >= p^m.
+@example((IwaPoly(3, (3, 1, 3)), 1))  # p | lead, deg f = p^m - 1: no reduction
+@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # p | lead, deg f = p^m: one reduction
+@example((IwaPoly(3, (3, 1) + (0,) * 8 + (3,)), 2))  # p | lead, deg f = 10 > p^m = 9
+@example((IwaPoly(5, (9, 25)), 0))  # unit constant, p | lead at m = 0: f(0)
 def test_omega_columns_match_f_columns(case):
     # Both presentations have cokernel Lambda/(f, omega_m), so they share
     # their non-unit elementary divisors; their sizes differ by unit ones.
@@ -166,7 +169,7 @@ def test_triple_agreement_random():
     while done < 15:
         coeffs = tuple(rng.randint(-p**6, p**6) for _ in range(rng.randint(1, 11)))
         f = IwaPoly(p, coeffs)
-        if f.is_zero or gcd_with_omega(f, 4).degree > 0:
+        if not coprime_to_omega(f, 3):
             continue
         done += 1
         t = TowerOfQuotients(f)

@@ -6,6 +6,7 @@ from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.padic import (
     DEFAULT_PRECISION,
     INF,
+    PRIMALITY_BOUND,
     ExtendedRational,
     PadicUnit,
     int_valuation,
@@ -16,6 +17,33 @@ from iwagrowth.padic import (
 
 def test_is_odd_prime():
     assert [q for q in range(20) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19]
+
+
+def test_is_odd_prime_matches_sympy_below_10_5():
+    import sympy
+
+    assert ([q for q in range(10**5) if is_odd_prime(q)]
+            == [q for q in range(3, 10**5) if sympy.isprime(q)])
+
+
+@pytest.mark.parametrize("q", [
+    3215031751,  # strong pseudoprime to bases 2, 3, 5, 7
+    3825123056546413051,  # strong pseudoprime to the primes up to 23
+    318665857834031151167461,  # strong pseudoprime to the primes up to 37
+])
+def test_is_odd_prime_rejects_strong_pseudoprimes(q):
+    assert not is_odd_prime(q)
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1])
+def test_is_odd_prime_accepts_mersenne_primes(q):
+    assert is_odd_prime(q)
+
+
+def test_is_odd_prime_refuses_p_past_its_bound():
+    assert PRIMALITY_BOUND == 3317044064679887385961981
+    with pytest.raises(ValidationError, match=str(PRIMALITY_BOUND)):
+        is_odd_prime(2**89 - 1)
 
 
 def test_int_valuation():
