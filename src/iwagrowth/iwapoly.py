@@ -1,7 +1,8 @@
 """Polynomial arithmetic in Lambda = Z_p[[X]] truncated to polynomials.
 
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
-Phi_n = omega_n / omega_(n-1), both read off binomial rows; ord_eps(f, n),
+Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
+with ValidationError when p^n exceeds MAX_EXACT_P_POWER; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction.
@@ -67,16 +68,6 @@ class IwaPoly:
 
     def coeff(self, i: int) -> int:
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def lift(self) -> "IwaPoly":
-        """Drop the modulus flag, keeping the canonical coefficient lift."""
-        return IwaPoly(self.prime, self.coeffs)
 
     def with_modulus(self, mod_prec: int) -> "IwaPoly":
         if self.mod_prec is not None and self.mod_prec < mod_prec:
@@ -222,11 +213,24 @@ def _binomial_row(m: int) -> list[int]:
     return row
 
 
+# The largest p^n for which omega(p, n) and phi_poly(p, n) are built: they
+# hold about p^n coefficients of up to p^n bits, 300 MiB for omega(3, 10).
+# It admits 3^9, 5^6 and 7^5.
+MAX_EXACT_P_POWER = 2**15
+
+
+def _require_exact_size(p: int, n: int) -> None:
+    # p >= 3, so n >= the bound's bit length is over it without forming p**n
+    if n >= MAX_EXACT_P_POWER.bit_length() or p**n > MAX_EXACT_P_POWER:
+        raise ValidationError(f"p^n = {p}^{n} is above {MAX_EXACT_P_POWER}, too large to build")
+
+
 @functools.lru_cache(maxsize=None)
 def omega(p: int, n: int) -> IwaPoly:
     """omega_n = (1+X)^(p^n) - 1; omega_0 = X."""
     if n < 0:
         raise ValidationError("n must be >= 0")
+    _require_exact_size(p, n)
     coeffs = _binomial_row(p**n)
     coeffs[0] = 0
     return IwaPoly(p, tuple(coeffs))
@@ -241,6 +245,7 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    _require_exact_size(p, n)
     q = p ** (n - 1)
     coeffs = [0] * ((p - 1) * q + 1)
     for i in range(p):

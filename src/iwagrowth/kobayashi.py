@@ -31,13 +31,16 @@ FINITE_TOWER = "finite_tower"
 
 @dataclass(frozen=True)
 class TowerOfQuotients:
-    """The system Lambda/(f, omega_n)."""
+    """The system Lambda/(f, omega_n) for an exact nonzero f: the lifts of an
+    f known mod p^N can define towers of different ranks."""
 
     f: IwaPoly
 
     def __post_init__(self):
         if self.f.is_zero:
             raise ValidationError("defining element must be nonzero")
+        if self.f.mod_prec is not None:
+            raise ValidationError("defining element must be exact, not known mod p^N")
 
     @property
     def prime(self) -> int:
@@ -63,14 +66,12 @@ def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
 
 
 def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
-    """The oracles' shared preamble: f with any modulus lifted away, once n
-    is a valid level and Lambda/(f, omega_n) is known to be finite."""
+    """The oracles' preamble: f, once n is valid and Lambda/(f, omega_n) finite."""
     if n < 1:
         raise ValidationError("n must be >= 1")
-    f = t.f if t.f.mod_prec is None else t.f.lift()
-    if not coprime_to_omega(f, n):
+    if not coprime_to_omega(t.f, n):
         raise NotFinite("f shares a factor with omega_n")
-    return f
+    return t.f
 
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:

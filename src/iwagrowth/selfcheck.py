@@ -18,6 +18,7 @@ from .growth import GrowthScenario, SsPrime, av_zero_closed_form, s_term, sha_de
 from .iwapoly import IwaPoly, coprime_to_omega, mu_lambda, omega, ord_eps, totient
 from .kobayashi import (
     TowerOfQuotients,
+    nabla_asymptotic,
     nabla_closed_form,
     nabla_finite_tower,
     nabla_resultant_oracle,
@@ -195,7 +196,7 @@ def check_asymptotic_law(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=20) -> 
             for n in range(start, min(5, n_max) + 1):
                 count += 1
                 o = ord_eps(f, n)
-                expect = totient(p, n) * mu + d_deg
+                expect = nabla_asymptotic(inv, p, n)
                 if o.is_infinite or o.value != expect:
                     failures.append(f"f={f.coeffs} n={n}: {o} != {expect}")
     return _finish(5, "asymptotic valuation law", failures, count, t0)

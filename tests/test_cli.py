@@ -214,6 +214,30 @@ def test_kobrank_prec_is_refused_at_once(prec):
     assert "--prec" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_kobrank_refuses_omega_at_a_large_prime(capsys):
+    # p = 2^61 - 1: built without the size bound, omega_1 fails at once
+    code, out, err = run(capsys, "kobrank", "--p", str(2**61 - 1), "--f", "1,1", "--n", "1")
+    assert code == 2 and out == "" and "above 32768" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("kobrank", "--p", "3", "--f", "1,1", "--n", "20"),
+    ("valmat", "--p", "1000003", "--av", "0", "--n", "2"),
+], ids=["kobrank_n20", "valmat_p1000003"])
+def test_oversized_exact_omega_is_refused_before_it_is_built(argv):
+    # Run under a 1.5 GiB address-space limit and a timeout, so that a build
+    # of omega_n or Phi_n at this p^n fails the test instead of the machine.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    limited = ("import resource, sys; "
+               "resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29)); "
+               "from iwagrowth.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run([sys.executable, "-c", limited, *argv],
+                          capture_output=True, text=True, timeout=20, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "above 32768" in proc.stderr and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{\"p\": 3}",
     ('{"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "mu_sigma": -%s}'

@@ -43,7 +43,6 @@ class TestIwaPoly:
         f = (x + IwaPoly.const(3, 1)) * (x - IwaPoly.const(3, 1))
         assert f == IwaPoly(3, (-1, 0, 1))
         assert f.scale(2) == IwaPoly(3, (-2, 0, 2))
-        assert f(2) == 3
 
     def test_divmod_exact(self):
         f = IwaPoly(3, (-1, 0, 1))
@@ -91,6 +90,14 @@ def test_omega_and_phi():
         for m in (1, 2, 3):
             acc = acc * phi_poly(p, m)
             assert acc == omega(p, m)
+
+
+@pytest.mark.parametrize("build", [omega, phi_poly])
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_omega_and_phi_refuse_p_n_above_the_bound(build, n):
+    # p = 2^61 - 1: built without the bound, this would fail at once
+    with pytest.raises(ValidationError, match="above 32768"):
+        build(2**61 - 1, n)
 
 
 def test_ord_eps_uniformizer():

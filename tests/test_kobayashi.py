@@ -22,6 +22,11 @@ class TestTower:
         with pytest.raises(ValidationError):
             TowerOfQuotients(IwaPoly(3, ()))
 
+    def test_rejects_an_f_known_mod_p_n(self):
+        # X + 9 mod 3^2: its lifts X and X + 9 give infinite and finite towers
+        with pytest.raises(ValidationError, match="exact"):
+            TowerOfQuotients(IwaPoly(3, (9, 1), mod_prec=2))
+
 
 class TestElementaryDivisors:
     def test_diagonal(self):

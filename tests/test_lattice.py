@@ -1,6 +1,8 @@
 import pytest
 
-from iwagrowth.errors import NonUnit, PrecisionExhausted, ValidationError
+from hypothesis import example, given, settings, strategies as st
+
+from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.iwapoly import IwaPoly, omega
 from iwagrowth.lattice import (
     LatticePair,
@@ -44,9 +46,9 @@ class TestInImage:
         d = LocalCurveData(3, 0)
         pair = const_pair(3, 1, 1 + 2 * 27)  # 2 vs 2 + 4*27
         assert not in_image(pair, d)
-        assert in_image(pair, d, n_prec=3)
-        with pytest.raises(ValidationError):
-            in_image(pair, d, n_prec=0)
+        assert in_image(LatticePair(pair.g1.with_modulus(3), pair.g2.with_modulus(3)), d)
+        assert in_image(LatticePair(pair.g1, pair.g2.with_modulus(3)), d)
+        assert not in_image(LatticePair(pair.g1.with_modulus(4), pair.g2.with_modulus(4)), d)
         # a modular coordinate sets the modulus: 2*(-2) = 2*241 mod 3^5
         one = LatticePair(IwaPoly.const(3, 1), IwaPoly.const(3, 1, 5))
         minus_two = LatticePair(IwaPoly.const(3, -2), IwaPoly.const(3, -2, 5))
@@ -54,9 +56,17 @@ class TestInImage:
         assert in_image(minus_two, d)
         assert in_image(pair_sum(one, minus_two), d)
         assert not in_image(LatticePair(IwaPoly.const(3, 1), IwaPoly.const(3, 2, 5)), d)
-        assert in_image(minus_two, d, n_prec=6)  # the least modulus, p^5, wins
-        with pytest.raises(ValidationError, match="precision must be >= 1"):
-            in_image(minus_two, d, n_prec=0)
+        # 2*(-2 mod 3^6) - 2*241 = 4*3^5: the least modulus, p^5, wins
+        assert in_image(LatticePair(minus_two.g1.with_modulus(6), minus_two.g2), d)
+
+    def test_pair_at_another_prime_is_refused(self):
+        # p = 5 from the pair and a_v = 3 from the curve would read True
+        pair = LatticePair(IwaPoly.const(5, 1), IwaPoly.const(5, -4))
+        d = LocalCurveData(3, 3)
+        with pytest.raises(ValidationError, match="mixed primes"):
+            in_image(pair, d)
+        with pytest.raises(ValidationError, match="mixed primes"):
+            h_u_map(pair, d, 1, 1)
 
     def test_lattice_closed_under_module_operations(self):
         d = LocalCurveData(3, 0)
@@ -147,11 +157,13 @@ class TestFiniteLevelMap:
                 assert img == total % omega(p, n)
                 assert img.mod_prec == (None if isinstance(u, int) else 32)
 
-    def test_pair_modulus_below_the_unit_precision_raises(self):
+    def test_pair_modulus_below_the_unit_precision_wins(self):
+        # the unit is known mod 3^32 and G_1 mod 3^5: the image is known mod 3^5
         d = LocalCurveData(3, 3)
         pair = LatticePair(IwaPoly(3, (1, 1), mod_prec=5), IwaPoly(3, (2,)))
-        with pytest.raises(PrecisionExhausted):
-            h_u_map(pair, d, 2, unit_from_int(4, 3, 32))
+        assert h_u_map(pair, d, 2, 1) == IwaPoly(3, (12, 3, 239, 242), mod_prec=5)
+        assert h_u_map(pair, d, 2, unit_from_int(4, 3, 32)) == \
+            IwaPoly(3, (30, 3, 239, 242), mod_prec=5)
 
     def test_linearity(self):
         d = LocalCurveData(3, 3)
@@ -159,6 +171,46 @@ class TestFiniteLevelMap:
         b = LatticePair(IwaPoly(3, (1,)), IwaPoly(3, (4, 4)))
         assert h_u_map(pair_sum(a, b), d, 2, 1) == \
             (h_u_map(a, d, 2, 1) + h_u_map(b, d, 2, 1)) % omega(3, 2)
+
+
+@st.composite
+def _level_map_case(draw):
+    """(p, a_v, n, G_1, G_2, u): each G with no modulus or one of 1..6 and a
+    degree reaching past p^n, u as +-1 or a PadicUnit of precision 1..8."""
+    p = draw(st.sampled_from([3, 5]))
+    n = draw(st.integers(1, 3))
+    a_v = draw(st.sampled_from([0, 3, -3] if p == 3 else [0]))  # |a_v| <= 2 sqrt(p)
+    gs = []
+    for _ in range(2):
+        coeffs = draw(st.lists(st.integers(-p**8, p**8), max_size=p**n + 3))
+        gs.append(IwaPoly(p, tuple(coeffs), draw(st.none() | st.integers(1, 6))))
+    u = draw(st.sampled_from([1, -1])
+             | st.builds(PadicUnit, st.just(p),
+                         st.integers(1, p**8).filter(lambda r: r % p), st.integers(1, 8)))
+    return p, a_v, n, gs[0], gs[1], u
+
+
+@settings(max_examples=80, deadline=None)
+@given(_level_map_case())
+@example((3, 3, 2, IwaPoly(3, (1, 1), mod_prec=5), IwaPoly(3, (2,)), unit_from_int(4, 3, 32)))
+def test_level_map_is_known_mod_the_least_modulus(case):
+    p, a_v, n, g1, g2, u = case
+    d = LocalCurveData(p, a_v)
+    pair = LatticePair(g1, g2)
+    unit_prec = None if isinstance(u, int) else u.precision
+    least = min((e for e in (g1.mod_prec, g2.mod_prec, unit_prec) if e is not None), default=None)
+    sharp, flat = h_entries(d, n)
+    residue = u if isinstance(u, int) else u.residue
+    lift1, lift2 = IwaPoly(p, g1.coeffs), IwaPoly(p, g2.coeffs)
+    exact = (sharp * lift1 + (flat * lift2).scale(residue)) % omega(p, n)
+    img = h_u_map(pair, d, n, u)
+    assert img.mod_prec == least
+    assert img.coeffs == IwaPoly(p, exact.coeffs, least).coeffs
+    # membership is decided mod the least modulus of the pair alone
+    pair_prec = min((e for e in (g1.mod_prec, g2.mod_prec) if e is not None), default=None)
+    diff = (p - 1) * g1.coeff(0) - (2 - a_v) * g2.coeff(0)
+    expect = diff == 0 if pair_prec is None else diff % p**pair_prec == 0
+    assert in_image(pair, d) == expect
 
 
 class TestCrossIdentity:
