@@ -91,7 +91,9 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
     valuation v < prec, minimal in its block, every row operation subtracts
     multiples of entries divisible by p^v, and reduction mod p^prec keeps
     that divisibility.  So the pivot search stops at the first entry of the
-    last pivot's valuation.
+    last pivot's valuation.  A row operation touches only the nonzero
+    columns of the pivot row that are still active (the pivot's own column
+    is never read again), which is what a banded matrix keeps cheap.
 
     Raises PrecisionExhausted when a needed pivot is indistinguishable from
     zero at the working modulus (an elementary divisor reaching p^prec, or an
@@ -131,21 +133,20 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
         v, pi, pj = best
         lo = v
         vals.append(v)
-        pivot = m[pi][pj]
-        unit_inv = pow(pivot // p**v, -1, pn)
-        prow = m[pi]
-        for i in act_rows:
-            if i == pi:
-                continue
-            entry = m[i][pj]
-            if entry == 0:
-                continue
-            factor = (entry // p**v) * unit_inv % pn
-            row = m[i]
-            for j in act_cols:
-                row[j] = (row[j] - factor * prow[j]) % pn
         act_rows.remove(pi)
         act_cols.remove(pj)
+        prow = m[pi]
+        pv = p**v
+        unit_inv = pow(prow[pj] // pv, -1, pn)
+        support = None  # the pivot row's nonzero active columns, once needed
+        for i in act_rows:
+            row = m[i]
+            if row[pj]:
+                if support is None:
+                    support = [(j, prow[j]) for j in act_cols if prow[j]]
+                factor = (row[pj] // pv) * unit_inv % pn
+                for j, x in support:
+                    row[j] = (row[j] - factor * x) % pn
     if act_cols:
         raise NotFinite("matrix has a nontrivial kernel direction: infinite cokernel")
     return vals
@@ -158,13 +159,15 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[list[int]]:
 
     Either cokernel is Z_p[X]/(f, omega_m), which is Lambda/(f, omega_m)
     because omega_m is distinguished.  The matrix is deg f square in the
-    first case and p^m square in the second.
+    first case and p^m square in the second.  In the first case omega_m mod
+    (f, p^prec) is 1 + X raised m times to the p-th power, by squaring, less
+    1: the exact omega_m (p^m + 1 binomial coefficients) is never built, and
+    a large p costs O(m log p) products mod f.
     """
     p = f.prime
     pn = p**prec
-    a, b = omega(p, m).coeffs, f.coeffs
-    if b[-1] % p == 0:
-        a, b = b, a
+    unit_lead = f.coeffs[-1] % p != 0
+    b = f.coeffs if unit_lead else omega(p, m).coeffs
     inv = pow(b[-1], -1, pn)
     tail = [c * inv % pn for c in b[:-1]]  # b made monic is X^d + tail
     d = len(tail)
@@ -179,9 +182,38 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[list[int]]:
             cur = [(x - lead * y) % pn for x, y in zip(cur, tail)]
         return cur
 
-    col = [0] * d
-    for c in reversed(a):  # Horner: a mod (b, p^prec)
-        col = times_x_plus(col, c)
+    def horner(a):
+        """a mod (b, p^prec)."""
+        col = [0] * d
+        for c in reversed(a):
+            col = times_x_plus(col, c)
+        return col
+
+    def times(u, v):
+        """u * v mod (b, p^prec), reduced from the top in place."""
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v, i):
+                    prod[j] += x * y
+        for k in range(2 * d - 2, d - 1, -1):
+            lead = prod[k] % pn
+            if lead:
+                for i, y in enumerate(tail, k - d):
+                    prod[i] -= lead * y
+        return [x % pn for x in prod[:d]]
+
+    if unit_lead:
+        col = horner((1, 1))
+        for _ in range(m):
+            base = col
+            for bit in bin(p)[3:]:
+                col = times(col, col)
+                if bit == "1":
+                    col = times(col, base)
+        col[0] = (col[0] - 1) % pn
+    else:
+        col = horner(f.coeffs)
     cols = [col]
     for _ in range(d - 1):
         cols.append(times_x_plus(cols[-1], 0))

@@ -7,6 +7,10 @@ possible without rational arithmetic).  ``resultant_bareiss`` eliminates the
 full Sylvester matrix with Bareiss pivoting; it is quadratically slower and is
 kept as a cross-check for the PRS route.
 
+Each pseudo-remainder is computed by Horner and costs
+O((deg a - deg b + 1) * deg b) products, so Res(f, omega_n) for a small f
+costs about p^n * deg f products at its first step.
+
 Polynomials are plain lists/tuples of ints, index i = coefficient of X^i.
 """
 
@@ -26,22 +30,31 @@ def _deg(c: Sequence[int]) -> int:
 
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z."""
+    """Pseudo-remainder: lc(b)^(deg a - deg b + 1) * a mod b, over Z.
+
+    Horner from the top of a: the running remainder is a window of deg b
+    coefficients, rescaled by lc(b) at each step, and each incoming
+    coefficient of a is multiplied by the running power of lc(b).  That is
+    O((deg a - deg b + 1) * deg b) products.
+    """
     db = _deg(b)
     lb = b[-1]
-    r = list(a)
-    e = _deg(r) - db + 1
-    while _trim(r) and _deg(r) >= db:
-        shift = _deg(r) - db
-        lr = r[-1]
-        r = [lb * c for c in r]
-        for i in range(db + 1):
-            r[i + shift] -= lr * b[i]
-        e -= 1
-    if e > 0:
-        m = lb**e
-        r = [m * c for c in r]
-    return _trim(r)
+    e = len(a) - db  # deg a - deg b + 1
+    if e <= 0:
+        return _trim(list(a))
+    if db == 0:
+        return []  # everything vanishes mod a nonzero constant
+    w = list(a[e:])  # the top deg b coefficients of a, of degree < deg b
+    power = 1
+    for k in range(e - 1, -1, -1):
+        # w <- lc(b) * X * w + power * a_k - t * b, whose X^(deg b) term cancels
+        power *= lb
+        t = w[-1]
+        if t:
+            w = [power * a[k] - t * b[0]] + [lb * x - t * y for x, y in zip(w, b[1:db])]
+        else:
+            w = [power * a[k]] + [lb * x for x in w[:-1]]
+    return _trim(w)
 
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:

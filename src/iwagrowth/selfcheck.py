@@ -153,7 +153,7 @@ def _structured_rank_polys(p):
 def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> CriterionResult:
     t0 = time.time()
     failures, count = [], 0
-    for p, cap in ((3, 4), (5, 3), (7, 2)):
+    for p, cap in ((3, 5), (5, 3), (7, 2)):
         if p not in p_list:
             continue
         rng = random.Random(seed * 1000003 + p)

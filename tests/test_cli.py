@@ -238,6 +238,34 @@ def test_oversized_exact_omega_is_refused_before_it_is_built(argv):
     assert "above 32768" in proc.stderr and "Traceback" not in proc.stderr
 
 
+def test_kobrank_at_the_largest_exact_level_finishes():
+    # p^n = 3^9 is the largest level the size bound admits: the resultant
+    # route divides the degree-19,683 omega_9 by f, which must cost about
+    # deg omega_9 * deg f products, not deg omega_9 squared.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "iwagrowth.cli", "kobrank", "--p", "3", "--f", "1,1", "--n", "9"],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["all_agree"] is True
+
+
+@pytest.mark.parametrize("p, n, value", [("3", "12", 1), (str(2**61 - 1), "1", 0)],
+                         ids=["p3_n12", "p2^61-1_n1"])
+def test_kobrank_snf_oracle_needs_no_exact_omega_for_a_unit_lead(capsys, p, n, value):
+    # With a unit leading coefficient the elementary-divisor route reduces
+    # omega_n mod (f, p^N) by p-th powers, so it answers past the size bound
+    # that the resultant route (in the default --methods all) still meets.
+    code, out, _ = run(capsys, "kobrank", "--p", p, "--f", "3,1", "--n", n,
+                       "--methods", "snf_oracle")
+    assert code == 0
+    assert json.loads(out)["results"] == [{"n": int(n), "value": value, "method": "snf_oracle"}]
+    code, out, err = run(capsys, "kobrank", "--p", p, "--f", "3,1", "--n", n)
+    assert code == 2 and out == "" and "above 32768" in err
+
+
 @pytest.mark.parametrize("content", [
     b"\xff\xfe{\"p\": 3}",
     ('{"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}], "mu_sigma": -%s}'

@@ -127,6 +127,63 @@ def test_omega_columns_match_f_columns(case):
     assert strip(small) == strip(dense)
 
 
+def _sympy_outcome(cols, p, prec):
+    """elementary_divisor_valuations' outcome, read off sympy's Smith normal
+    form over ZZ: the p-valuations of its diagonal, or "exhausted" when one
+    of them is 0 or reaches p^prec."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    snf = smith_normal_form(Matrix(cols), domain=ZZ)
+    diag = [int(snf[i, i]) for i in range(min(snf.shape))]
+    vals = []
+    for d in diag:
+        v = 0
+        while d and d % p == 0 and v < prec:
+            d //= p
+            v += 1
+        if not d or v >= prec:
+            return "exhausted"
+        vals.append(v)
+    return sorted(vals)
+
+
+@st.composite
+def _p_lead_levels(draw):
+    """(f, m) with f's leading coefficient divisible by p and f coprime to
+    omega_m: multiplication by f on Z_p[X]/(omega_m), banded up to the rows
+    where X^j f wraps round omega_m.  p^m <= 9 keeps sympy's Smith form
+    fast; at 25 and 27 it sometimes runs for seconds."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    m = draw(st.integers(1, {3: 2, 5: 1, 7: 1}[p]))
+    deg = draw(st.integers(1, 6))
+    low = draw(st.lists(st.integers(-p**2, p**2), min_size=deg, max_size=deg))
+    lead = p * draw(st.sampled_from([u for u in range(-p + 1, p) if u]))
+    scale = p ** draw(st.integers(0, 1))
+    f = IwaPoly(p, tuple(scale * c for c in low + [lead]))
+    assume(coprime_to_omega(f, m))
+    return f, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p_lead_levels(), st.sampled_from((2, 4, 8)), st.randoms(use_true_random=False))
+@example((IwaPoly(3, (9, 1, 3)), 2), 8, None)  # unit-free constant term: rank > 0
+@example((IwaPoly(3, (81, 0, 3)), 1), 2, None)  # a divisor reaching p^prec
+def test_p_lead_divisors_match_sympy_smith_form(case, prec, rng):
+    # The pivot rows of this banded matrix are sparse, and only their
+    # nonzero columns are updated: the divisors must still be the exact ones.
+    # Shuffling rows and columns keeps the divisors and moves the pivots.
+    f, m = case
+    cols = _omega_columns(f, m, prec)
+    assert len(cols) == f.prime**m
+    if rng is not None:
+        order = list(range(len(cols)))
+        rng.shuffle(order)
+        cols = [[row[j] for j in order] for row in cols]
+        rng.shuffle(cols)
+    assert _outcome(cols, f.prime, prec) == _sympy_outcome(cols, f.prime, prec)
+
+
 def test_constant_p_all_methods():
     t = TowerOfQuotients(IwaPoly.const(3, 3))
     for n in (1, 2):

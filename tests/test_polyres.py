@@ -1,9 +1,10 @@
 import math
 import random
+from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from iwagrowth.polyres import resultant, resultant_bareiss
+from iwagrowth.polyres import _prem, resultant, resultant_bareiss
 
 
 def ref_resultant(f, g):
@@ -95,3 +96,50 @@ def test_large_degree_runs():
     g = [rng.randint(-100, 100) for _ in range(60)] + [1]
     r = resultant(f, g)
     assert isinstance(r, int) and math.gcd(r, 1) == 1
+
+
+def _prem_by_fractions(a, b):
+    """lc(b)^(deg a - deg b + 1) * a mod b by long division over Q."""
+    e = len(a) - len(b) + 1
+    r = [Fraction(b[-1] ** max(e, 0) * c) for c in a]
+    while r and r[-1] == 0:
+        r.pop()
+    while len(r) >= len(b):
+        q = r[-1] / b[-1]
+        shift = len(r) - len(b)
+        for i, c in enumerate(b):
+            r[shift + i] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+    assert all(c.denominator == 1 for c in r)
+    return [int(c) for c in r]
+
+
+# Mostly zeros, so that a has runs of zero middle coefficients.
+sparse_coeff = st.one_of(st.just(0), st.integers(-40, 40))
+# deg a up to 90 (a = 0 included) against deg b at most 6, whose leading
+# coefficient is +-1, a multiple of p = 3 or a composite.
+long_a = st.one_of(
+    st.just([]),
+    st.tuples(st.lists(sparse_coeff, max_size=90), st.integers(1, 40) | st.integers(-40, -1))
+    .map(lambda t: t[0] + [t[1]]),
+)
+short_b = st.tuples(st.lists(sparse_coeff, max_size=6),
+                    st.sampled_from((1, -1, 3, -9, 6, 10, -12))).map(lambda t: t[0] + [t[1]])
+
+
+@settings(max_examples=80, deadline=None)
+@given(long_a, short_b)
+@example([], [1, 1])  # a = 0
+@example([5, 7], [1, 2, 0, 3])  # deg a < deg b
+@example([1] + [0] * 80 + [2], [0, 0, 6])  # zero middle coefficients, lc(b) = 6
+def test_prem_is_the_scaled_remainder_on_unbalanced_pairs(a, b):
+    assert _prem(a, b) == _prem_by_fractions(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(long_a, short_b)
+@example([1] + [0] * 80 + [1], [3, 0, 0, 3])  # lc(b) = p: a is scaled by 3^79
+def test_prs_equals_bareiss_on_unbalanced_pairs(a, b):
+    assert resultant(a, b) == resultant_bareiss(a, b)
+    assert resultant(b, a) == resultant_bareiss(b, a)
