@@ -305,7 +305,16 @@ def mu_lambda(f: IwaPoly) -> WeierstrassData:
 def coprime_to_omega(f: IwaPoly, n: int) -> bool:
     """Whether the exact f shares no factor with omega_n = X Phi_1 ... Phi_n.
     The factors are irreducible, so that is f(0) != 0 and ord_eps(f, m) < inf
-    for m = 1..n; ord_eps builds Phi_m only when deg f >= phi(p^m)."""
+    for m = 1..n.  Phi_m has degree phi(p^m), so it cannot divide a nonzero
+    f once phi(p^m) > deg f: the loop stops at the first such m, and costs
+    nothing more in n.  Below it ord_eps builds Phi_m, as deg f >= phi(p^m)."""
     if n < 0:
         raise ValidationError("n must be >= 0")
-    return f.coeff(0) != 0 and all(not ord_eps(f, m).is_infinite for m in range(1, n + 1))
+    if f.coeff(0) == 0:
+        return False
+    for m in range(1, n + 1):
+        if totient(f.prime, m) > f.degree:
+            return True
+        if ord_eps(f, m).is_infinite:
+            return False
+    return True

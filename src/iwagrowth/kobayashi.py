@@ -8,10 +8,14 @@ Three routes that must agree on finite towers:
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
-  elimination over Z/p^N of multiplication by omega_m on Z_p[X]/(f) when
-  f's leading coefficient is a unit, and by f on Z_p[X]/(omega_m)
-  otherwise.  N doubles from 16 until the finite level-n module is
-  eliminated; no resultant or eps-valuation is involved.
+  elimination over Z/p^N of one of three presentations: multiplication by
+  omega_m on Z_p[X]/(f) when f's leading coefficient is a unit; the same on
+  Z_p[X]/(f*) when p divides it and f(-1) is a unit, with f* the image of
+  f under X -> (1+X)^(-1) - 1; and otherwise the sparse circulant of
+  multiplication by f(T-1) on the group ring Z_p[T]/(T^(p^m) - 1),
+  T = 1 + X.  Only the circulant, with p^m columns, is refused above
+  MAX_EXACT_P_POWER.  N doubles from 16 until the finite level-n module is
+  eliminated; no resultant, eps-valuation or omega_m is involved.
 """
 
 from __future__ import annotations
@@ -19,7 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
-from .iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, totient
+from .iwapoly import (
+    IwaPoly,
+    WeierstrassData,
+    _require_exact_size,
+    coprime_to_omega,
+    omega,
+    ord_eps,
+    totient,
+)
 from .padic import int_valuation
 from .polyres import resultant
 
@@ -83,36 +95,46 @@ def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     return NablaResult(n, e_hi - e_lo, RESULTANT_ORACLE)
 
 
-def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> list[int]:
-    """Valuations of the elementary divisors of an integer matrix, computed
-    by minimal-valuation pivoting over Z/p^prec.
+def elementary_divisor_valuations(
+    rows: list[dict[int, int]], ncols: int, p: int, prec: int
+) -> list[int]:
+    """Valuations of the elementary divisors of an integer matrix with ncols
+    columns, given by its sparse rows ({column: entry}), computed by
+    minimal-valuation pivoting over Z/p^prec.
 
     The active block's least valuation never falls: after a pivot of
     valuation v < prec, minimal in its block, every row operation subtracts
     multiples of entries divisible by p^v, and reduction mod p^prec keeps
     that divisibility.  So the pivot search stops at the first entry of the
-    last pivot's valuation.  A row operation touches only the nonzero
-    columns of the pivot row that are still active (the pivot's own column
-    is never read again), which is what a banded matrix keeps cheap.
+    last pivot's valuation.  Each row keeps only its nonzero active entries,
+    and a column-to-rows index lists the active rows with a nonzero in each
+    active column.  So a pivot updates only the rows that meet its column,
+    each over the pivot row's nonzeros, which keeps a banded or circulant
+    matrix cheap.
 
     Raises PrecisionExhausted when a needed pivot is indistinguishable from
     zero at the working modulus (an elementary divisor reaching p^prec, or an
-    infinite cokernel).
+    infinite cokernel), and NotFinite when the rows run out first.
     """
     pn = p**prec
-    m = [[x % pn for x in row] for row in rows]
-    act_rows = list(range(len(m)))
-    act_cols = list(range(len(m[0]))) if m else []
+    m: list[dict[int, int]] = []
+    meets: list[set[int]] = [set() for _ in range(ncols)]  # column -> active rows
+    for i, row in enumerate(rows):
+        kept = {}
+        for j, x in row.items():
+            x %= pn
+            if x:
+                kept[j] = x
+                meets[j].add(i)
+        m.append(kept)
+    act_rows = dict.fromkeys(range(len(m)))  # an ordered set
+    cols_left = ncols
     vals: list[int] = []
     lo = 0  # the active block's least valuation, a lower bound for every pivot
-    while act_rows and act_cols:
+    while act_rows and cols_left:
         best = None  # (val, row, col)
         for i in act_rows:
-            mi = m[i]
-            for j in act_cols:
-                x = mi[j]
-                if x == 0:
-                    continue
+            for j, x in m[i].items():
                 v = 0
                 while x % p == 0:
                     x //= p
@@ -128,96 +150,152 @@ def elementary_divisor_valuations(rows: list[list[int]], p: int, prec: int) -> l
         if best is None:
             raise PrecisionExhausted(
                 f"remaining block vanishes mod {p}^{prec} with "
-                f"{len(act_cols)} columns unpivoted"
+                f"{cols_left} columns unpivoted"
             )
         v, pi, pj = best
         lo = v
         vals.append(v)
-        act_rows.remove(pi)
-        act_cols.remove(pj)
+        del act_rows[pi]
+        cols_left -= 1
         prow = m[pi]
         pv = p**v
-        unit_inv = pow(prow[pj] // pv, -1, pn)
-        support = None  # the pivot row's nonzero active columns, once needed
-        for i in act_rows:
+        unit_inv = pow(prow.pop(pj) // pv, -1, pn)
+        for j in prow:
+            meets[j].discard(pi)
+        support = list(prow.items())  # active columns only
+        hit = meets[pj]
+        hit.discard(pi)
+        meets[pj] = set()
+        for i in hit:
             row = m[i]
-            if row[pj]:
-                if support is None:
-                    support = [(j, prow[j]) for j in act_cols if prow[j]]
-                factor = (row[pj] // pv) * unit_inv % pn
-                for j, x in support:
-                    row[j] = (row[j] - factor * x) % pn
-    if act_cols:
+            factor = (row.pop(pj) // pv) * unit_inv % pn
+            for j, y in support:
+                x = row.get(j)
+                z = ((x or 0) - factor * y) % pn
+                if z:
+                    if x is None:
+                        meets[j].add(i)
+                    row[j] = z
+                elif x is not None:
+                    del row[j]
+                    meets[j].discard(i)
+    if cols_left:
         raise NotFinite("matrix has a nontrivial kernel direction: infinite cokernel")
     return vals
 
 
-def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[list[int]]:
-    """Columns of multiplication by a on (Z/p^prec)[X]/(b), as coefficient
-    lists, with (a, b) = (omega_m, f) when f's leading coefficient is a unit
-    and (f, omega_m) otherwise, so that b is a unit times a monic polynomial.
+def _times_x_plus(cur: list[int], c: int, tail: list[int], pn: int) -> list[int]:
+    """X * cur + c mod (X^d + tail, pn), with d = len(tail)."""
+    lead = cur[-1]
+    cur = [c % pn] + cur[:-1]
+    if lead:
+        cur = [(x - lead * y) % pn for x, y in zip(cur, tail)]
+    return cur
 
-    Either cokernel is Z_p[X]/(f, omega_m), which is Lambda/(f, omega_m)
-    because omega_m is distinguished.  The matrix is deg f square in the
-    first case and p^m square in the second.  In the first case omega_m mod
-    (f, p^prec) is 1 + X raised m times to the p-th power, by squaring, less
-    1: the exact omega_m (p^m + 1 binomial coefficients) is never built, and
-    a large p costs O(m log p) products mod f.
+
+def _horner(a, tail: list[int], pn: int) -> list[int]:
+    """The coefficient list a mod (X^d + tail, pn)."""
+    col = [0] * len(tail)
+    for c in reversed(a):
+        col = _times_x_plus(col, c, tail, pn)
+    return col
+
+
+def _times(u: list[int], v: list[int], tail: list[int], pn: int) -> list[int]:
+    """u * v mod (X^d + tail, pn), reduced from the top in place."""
+    d = len(tail)
+    prod = [0] * (2 * d - 1)
+    for i, x in enumerate(u):
+        if x:
+            for j, y in enumerate(v, i):
+                prod[j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        lead = prod[k] % pn
+        if lead:
+            for i, y in enumerate(tail, k - d):
+                prod[i] -= lead * y
+    return [x % pn for x in prod[:d]]
+
+
+def _involution(coeffs) -> list[int]:
+    """f*(X) = sum_i c_i (-X)^i (1+X)^(d-i), with d = deg f, by the Horner
+    rule f* <- f* (1+X) + c_i (-X)^i.  Its X^d coefficient is f(-1)."""
+    star = [coeffs[0]]
+    for i, c in enumerate(coeffs[1:], 1):
+        star = [x + y for x, y in zip(star + [0], [0] + star)]
+        star[i] += -c if i % 2 else c
+    return star
+
+
+def _circulant_columns(coeffs, size: int, pn: int) -> list[dict[int, int]]:
+    """Columns of multiplication by g(T) = f(T-1) on (Z/pn)[T]/(T^size - 1)
+    in the basis T^j: column j holds g_k at row (j + k) mod size."""
+    g: list[int] = []
+    for c in reversed(coeffs):  # g <- g (T - 1) + c
+        g = [y - x for x, y in zip(g + [0], [0] + g)]
+        g[0] += c
+    folded: dict[int, int] = {}
+    for k, x in enumerate(g):
+        folded[k % size] = folded.get(k % size, 0) + x
+    band = [(k, x % pn) for k, x in folded.items() if x % pn]
+    return [{(j + k) % size: x for k, x in band} for j in range(size)]
+
+
+def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
+    """A square presentation over Z/p^prec of Lambda/(f, omega_m), as sparse
+    columns ({row: entry}), in one of three forms:
+
+    * f's leading coefficient a unit: multiplication by omega_m on
+      (Z/p^prec)[X]/(f), deg f square.  Z_p[X]/(f) is free of rank deg f,
+      and Z_p[X]/(f, omega_m) is Lambda/(f, omega_m) because omega_m is
+      distinguished.  The first column, omega_m mod (f, p^prec), is 1 + X
+      raised m times to the p-th power, by squaring, less 1: the exact
+      omega_m (p^m + 1 binomial coefficients) is never built, and a large p
+      costs O(m log p) products mod f.
+    * p | lead and f(-1) a unit: the same on f* (_involution), whose leading
+      coefficient is f(-1).  X -> (1+X)^(-1) - 1 is a ring automorphism of
+      Lambda taking f to a unit times f* and omega_m to a unit times
+      omega_m, so Lambda/(f, omega_m) and Lambda/(f*, omega_m) are
+      isomorphic.
+    * otherwise (mu > 0, or p dividing the leading coefficient and f(-1)):
+      Lambda/(omega_m) is the group ring Z_p[T]/(T^(p^m) - 1) with
+      T = 1 + X, and the presentation is the circulant of multiplication by
+      f(T-1) on it, deg f + 1 nonzeros per column.  It has p^m columns, so
+      it is refused with ValidationError above MAX_EXACT_P_POWER, as omega
+      is; the other two forms have no size bound.
     """
     p = f.prime
     pn = p**prec
-    unit_lead = f.coeffs[-1] % p != 0
-    b = f.coeffs if unit_lead else omega(p, m).coeffs
-    inv = pow(b[-1], -1, pn)
-    tail = [c * inv % pn for c in b[:-1]]  # b made monic is X^d + tail
+    coeffs = f.coeffs
+    if coeffs[-1] % p == 0:
+        star = _involution(coeffs)
+        if star[-1] % p == 0:
+            _require_exact_size(p, m)
+            return _circulant_columns(coeffs, p**m, pn)
+        coeffs = star
+    inv = pow(coeffs[-1], -1, pn)
+    tail = [c * inv % pn for c in coeffs[:-1]]  # f made monic is X^d + tail
     d = len(tail)
     if not d:
         return []
-
-    def times_x_plus(cur, c):
-        """X * cur + c mod (b, p^prec); X^d = -tail."""
-        lead = cur[-1]
-        cur = [c % pn] + cur[:-1]
-        if lead:
-            cur = [(x - lead * y) % pn for x, y in zip(cur, tail)]
-        return cur
-
-    def horner(a):
-        """a mod (b, p^prec)."""
-        col = [0] * d
-        for c in reversed(a):
-            col = times_x_plus(col, c)
-        return col
-
-    def times(u, v):
-        """u * v mod (b, p^prec), reduced from the top in place."""
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v, i):
-                    prod[j] += x * y
-        for k in range(2 * d - 2, d - 1, -1):
-            lead = prod[k] % pn
-            if lead:
-                for i, y in enumerate(tail, k - d):
-                    prod[i] -= lead * y
-        return [x % pn for x in prod[:d]]
-
-    if unit_lead:
-        col = horner((1, 1))
-        for _ in range(m):
-            base = col
-            for bit in bin(p)[3:]:
-                col = times(col, col)
-                if bit == "1":
-                    col = times(col, base)
-        col[0] = (col[0] - 1) % pn
-    else:
-        col = horner(f.coeffs)
+    col = _horner((1, 1), tail, pn)
+    for _ in range(m):
+        base = col
+        for bit in bin(p)[3:]:
+            col = _times(col, col, tail, pn)
+            if bit == "1":
+                col = _times(col, base, tail, pn)
+    col[0] = (col[0] - 1) % pn
     cols = [col]
     for _ in range(d - 1):
-        cols.append(times_x_plus(cols[-1], 0))
-    return cols
+        cols.append(_times_x_plus(cols[-1], 0, tail, pn))
+    return [{i: x for i, x in enumerate(c) if x} for c in cols]
+
+
+def _size_exponent(f: IwaPoly, m: int, prec: int) -> int:
+    """e_m, with Lambda/(f, omega_m) of size p^e_m, eliminated over Z/p^prec."""
+    cols = _omega_columns(f, m, prec)
+    return sum(elementary_divisor_valuations(cols, len(cols), f.prime, prec))
 
 
 def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
@@ -230,9 +308,10 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
-    Each e_m is read from _omega_columns' presentation on the small side,
-    of rank deg f or p^m.  Its columns are reduced mod p^N, so they are
-    rebuilt for each N.
+    Each e_m is read from _omega_columns' presentation: deg f square on f
+    or f* when either has a unit leading coefficient, and otherwise the
+    p^m square circulant, refused above MAX_EXACT_P_POWER.  Its columns are
+    reduced mod p^N, so they are rebuilt for each N.
 
     N starts at 16 and doubles until the level-n elimination finishes.  This
     ends: the coprimality gate makes Lambda/(f, omega_n) finite, of size
@@ -243,16 +322,14 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     the same N.
     """
     f = _finite_tower_f(t, n)
-    p = t.prime
     prec = 16
     while True:
         try:
-            e_n = sum(elementary_divisor_valuations(_omega_columns(f, n, prec), p, prec))
+            e_n = _size_exponent(f, n, prec)
             break
         except PrecisionExhausted:
             prec *= 2
-    e_prev = sum(elementary_divisor_valuations(_omega_columns(f, n - 1, prec), p, prec))
-    return NablaResult(n, e_n - e_prev, SNF_ORACLE)
+    return NablaResult(n, e_n - _size_exponent(f, n - 1, prec), SNF_ORACLE)
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:

@@ -136,24 +136,26 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
 
 def _structured_rank_polys(p):
     """Fixed f for the elementary-divisor route's branches that a random f
-    almost never takes: mu >= 1, and a leading coefficient divisible by p
-    (multiplication by f on Z_p[X]/(omega_m) in kobayashi._omega_columns),
-    also with deg f >= p^m, which that Horner reduces (the last f has it at
-    m = 1).  By their Newton polygons none has a root eps_n, so each is
-    coprime to every omega_n."""
+    almost never takes (kobayashi._omega_columns): p | lead with f(-1) a
+    unit, presented through f*; and mu >= 1, or p dividing both the leading
+    coefficient and f(-1), presented as the circulant of f(T-1) on
+    Z_p[T]/(T^(p^m) - 1), also with deg f >= p^m, where its coefficients
+    fold (at m = 0 for the mu >= 1 f, at m = 1 for pX^3 + X + 1 at p = 3).
+    By their Newton polygons none has a root eps_n, so each is coprime to
+    every omega_n."""
     return [
-        IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1
-        IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2
-        IwaPoly(p, (p**2, 1, 0, p)),  # pX^3 + X + p^2: lambda = 1
-        IwaPoly(p, (1, 1, 0, p)),  # pX^3 + X + 1: a unit
-        IwaPoly(p, (p,) + (0,) * p + (1, p)),  # deg p + 2, lambda = p + 1
+        IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1; circulant
+        IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2; circulant
+        IwaPoly(p, (p**2, 1, 0, p)),  # pX^3 + X + p^2: lambda = 1; f(-1) a unit
+        IwaPoly(p, (1, 1, 0, p)),  # pX^3 + X + 1: a unit; f(-1) = -p, circulant
+        IwaPoly(p, (p,) + (0,) * p + (1, p)),  # deg p + 2, lambda = p + 1; f(-1) = 1
     ]
 
 
 def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> CriterionResult:
     t0 = time.time()
     failures, count = [], 0
-    for p, cap in ((3, 5), (5, 3), (7, 2)):
+    for p, cap in ((3, 5), (5, 3), (7, 3)):
         if p not in p_list:
             continue
         rng = random.Random(seed * 1000003 + p)

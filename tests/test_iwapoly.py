@@ -1,8 +1,9 @@
+import time
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from iwagrowth.errors import (
     NonUnitLeadingCoefficient,
@@ -207,6 +208,33 @@ def test_coprime_to_omega(p, n, coeffs, planted, nudge):
 def test_coprime_to_omega_rejects_negative_level():
     with pytest.raises(ValidationError, match="n must be >= 0"):
         coprime_to_omega(IwaPoly(3, (1, 1)), -1)
+
+
+def test_coprime_to_omega_stops_at_the_degree():
+    # Phi_m has degree phi(p^m) > 1 for every m >= 1: one level decides
+    t0 = time.perf_counter()
+    assert coprime_to_omega(IwaPoly(3, (3, 1)), 20000) is True
+    assert time.perf_counter() - t0 < 0.05
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from((3, 5, 7)), n=st.integers(0, 6),
+       planted=st.sampled_from((0, 1, 2)), data=st.data())
+@example(p=3, n=6, planted=2, data=None)  # Phi_2 (deg 6) times 3 + X
+@example(p=7, n=6, planted=1, data=None)  # Phi_1 (deg 6) times 3 + X
+def test_coprime_to_omega_matches_the_full_loop(p, n, planted, data):
+    """The degree stop changes no answer: against every level's ord_eps,
+    for deg f <= 12 with Phi_1 or Phi_2 planted where its degree allows."""
+    factor = phi_poly(p, planted) if planted else IwaPoly.const(p, 1)
+    assume(factor.degree <= 12)
+    if data is None:
+        cofactor = [3, 1]
+    else:
+        cofactor = data.draw(st.lists(st.integers(-50, 50), min_size=1,
+                                      max_size=13 - factor.degree))
+    f = factor * IwaPoly(p, tuple(cofactor))
+    full = f.coeff(0) != 0 and all(not ord_eps(f, m).is_infinite for m in range(1, n + 1))
+    assert coprime_to_omega(f, n) is full
 
 
 small_polys = st.lists(st.integers(min_value=-40, max_value=40), min_size=1, max_size=6)

@@ -3,10 +3,13 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from iwagrowth import kobayashi
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, phi_poly, totient
 from iwagrowth.kobayashi import (
     TowerOfQuotients,
+    _circulant_columns,
+    _involution,
     _omega_columns,
     elementary_divisor_valuations,
     nabla_asymptotic,
@@ -28,32 +31,44 @@ class TestTower:
             TowerOfQuotients(IwaPoly(3, (9, 1), mod_prec=2))
 
 
+def _sparse(matrix):
+    """A dense matrix as the kernel's arguments: its sparse rows and its
+    column count."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    return rows, len(matrix[0]) if matrix else 0
+
+
+def _dense(cols, size):
+    """Sparse square columns as a dense list of columns, for sympy."""
+    return [[col.get(i, 0) for i in range(size)] for col in cols]
+
+
 class TestElementaryDivisors:
     def test_diagonal(self):
-        vals = elementary_divisor_valuations([[9, 0], [0, 3]], 3, 8)
+        vals = elementary_divisor_valuations(*_sparse([[9, 0], [0, 3]]), 3, 8)
         assert sorted(vals) == [1, 2]
 
     def test_row_operations_invariant(self):
         a = [[9, 0], [9, 3]]
-        assert sorted(elementary_divisor_valuations(a, 3, 8)) == [1, 2]
+        assert sorted(elementary_divisor_valuations(*_sparse(a), 3, 8)) == [1, 2]
 
     def test_redundant_generators(self):
         # columns of [3] and [9] generate 3Z: one divisor of valuation 1
-        vals = elementary_divisor_valuations([[3], [9]], 3, 8)
+        vals = elementary_divisor_valuations(*_sparse([[3], [9]]), 3, 8)
         assert vals == [1]
 
     def test_infinite_cokernel(self):
         with pytest.raises((NotFinite, PrecisionExhausted)):
-            elementary_divisor_valuations([[1, 0], [2, 0]], 3, 8)
+            elementary_divisor_valuations(*_sparse([[1, 0], [2, 0]]), 3, 8)
 
     def test_precision_exhausted(self):
         with pytest.raises(PrecisionExhausted):
-            elementary_divisor_valuations([[81]], 3, 2)
+            elementary_divisor_valuations(*_sparse([[81]]), 3, 2)
 
 
-def _outcome(cols, p, prec):
+def _outcome(rows, ncols, p, prec):
     try:
-        return sorted(elementary_divisor_valuations(cols, p, prec))
+        return sorted(elementary_divisor_valuations(rows, ncols, p, prec))
     except PrecisionExhausted:
         return "exhausted"
 
@@ -69,9 +84,9 @@ def test_divisors_shift_under_scaling(p, c, rows):
     # p^(prec - c), so each outcome holds exactly when the other does.
     prec = 12
     scaled = [[p**c * x for x in row] for row in rows]
-    base = _outcome(rows, p, prec - c)
+    base = _outcome(*_sparse(rows), p, prec - c)
     expect = base if base == "exhausted" else [v + c for v in base]
-    assert _outcome(scaled, p, prec) == expect
+    assert _outcome(*_sparse(scaled), p, prec) == expect
 
 
 def _f_columns(f, m):
@@ -89,6 +104,10 @@ def _f_columns(f, m):
             lead = cur.pop()
             cur = [c - lead * w.coeff(i) for i, c in enumerate(cur)]
     return cols
+
+
+def _unit_at_minus_one(f):
+    return sum(c if i % 2 == 0 else -c for i, c in enumerate(f.coeffs)) % f.prime != 0
 
 
 @st.composite
@@ -110,19 +129,23 @@ def _tower_levels(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_tower_levels())
-# With p | lead the kernel multiplies by f on Z[X]/omega_m, and its Horner
-# reduces f mod omega_m once deg f >= p^m.
-@example((IwaPoly(3, (3, 1, 3)), 1))  # p | lead, deg f = p^m - 1: no reduction
-@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # p | lead, deg f = p^m: one reduction
-@example((IwaPoly(3, (3, 1) + (0,) * 8 + (3,)), 2))  # p | lead, deg f = 10 > p^m = 9
+# A p | lead f goes to f* when f(-1) is a unit, and otherwise to the
+# circulant of f(T-1) on Z[T]/(T^(p^m) - 1), whose coefficients fold mod
+# T^(p^m) - 1 once deg f >= p^m.
+@example((IwaPoly(3, (3, 1, 3)), 1))  # f(-1) = 5: f*, deg f = p^m - 1
+@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # f(-1) = -2: f*, deg f = p^m
+@example((IwaPoly(3, (3, 1) + (0,) * 8 + (3,)), 2))  # f(-1) = 5: f*, deg f = 10 > p^m = 9
+@example((IwaPoly(3, (3, 0, 0, 3)), 1))  # f(-1) = 0: circulant, deg f = p^m
+@example((IwaPoly(3, (1, 1) + (0,) * 8 + (3,)), 2))  # f(-1) = 3: circulant, deg f = 10 > 9
 @example((IwaPoly(5, (9, 25)), 0))  # unit constant, p | lead at m = 0: f(0)
 def test_omega_columns_match_f_columns(case):
     # Both presentations have cokernel Lambda/(f, omega_m), so they share
     # their non-unit elementary divisors; their sizes differ by unit ones.
     f, m = case
     p, prec = f.prime, 24
-    dense = _outcome(_f_columns(f, m), p, prec)
-    small = _outcome(_omega_columns(f, m, prec), p, prec)
+    dense = _outcome(*_sparse(_f_columns(f, m)), p, prec)
+    cols = _omega_columns(f, m, prec)
+    small = _outcome(cols, len(cols), p, prec)
     strip = lambda o: o if o == "exhausted" else [v for v in o if v]  # noqa: E731
     assert strip(small) == strip(dense)
 
@@ -151,9 +174,8 @@ def _sympy_outcome(cols, p, prec):
 @st.composite
 def _p_lead_levels(draw):
     """(f, m) with f's leading coefficient divisible by p and f coprime to
-    omega_m: multiplication by f on Z_p[X]/(omega_m), banded up to the rows
-    where X^j f wraps round omega_m.  p^m <= 9 keeps sympy's Smith form
-    fast; at 25 and 27 it sometimes runs for seconds."""
+    omega_m.  p^m <= 9 keeps sympy's Smith form fast; at 25 and 27 it
+    sometimes runs for seconds."""
     p = draw(st.sampled_from((3, 5, 7)))
     m = draw(st.integers(1, {3: 2, 5: 1, 7: 1}[p]))
     deg = draw(st.integers(1, 6))
@@ -167,21 +189,104 @@ def _p_lead_levels(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_p_lead_levels(), st.sampled_from((2, 4, 8)), st.randoms(use_true_random=False))
-@example((IwaPoly(3, (9, 1, 3)), 2), 8, None)  # unit-free constant term: rank > 0
-@example((IwaPoly(3, (81, 0, 3)), 1), 2, None)  # a divisor reaching p^prec
+@example((IwaPoly(3, (9, 1, 3)), 2), 8, None)  # f(-1) = 11, f*: rank > 0
+@example((IwaPoly(3, (81, 0, 3)), 1), 2, None)  # circulant: a divisor reaching p^prec
 def test_p_lead_divisors_match_sympy_smith_form(case, prec, rng):
-    # The pivot rows of this banded matrix are sparse, and only their
-    # nonzero columns are updated: the divisors must still be the exact ones.
-    # Shuffling rows and columns keeps the divisors and moves the pivots.
+    # The presentation the code builds (f* where f(-1) is a unit, else the
+    # circulant) and the circulant itself are eliminated with sparse pivot
+    # rows, each updating only its nonzero columns: the divisors must still
+    # be the exact ones.  Shuffling rows and columns keeps the divisors and
+    # moves the pivots.
     f, m = case
+    p = f.prime
     cols = _omega_columns(f, m, prec)
-    assert len(cols) == f.prime**m
-    if rng is not None:
-        order = list(range(len(cols)))
-        rng.shuffle(order)
-        cols = [[row[j] for j in order] for row in cols]
-        rng.shuffle(cols)
-    assert _outcome(cols, f.prime, prec) == _sympy_outcome(cols, f.prime, prec)
+    assert len(cols) == (f.degree if _unit_at_minus_one(f) else p**m)
+    for sparse in (cols, _circulant_columns(f.coeffs, p**m, p**prec)):
+        matrix = _dense(sparse, len(sparse))
+        if rng is not None:
+            order = list(range(len(matrix)))
+            rng.shuffle(order)
+            matrix = [[row[j] for j in order] for row in matrix]
+            rng.shuffle(matrix)
+        assert _outcome(*_sparse(matrix), p, prec) == _sympy_outcome(matrix, p, prec)
+
+
+def _size(cols, p, prec):
+    return sum(elementary_divisor_valuations(cols, len(cols), p, prec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_p_lead_levels())
+@example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # 3^5 circulant columns against 4
+@example((IwaPoly(7, (1, 7, 0, 7)), 2))
+def test_involution_and_circulant_give_the_same_size(case):
+    # Where f(-1) is a unit, f* (deg f square) and the circulant (p^m
+    # square) present the same module, so they give the same e_m.
+    f, m = case
+    assume(_unit_at_minus_one(f))
+    p, prec = f.prime, 32
+    star = _size(_omega_columns(f, m, prec), p, prec)
+    assert star == _size(_circulant_columns(f.coeffs, p**m, p**prec), p, prec)
+
+
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=8))
+def test_involution_is_an_involution(coeffs):
+    # X -> (1+X)^(-1) - 1 squares to the identity, so (f*)* = f at degree d
+    assert _involution(_involution(coeffs)) == coeffs
+    assert _involution(coeffs)[-1] == sum((-1) ** i * c for i, c in enumerate(coeffs))
+
+
+@st.composite
+def _p_lead_towers(draw):
+    """(f, n) with p | lead f, p^n <= 243 and f coprime to omega_n."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    n = draw(st.integers(1, {3: 5, 5: 3, 7: 2}[p]))
+    deg = draw(st.integers(0, 6))
+    low = draw(st.lists(st.integers(-p**3, p**3), min_size=deg, max_size=deg))
+    lead = p * draw(st.sampled_from([u for u in range(-p + 1, p) if u]))
+    scale = p ** draw(st.integers(0, 2))
+    f = IwaPoly(p, tuple(scale * c for c in low + [lead]))
+    assume(coprime_to_omega(f, n))
+    return f, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(_p_lead_towers())
+@example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # f(-1) = 13 a unit: f*
+@example((IwaPoly(3, (1, 1, 0, 3)), 5))  # f(-1) = -3 with mu = 0: circulant
+@example((IwaPoly(3, (3, 3, 6, 9)), 5))  # mu = 1: circulant
+def test_p_lead_snf_oracle_matches_other_routes(case):
+    f, n = case
+    t = TowerOfQuotients(f)
+    routes = (nabla_closed_form, nabla_resultant_oracle, nabla_snf_oracle)
+    a, b, c = (route(t, n).value for route in routes)
+    assert a == b == c, (f.coeffs, n, a, b, c)
+
+
+def test_snf_oracle_builds_no_omega_for_p_lead(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError(f"omega({p}, {n}) built")
+
+    monkeypatch.setattr(kobayashi, "omega", refuse)
+    for coeffs, n in (((3, 1, 2, 0, 9), 4), ((1, 1, 0, 3), 4), ((3, 3, 6, 9), 4)):
+        t = TowerOfQuotients(IwaPoly(3, coeffs))
+        assert nabla_snf_oracle(t, n).value == nabla_closed_form(t, n).value
+
+
+@pytest.mark.parametrize("coeffs, n", [
+    ((3, 1, 2, 0, 9), 8),
+    ((3, 1, 2, 0, 9), 12),  # f*: 3^12 is past the circulant's size bound
+    ((3, 3, 6, 9), 9),  # a 3^9 square circulant
+])
+def test_p_lead_snf_oracle_past_the_dense_matrix(coeffs, n):
+    t = TowerOfQuotients(IwaPoly(3, coeffs))
+    assert nabla_snf_oracle(t, n).value == nabla_closed_form(t, n).value
+
+
+def test_circulant_refuses_above_the_size_bound():
+    t = TowerOfQuotients(IwaPoly(3, (3, 3, 6, 9)))
+    with pytest.raises(ValidationError, match="3\\^10 is above 32768"):
+        nabla_snf_oracle(t, 10)
 
 
 def test_constant_p_all_methods():
