@@ -14,7 +14,7 @@ class PrecisionExhausted(IwagrowthError):
 
 
 class NonUnitLeadingCoefficient(IwagrowthError):
-    """Polynomial division needs an invertible leading coefficient."""
+    """Polynomial division is by monic polynomials only (X, Phi_n, omega_n)."""
 
 
 class ZeroPolynomial(IwagrowthError):

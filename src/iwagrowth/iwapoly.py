@@ -118,36 +118,24 @@ class IwaPoly:
         return IwaPoly(self.prime, tuple(k * c for c in self.coeffs), self.mod_prec)
 
     def __divmod__(self, other: "IwaPoly") -> tuple["IwaPoly", "IwaPoly"]:
-        """f = q*g + r with deg r < deg g; exact over Z when inputs exact.
-
-        Requires an invertible leading coefficient: +-1 in the exact case
-        (a general p-adic unit has an infinite expansion as an inverse),
-        any unit mod p^N in the modular case.
-        """
+        """f = q*g + r with deg r < deg g, for a monic g (X, Phi_n and omega_n
+        are the divisors the library needs); exact over Z when both inputs
+        are exact, reduced mod p^N at every step when either is modular."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         prec = self._join_prec(other)
         p = self.prime
-        lead = other.coeffs[-1]
-        if lead % p == 0:
-            raise NonUnitLeadingCoefficient(f"leading coefficient {lead} divisible by {p}")
-        if prec is None:
-            if lead not in (1, -1):
-                raise NonUnitLeadingCoefficient(
-                    f"exact division needs leading coefficient +-1, got {lead};"
-                    " attach a modulus for a general unit"
-                )
-            inv = lead
-            reduce = lambda x: x  # noqa: E731
-        else:
-            pn = p**prec
-            inv = pow(lead % pn, -1, pn)
-            reduce = lambda x: x % pn  # noqa: E731
+        if other.coeffs[-1] != 1:
+            raise NonUnitLeadingCoefficient(
+                f"division needs a monic divisor, got leading coefficient {other.coeffs[-1]}"
+            )
+        pn = None if prec is None else p**prec
+        reduce = (lambda x: x) if pn is None else (lambda x: x % pn)
         r = list(self.coeffs)
         dg = other.degree
         q = [0] * max(len(r) - dg, 1)
         for k in range(len(r) - 1 - dg, -1, -1):
-            c = reduce(r[k + dg] * inv)
+            c = reduce(r[k + dg])
             q[k] = c
             if c:
                 for i, b in enumerate(other.coeffs):
@@ -169,24 +157,6 @@ class IwaPoly:
             "coeffs": [str(c) for c in self.coeffs],
             "mod_prec": self.mod_prec,
         }
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            elif i == 1:
-                parts.append(f"{c}*X" if c != 1 else "X")
-            else:
-                parts.append(f"{c}*X^{i}" if c != 1 else f"X^{i}")
-        s = " + ".join(parts)
-        if self.mod_prec is not None:
-            s += f"  (mod {self.prime}^{self.mod_prec})"
-        return s
 
 
 @dataclass(frozen=True)

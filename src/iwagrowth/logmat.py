@@ -177,7 +177,7 @@ def cross_identity_check(data: LocalCurveData, n: int,
     rhs = omega(p, n - 1) // omega(p, 0)
     if lhs == rhs:
         return StructureReport(True)
-    return StructureReport(False, [f"cross identity off by {str(lhs - rhs)}"])
+    return StructureReport(False, [f"cross identity off by {(lhs - rhs).coeffs}"])
 
 
 def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:

@@ -3,12 +3,16 @@
 Each check_* function exercises its full default grid, intersected with the
 primes in p_list and capped at n_max, and returns a CriterionResult.  The
 grids are deterministic given the seed; changing the seed changes the random
-fixtures but must not change pass/fail.  A criterion that ran no case (for
-example because none of its primes is in p_list) fails.
-"""
+fixtures but must not change pass/fail.  Each criterion is a generator that
+yields one outcome per comparison it makes, None or the failure text; a
+failed precondition is its case's one outcome, and the comparisons it guards
+are not made.  The criterion() runner times and counts the outcomes, so the
+case count is what ran, and a criterion that yields nothing (for example
+because none of its primes is in p_list) fails."""
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
@@ -65,64 +69,63 @@ def _curve_grid(p_list, n_max):
     return grid
 
 
-def _finish(number, name, failures, count, t0):
-    if failures:
-        detail = f"{len(failures)} of {count} cases failed; first: {failures[0]}"
-    elif count == 0:
-        detail = "0 cases: nothing in the grid was run"
-    else:
-        detail = f"{count} cases"
-    return CriterionResult(number, name, count > 0 and not failures, detail,
-                           time.time() - t0)
+def criterion(number, name):
+    """Turn a generator of outcomes, None or the failure text of each
+    comparison, into a check_* that times, counts and reports them."""
+    def runner(outcomes_of):
+        @functools.wraps(outcomes_of)
+        def check(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
+            t0 = time.time()
+            outcomes = list(outcomes_of(p_list, n_max, seed))
+            failures = [o for o in outcomes if o is not None]
+            if failures:
+                detail = f"{len(failures)} of {len(outcomes)} cases failed; first: {failures[0]}"
+            elif not outcomes:
+                detail = "0 cases: nothing in the grid was run"
+            else:
+                detail = f"{len(outcomes)} cases"
+            return CriterionResult(number, name, bool(outcomes) and not failures, detail,
+                                   time.time() - t0)
+        return check
+    return runner
 
 
-def check_valuation_tables(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(1, "valuation tables")
+def check_valuation_tables(p_list, n_max, seed):
     for data, n in _curve_grid(p_list, n_max):
-        count += 1
         a = valuation_matrix(data, n)
         b = valuation_matrix_closed_form(data, n)
-        if a.entries != b.entries:
-            failures.append(f"p={data.prime} av={data.a_v} n={n}")
-    return _finish(1, "valuation tables", failures, count, t0)
+        yield None if a.entries == b.entries else f"p={data.prime} av={data.a_v} n={n}"
 
 
-def check_matrix_structure(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(2, "determinant and block structure")
+def check_matrix_structure(p_list, n_max, seed):
     for data, n in _curve_grid(p_list, n_max):
-        count += 1
         # the grid climbs n = 1, 2, ... for each curve: prod = C_n...C_1
         prod = c_matrix(data, n) if n == 1 else c_matrix(data, n) * prod
+        case = f"p={data.prime} av={data.a_v} n={n}"
         if h_matrix(data, n) != prod:
-            failures.append(f"p={data.prime} av={data.a_v} n={n}: H differs from the C product")
+            yield f"{case}: H differs from the C product"
             continue
         rep = det_structure_check(data, n)
-        if not rep.passed:
-            failures.append(f"p={data.prime} av={data.a_v} n={n}: {rep.failures[0]}")
-    return _finish(2, "determinant and block structure", failures, count, t0)
+        yield None if rep.passed else f"{case}: {rep.failures[0]}"
 
 
-def check_witness_mapping(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(3, "witness mapping")
+def check_witness_mapping(p_list, n_max, seed):
     for data, n in _curve_grid(p_list, n_max):
         p = data.prime
         units = (1, unit_from_int(1 + p, p, 48), unit_from_int(p - 1, p, 48))
         for u in units:
-            count += 1
             w = witness(data, n, u)
             if not in_image(w, data):
-                failures.append(f"p={p} av={data.a_v} n={n}: witness outside lattice")
+                yield f"p={p} av={data.a_v} n={n}: witness outside lattice"
                 continue
             img = h_u_map(w, data, n, u)
             target = omega(p, n - 1)
             if img.mod_prec is not None:
                 target = target.with_modulus(img.mod_prec)
-            if img != target:
-                failures.append(f"p={p} av={data.a_v} n={n} u={u}")
-    return _finish(3, "witness mapping", failures, count, t0)
+            yield None if img == target else f"p={p} av={data.a_v} n={n} u={u}"
 
 
 def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
@@ -152,61 +155,54 @@ def _structured_rank_polys(p):
     ]
 
 
-def check_rank_oracles(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=50) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(4, "rank oracle triple agreement")
+def check_rank_oracles(p_list, n_max, seed):
     for p, cap in ((3, 5), (5, 3), (7, 3)):
         if p not in p_list:
             continue
         rng = random.Random(seed * 1000003 + p)
-        fs = [_random_coprime_poly(rng, p, 10, p**6, cap) for _ in range(samples)]
+        fs = [_random_coprime_poly(rng, p, 10, p**6, cap) for _ in range(50)]
         for f in fs + _structured_rank_polys(p):
             tower = TowerOfQuotients(f)
             for n in range(1, min(cap, n_max) + 1):
-                count += 1
                 a = nabla_closed_form(tower, n).value
                 b = nabla_resultant_oracle(tower, n).value
                 c = nabla_snf_oracle(tower, n).value
-                if not a == b == c:
-                    failures.append(f"p={p} f={f.coeffs} n={n}: {a},{b},{c}")
-    return _finish(4, "rank oracle triple agreement", failures, count, t0)
+                yield None if a == b == c else f"p={p} f={f.coeffs} n={n}: {a},{b},{c}"
 
 
-def check_asymptotic_law(p_list=DEFAULT_PRIMES, n_max=9, seed=0, samples=20) -> CriterionResult:
-    t0 = time.time()
+@criterion(5, "asymptotic valuation law")
+def check_asymptotic_law(p_list, n_max, seed):
     p = 3
-    failures, count = [], 0
-    if p in p_list:
-        rng = random.Random(seed * 1000003 + 101)
-        for _ in range(samples):
-            mu = rng.randint(0, 3)
-            d_deg = rng.randint(0, 4)
-            # distinguished part: monic, lower coefficients divisible by p
-            d = IwaPoly(p, tuple(p * rng.randint(-9, 9) for _ in range(d_deg)) + (1,))
-            u_deg = rng.randint(0, 4)
-            unit_c0 = rng.choice([c for c in range(-9, 10) if c % p != 0])
-            u = IwaPoly(p, (unit_c0,) + tuple(rng.randint(-9, 9) for _ in range(u_deg)))
-            f = (d * u).scale(p**mu)
-            inv = mu_lambda(f)
-            if (inv.mu, inv.lam) != (mu, d_deg):
-                failures.append(f"mu/lambda read-off failed for {f.coeffs}")
-                continue
-            # stabilization: ord matches once lambda < phi(p^n)
-            start = 1
-            while totient(p, start) <= d_deg:
-                start += 1
-            for n in range(start, min(5, n_max) + 1):
-                count += 1
-                o = ord_eps(f, n)
-                expect = nabla_asymptotic(inv, p, n)
-                if o.is_infinite or o.value != expect:
-                    failures.append(f"f={f.coeffs} n={n}: {o} != {expect}")
-    return _finish(5, "asymptotic valuation law", failures, count, t0)
+    if p not in p_list:
+        return
+    rng = random.Random(seed * 1000003 + 101)
+    for _ in range(20):
+        mu = rng.randint(0, 3)
+        d_deg = rng.randint(0, 4)
+        # distinguished part: monic, lower coefficients divisible by p
+        d = IwaPoly(p, tuple(p * rng.randint(-9, 9) for _ in range(d_deg)) + (1,))
+        u_deg = rng.randint(0, 4)
+        unit_c0 = rng.choice([c for c in range(-9, 10) if c % p != 0])
+        u = IwaPoly(p, (unit_c0,) + tuple(rng.randint(-9, 9) for _ in range(u_deg)))
+        f = (d * u).scale(p**mu)
+        inv = mu_lambda(f)
+        if (inv.mu, inv.lam) != (mu, d_deg):
+            yield f"mu/lambda read-off failed for {f.coeffs}"
+            continue
+        # stabilization: ord matches once lambda < phi(p^n)
+        start = 1
+        while totient(p, start) <= d_deg:
+            start += 1
+        for n in range(start, min(5, n_max) + 1):
+            o = ord_eps(f, n)
+            expect = nabla_asymptotic(inv, p, n)
+            ok = not o.is_infinite and o.value == expect
+            yield None if ok else f"f={f.coeffs} n={n}: {o} != {expect}"
 
 
-def check_growth_closed_forms(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(6, "growth closed forms")
+def check_growth_closed_forms(p_list, n_max, seed):
     rng = random.Random(seed * 1000003 + 211)
     for p in (3, 5, 7):
         if p not in p_list:
@@ -216,48 +212,40 @@ def check_growth_closed_forms(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> Criteri
                          for _ in range(rng.randint(1, 4)))
             sc = GrowthScenario(p, degs)
             for n in range(1, min(9, n_max) + 1):
-                count += 1
                 term = s_term(sc, n) if n % 2 == 1 else t_term(sc, n)
-                if term != av_zero_closed_form(sc, n):
-                    failures.append(f"p={p} degs={degs} n={n}")
-    return _finish(6, "growth closed forms", failures, count, t0)
+                yield None if term == av_zero_closed_form(sc, n) else f"p={p} degs={degs} n={n}"
 
 
-def check_growth_composition(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures = []
+@criterion(7, "growth composition")
+def check_growth_composition(p_list, n_max, seed):
     if 3 not in p_list:
-        return _finish(7, "growth composition", failures, 0, t0)
+        return
     sc = GrowthScenario(3, (SsPrime(2, 0),), mu_sigma=0, lambda_sigma=5,
                         mu_tau=0, lambda_tau=5, r_inf=2, base_n0=0, base_e0=0)
-    if sha_delta(sc, 3) != 15:
-        failures.append(f"worked scenario delta(3) = {sha_delta(sc, 3)} != 15")
+    delta = sha_delta(sc, 3)
+    yield None if delta == 15 else f"worked scenario delta(3) = {delta} != 15"
     rows = sha_table(sc, 5)
     cum = sc.base_e0
     sizes = [sc.base_e0]
     for r in rows:
         cum += r.delta
-        if r.cumulative != cum:
-            failures.append(f"row n={r.n} cumulative {r.cumulative} != {cum}")
+        yield None if r.cumulative == cum else f"row n={r.n} cumulative {r.cumulative} != {cum}"
         sizes.append(r.cumulative)
     recovered = [x.value for x in nabla_finite_tower(sizes)]
-    if recovered != [r.delta for r in rows]:
-        failures.append("finite-tower differences do not recover the deltas")
-    return _finish(7, "growth composition", failures, 3, t0)
+    yield (None if recovered == [r.delta for r in rows]
+           else "finite-tower differences do not recover the deltas")
 
 
-def check_convergence_gaps(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-    t0 = time.time()
-    failures, count = [], 0
+@criterion(8, "convergence gaps")
+def check_convergence_gaps(p_list, n_max, seed):
     for av in (0, 3) if 3 in p_list else ():
         data = LocalCurveData(3, av)
         gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(5, n_max) + 1)]
         for a, b in zip(gaps, gaps[1:]):
-            count += 1
             if b < a:
-                failures.append(f"av={av}: gaps {[str(g) for g in gaps]} not monotone")
+                yield f"av={av}: gaps {[str(g) for g in gaps]} not monotone"
                 break
-    return _finish(8, "convergence gaps", failures, count, t0)
+            yield None
 
 
 ALL_CHECKS = (
@@ -272,7 +260,7 @@ ALL_CHECKS = (
 )
 
 
-def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0, out=None) -> bool:
+def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> bool:
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     if not p_list:
@@ -284,5 +272,5 @@ def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0, out=None) -> bool:
     for check in ALL_CHECKS:
         result = check(p_list=tuple(p_list), n_max=n_max, seed=seed)
         ok = ok and result.passed
-        print(result.line(), file=out)
+        print(result.line())
     return ok

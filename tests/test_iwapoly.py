@@ -56,9 +56,11 @@ class TestIwaPoly:
         with pytest.raises(NonUnitLeadingCoefficient):
             divmod(f, IwaPoly(3, (1, 3)))
         with pytest.raises(NonUnitLeadingCoefficient):
-            divmod(f, IwaPoly(3, (1, 2)))  # unit lead but not +-1, exact path
-        q, r = divmod(f, IwaPoly(3, (1, 2), mod_prec=4))
-        assert (q * IwaPoly(3, (1, 2)) + r - f).with_modulus(4).is_zero
+            divmod(f, IwaPoly(3, (1, 2)))  # unit lead, but not monic
+        with pytest.raises(NonUnitLeadingCoefficient):
+            divmod(f, IwaPoly(3, (1, 2), mod_prec=4))  # a unit mod 3^4 is not enough
+        with pytest.raises(NonUnitLeadingCoefficient):
+            divmod(f, IwaPoly(3, (1, -1)))
 
     def test_with_modulus_cannot_raise(self):
         f = IwaPoly(3, (1,), mod_prec=2)
@@ -260,3 +262,5 @@ def test_division_by_omega_round_trips(fc):
     q, r = divmod(f, w)
     assert q * w + r == f
     assert r.degree < w.degree
+    # a monic divisor: reducing mod 3^2 commutes with the division
+    assert divmod(f.with_modulus(2), w) == (q.with_modulus(2), r.with_modulus(2))

@@ -290,3 +290,32 @@ def test_selfcheck_compares_h_with_the_c_product(monkeypatch):
     result = selfcheck.check_matrix_structure(p_list=(3,), n_max=3)
     assert not result.passed
     assert "3 of 9 cases failed" in result.detail and "C product" in result.detail
+
+
+def test_selfcheck_counts_each_failed_mu_lambda_read_off(monkeypatch):
+    from iwagrowth import selfcheck
+    from iwagrowth.iwapoly import WeierstrassData
+
+    monkeypatch.setattr(selfcheck, "mu_lambda", lambda f: WeierstrassData(-1, -1))
+    result = selfcheck.check_asymptotic_law(p_list=(3,), n_max=9)
+    assert not result.passed
+    assert "20 of 20 cases failed" in result.detail and "read-off" in result.detail
+
+
+def test_selfcheck_counts_every_growth_composition_comparison(monkeypatch):
+    import dataclasses
+
+    from iwagrowth import selfcheck
+
+    real = selfcheck.sha_table
+
+    def bumped(sc, n_max):
+        rows = real(sc, n_max)
+        rows[2] = dataclasses.replace(rows[2], cumulative=rows[2].cumulative + 1)
+        return rows
+
+    assert selfcheck.check_growth_composition(p_list=(3,), n_max=9).detail == "7 cases"
+    monkeypatch.setattr(selfcheck, "sha_table", bumped)
+    result = selfcheck.check_growth_composition(p_list=(3,), n_max=9)
+    assert not result.passed
+    assert "2 of 7 cases failed" in result.detail and "row n=3" in result.detail
