@@ -8,14 +8,10 @@ Three routes that must agree on finite towers:
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
-  elimination over Z/p^N of one of three presentations: multiplication by
-  omega_m on Z_p[X]/(f) when f's leading coefficient is a unit; the same on
-  Z_p[X]/(f*) when p divides it and f(-1) is a unit, with f* the image of
-  f under X -> (1+X)^(-1) - 1; and otherwise the sparse circulant of
-  multiplication by f(T-1) on the group ring Z_p[T]/(T^(p^m) - 1),
-  T = 1 + X.  Only the circulant, with p^m columns, is refused above
-  MAX_EXACT_P_POWER.  N doubles from 16 until the finite level-n module is
-  eliminated; no resultant, eps-valuation or omega_m is involved.
+  elimination over Z/p^N of the presentation _omega_columns builds in the
+  group-ring coordinate T = 1 + X.  N doubles from 16 until the finite
+  level-n module is eliminated; no resultant, eps-valuation or omega_m is
+  involved.
 """
 
 from __future__ import annotations
@@ -185,7 +181,7 @@ def elementary_divisor_valuations(
 
 
 def _times_x_plus(cur: list[int], c: int, tail: list[int], pn: int) -> list[int]:
-    """X * cur + c mod (X^d + tail, pn), with d = len(tail)."""
+    """T * cur + c mod (T^d + tail, pn), with d = len(tail)."""
     lead = cur[-1]
     cur = [c % pn] + cur[:-1]
     if lead:
@@ -193,16 +189,8 @@ def _times_x_plus(cur: list[int], c: int, tail: list[int], pn: int) -> list[int]
     return cur
 
 
-def _horner(a, tail: list[int], pn: int) -> list[int]:
-    """The coefficient list a mod (X^d + tail, pn)."""
-    col = [0] * len(tail)
-    for c in reversed(a):
-        col = _times_x_plus(col, c, tail, pn)
-    return col
-
-
 def _times(u: list[int], v: list[int], tail: list[int], pn: int) -> list[int]:
-    """u * v mod (X^d + tail, pn), reduced from the top in place."""
+    """u * v mod (T^d + tail, pn), reduced from the top in place."""
     d = len(tail)
     prod = [0] * (2 * d - 1)
     for i, x in enumerate(u):
@@ -217,23 +205,19 @@ def _times(u: list[int], v: list[int], tail: list[int], pn: int) -> list[int]:
     return [x % pn for x in prod[:d]]
 
 
-def _involution(coeffs) -> list[int]:
-    """f*(X) = sum_i c_i (-X)^i (1+X)^(d-i), with d = deg f, by the Horner
-    rule f* <- f* (1+X) + c_i (-X)^i.  Its X^d coefficient is f(-1)."""
-    star = [coeffs[0]]
-    for i, c in enumerate(coeffs[1:], 1):
-        star = [x + y for x, y in zip(star + [0], [0] + star)]
-        star[i] += -c if i % 2 else c
-    return star
-
-
-def _circulant_columns(coeffs, size: int, pn: int) -> list[dict[int, int]]:
-    """Columns of multiplication by g(T) = f(T-1) on (Z/pn)[T]/(T^size - 1)
-    in the basis T^j: column j holds g_k at row (j + k) mod size."""
+def _shift(coeffs) -> list[int]:
+    """g(T) = f(T-1) by the Horner rule g <- g (T - 1) + c_i.  It keeps f's
+    degree and leading coefficient, and g(0) = f(-1)."""
     g: list[int] = []
-    for c in reversed(coeffs):  # g <- g (T - 1) + c
+    for c in reversed(coeffs):
         g = [y - x for x, y in zip(g + [0], [0] + g)]
         g[0] += c
+    return g
+
+
+def _circulant_columns(g, size: int, pn: int) -> list[dict[int, int]]:
+    """Columns of multiplication by g(T) on (Z/pn)[T]/(T^size - 1) in the
+    basis T^j: column j holds g_k at row (j + k) mod size."""
     folded: dict[int, int] = {}
     for k, x in enumerate(g):
         folded[k % size] = folded.get(k % size, 0) + x
@@ -243,42 +227,39 @@ def _circulant_columns(coeffs, size: int, pn: int) -> list[dict[int, int]]:
 
 def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
     """A square presentation over Z/p^prec of Lambda/(f, omega_m), as sparse
-    columns ({row: entry}), in one of three forms:
+    columns ({row: entry}).
 
-    * f's leading coefficient a unit: multiplication by omega_m on
-      (Z/p^prec)[X]/(f), deg f square.  Z_p[X]/(f) is free of rank deg f,
-      and Z_p[X]/(f, omega_m) is Lambda/(f, omega_m) because omega_m is
-      distinguished.  The first column, omega_m mod (f, p^prec), is 1 + X
-      raised m times to the p-th power, by squaring, less 1: the exact
-      omega_m (p^m + 1 binomial coefficients) is never built, and a large p
-      costs O(m log p) products mod f.
-    * p | lead and f(-1) a unit: the same on f* (_involution), whose leading
-      coefficient is f(-1).  X -> (1+X)^(-1) - 1 is a ring automorphism of
-      Lambda taking f to a unit times f* and omega_m to a unit times
-      omega_m, so Lambda/(f, omega_m) and Lambda/(f*, omega_m) are
-      isomorphic.
+    omega_m is distinguished, so Lambda/(omega_m) is Z_p[X]/(omega_m): with
+    T = 1 + X, the group ring Z_p[T]/(T^(p^m) - 1), in which f is
+    g(T) = f(T-1) (_shift) and T is a unit.  T -> T^(-1) takes g to a unit
+    times its reversal g[::-1] and T^(p^m) - 1 to a unit times itself, so
+    the module is both Z_p[T]/(g, T^(p^m) - 1) and the same with g[::-1].
+    Two forms:
+
+    * g's leading coefficient (f's) or g[0] = f(-1) a unit: multiplication
+      by T^(p^m) - 1 on (Z/p^prec)[T]/(h), deg f square, with h the one of
+      g and g[::-1] with a unit lead.  Z_p[T]/(h) is free of rank deg f.
+      The first column, T^(p^m) - 1 mod (h, p^prec), is T raised m times to
+      the p-th power, by squaring, less 1: a large p costs O(m log p)
+      products mod h, and this form has no size bound.
     * otherwise (mu > 0, or p dividing the leading coefficient and f(-1)):
-      Lambda/(omega_m) is the group ring Z_p[T]/(T^(p^m) - 1) with
-      T = 1 + X, and the presentation is the circulant of multiplication by
-      f(T-1) on it, deg f + 1 nonzeros per column.  It has p^m columns, so
-      it is refused with ValidationError above MAX_EXACT_P_POWER, as omega
-      is; the other two forms have no size bound.
+      the circulant of multiplication by g on the group ring, deg f + 1
+      nonzeros per column.  It has p^m columns, so it is refused with
+      ValidationError above MAX_EXACT_P_POWER, as omega is.
     """
     p = f.prime
     pn = p**prec
-    coeffs = f.coeffs
-    if coeffs[-1] % p == 0:
-        star = _involution(coeffs)
-        if star[-1] % p == 0:
-            _require_exact_size(p, m)
-            return _circulant_columns(coeffs, p**m, pn)
-        coeffs = star
-    inv = pow(coeffs[-1], -1, pn)
-    tail = [c * inv % pn for c in coeffs[:-1]]  # f made monic is X^d + tail
+    g = _shift(f.coeffs)
+    h = g if g[-1] % p else g[::-1]
+    if h[-1] % p == 0:
+        _require_exact_size(p, m)
+        return _circulant_columns(g, p**m, pn)
+    inv = pow(h[-1], -1, pn)
+    tail = [c * inv % pn for c in h[:-1]]  # h made monic is T^d + tail
     d = len(tail)
     if not d:
         return []
-    col = _horner((1, 1), tail, pn)
+    col = _times_x_plus([1] + [0] * (d - 1), 0, tail, pn)  # T mod h
     for _ in range(m):
         base = col
         for bit in bin(p)[3:]:
@@ -308,9 +289,7 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
-    Each e_m is read from _omega_columns' presentation: deg f square on f
-    or f* when either has a unit leading coefficient, and otherwise the
-    p^m square circulant, refused above MAX_EXACT_P_POWER.  Its columns are
+    Each e_m is read from _omega_columns' presentation.  Its columns are
     reduced mod p^N, so they are rebuilt for each N.
 
     N starts at 16 and doubles until the level-n elimination finishes.  This

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ValidationError
-from .iwapoly import IwaPoly, omega, ord_eps, phi_poly, totient
+from .iwapoly import IwaPoly, _require_exact_size, omega, ord_eps, phi_poly, totient
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
 SHARP = "sharp"
@@ -128,16 +128,18 @@ def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
 
     The term -Phi_(n-1)*H_(n-2) is the second row of H_(v,n-1) (see
     _second_row), so the cache holds one level past the highest H requested.
+    Phi_(n-1)'s size bound is checked before the recursion, so a level past
+    it is refused before any lower level is built.
     """
     if n == 0:
         return IwaPoly.const(p, 1), IwaPoly.const(p, 0)
     if n == 1:
         return IwaPoly.const(p, a_v), IwaPoly.const(p, 1)
+    _require_exact_size(p, n - 1)
     s1, f1 = _first_row(p, a_v, n - 1)
     s2, f2 = _first_row(p, a_v, n - 2)
-    av = IwaPoly.const(p, a_v)
     phi = phi_poly(p, n - 1)
-    return av * s1 - phi * s2, av * f1 - phi * f2
+    return s1.scale(a_v) - phi * s2, f1.scale(a_v) - phi * f2
 
 
 def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
@@ -188,7 +190,8 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     which holds because H_(v,n) = C_(v,n) H_(v,n-1) and the second row of
     C_(v,n) is (-Phi_n, 0).  The second row is read off the recursion as
     (H_sharp(n+1), H_flat(n+1)) - a_v (H_sharp(n), H_flat(n)), so no Phi_n
-    product is formed here.
+    product is formed here.  The second row is built first: it needs Phi_n,
+    so a level past the size bound is refused before the first row is built.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -196,7 +199,8 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     if n == 0:
         one, zero = IwaPoly.const(p, 1), IwaPoly.const(p, 0)
         return LogMatrix2(((one, zero), (zero, one)))
-    return LogMatrix2((_first_row(p, data.a_v, n), _second_row(p, data.a_v, n)))
+    second = _second_row(p, data.a_v, n)
+    return LogMatrix2((_first_row(p, data.a_v, n), second))
 
 
 def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:

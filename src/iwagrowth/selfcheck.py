@@ -140,10 +140,11 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
 def _structured_rank_polys(p):
     """Fixed f for the elementary-divisor route's branches that a random f
     almost never takes (kobayashi._omega_columns): p | lead with f(-1) a
-    unit, presented through f*; and mu >= 1, or p dividing both the leading
-    coefficient and f(-1), presented as the circulant of f(T-1) on
-    Z_p[T]/(T^(p^m) - 1), also with deg f >= p^m, where its coefficients
-    fold (at m = 0 for the mu >= 1 f, at m = 1 for pX^3 + X + 1 at p = 3).
+    unit, presented through the reversal of f(T-1); and mu >= 1, or p
+    dividing both the leading coefficient and f(-1), presented as the
+    circulant of f(T-1) on Z_p[T]/(T^(p^m) - 1), also with deg f >= p^m,
+    where its coefficients fold (at m = 0 for the mu >= 1 f, at m = 1 for
+    pX^3 + X + 1 at p = 3).
     By their Newton polygons none has a root eps_n, so each is coprime to
     every omega_n."""
     return [

@@ -223,7 +223,12 @@ def test_kobrank_refuses_omega_at_a_large_prime(capsys):
 @pytest.mark.parametrize("argv", [
     ("kobrank", "--p", "3", "--f", "1,1", "--n", "20"),
     ("valmat", "--p", "1000003", "--av", "0", "--n", "2"),
-], ids=["kobrank_n20", "valmat_p1000003"])
+    ("valmat", "--p", "3", "--av", "0", "--n", "2000"),
+    ("valmat", "--p", "5", "--av", "0", "--n", "8"),
+    ("logmat", "--p", "5", "--av", "0", "--n", "7"),
+    ("valmat", "--p", "3", "--av", "3", "--n", "11"),
+], ids=["kobrank_n20", "valmat_p1000003", "valmat_n2000", "valmat_p5_n8", "logmat_p5_n7",
+        "valmat_p3_av3_n11"])
 def test_oversized_exact_omega_is_refused_before_it_is_built(argv):
     # Run under a 1.5 GiB address-space limit and a timeout, so that a build
     # of omega_n or Phi_n at this p^n fails the test instead of the machine.

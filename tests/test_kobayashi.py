@@ -9,8 +9,8 @@ from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega,
 from iwagrowth.kobayashi import (
     TowerOfQuotients,
     _circulant_columns,
-    _involution,
     _omega_columns,
+    _shift,
     elementary_divisor_valuations,
     nabla_asymptotic,
     nabla_closed_form,
@@ -129,12 +129,12 @@ def _tower_levels(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_tower_levels())
-# A p | lead f goes to f* when f(-1) is a unit, and otherwise to the
+# A p | lead f goes to the reversal when f(-1) is a unit, and otherwise to the
 # circulant of f(T-1) on Z[T]/(T^(p^m) - 1), whose coefficients fold mod
 # T^(p^m) - 1 once deg f >= p^m.
-@example((IwaPoly(3, (3, 1, 3)), 1))  # f(-1) = 5: f*, deg f = p^m - 1
-@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # f(-1) = -2: f*, deg f = p^m
-@example((IwaPoly(3, (3, 1) + (0,) * 8 + (3,)), 2))  # f(-1) = 5: f*, deg f = 10 > p^m = 9
+@example((IwaPoly(3, (3, 1, 3)), 1))  # f(-1) = 5: reversal, deg f = p^m - 1
+@example((IwaPoly(3, (1, 0, 0, 3)), 1))  # f(-1) = -2: reversal, deg f = p^m
+@example((IwaPoly(3, (3, 1) + (0,) * 8 + (3,)), 2))  # f(-1) = 5: reversal, deg f = 10 > p^m = 9
 @example((IwaPoly(3, (3, 0, 0, 3)), 1))  # f(-1) = 0: circulant, deg f = p^m
 @example((IwaPoly(3, (1, 1) + (0,) * 8 + (3,)), 2))  # f(-1) = 3: circulant, deg f = 10 > 9
 @example((IwaPoly(5, (9, 25)), 0))  # unit constant, p | lead at m = 0: f(0)
@@ -189,19 +189,19 @@ def _p_lead_levels(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_p_lead_levels(), st.sampled_from((2, 4, 8)), st.randoms(use_true_random=False))
-@example((IwaPoly(3, (9, 1, 3)), 2), 8, None)  # f(-1) = 11, f*: rank > 0
+@example((IwaPoly(3, (9, 1, 3)), 2), 8, None)  # f(-1) = 11, reversal: rank > 0
 @example((IwaPoly(3, (81, 0, 3)), 1), 2, None)  # circulant: a divisor reaching p^prec
 def test_p_lead_divisors_match_sympy_smith_form(case, prec, rng):
-    # The presentation the code builds (f* where f(-1) is a unit, else the
-    # circulant) and the circulant itself are eliminated with sparse pivot
-    # rows, each updating only its nonzero columns: the divisors must still
-    # be the exact ones.  Shuffling rows and columns keeps the divisors and
+    # The presentation the code builds (the reversal where f(-1) is a unit,
+    # else the circulant) and the circulant itself are eliminated with sparse
+    # pivot rows, each updating only its nonzero columns: the divisors must
+    # still be the exact ones.  Shuffling rows and columns keeps the divisors and
     # moves the pivots.
     f, m = case
     p = f.prime
     cols = _omega_columns(f, m, prec)
     assert len(cols) == (f.degree if _unit_at_minus_one(f) else p**m)
-    for sparse in (cols, _circulant_columns(f.coeffs, p**m, p**prec)):
+    for sparse in (cols, _circulant_columns(_shift(f.coeffs), p**m, p**prec)):
         matrix = _dense(sparse, len(sparse))
         if rng is not None:
             order = list(range(len(matrix)))
@@ -220,20 +220,22 @@ def _size(cols, p, prec):
 @example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # 3^5 circulant columns against 4
 @example((IwaPoly(7, (1, 7, 0, 7)), 2))
 def test_involution_and_circulant_give_the_same_size(case):
-    # Where f(-1) is a unit, f* (deg f square) and the circulant (p^m
-    # square) present the same module, so they give the same e_m.
+    # Where f(-1) is a unit, the reversal (deg f square) and the circulant
+    # (p^m square) present the same module, so they give the same e_m.
     f, m = case
     assume(_unit_at_minus_one(f))
     p, prec = f.prime, 32
-    star = _size(_omega_columns(f, m, prec), p, prec)
-    assert star == _size(_circulant_columns(f.coeffs, p**m, p**prec), p, prec)
+    rev = _size(_omega_columns(f, m, prec), p, prec)
+    assert rev == _size(_circulant_columns(_shift(f.coeffs), p**m, p**prec), p, prec)
 
 
-@given(st.lists(st.integers(-100, 100), min_size=1, max_size=8))
-def test_involution_is_an_involution(coeffs):
-    # X -> (1+X)^(-1) - 1 squares to the identity, so (f*)* = f at degree d
-    assert _involution(_involution(coeffs)) == coeffs
-    assert _involution(coeffs)[-1] == sum((-1) ** i * c for i, c in enumerate(coeffs))
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=8), st.integers(-20, 20))
+def test_shift_is_f_at_t_minus_one(coeffs, t):
+    g = _shift(coeffs)
+    value = lambda a, x: sum(c * x**i for i, c in enumerate(a))  # noqa: E731
+    assert value(g, t) == value(coeffs, t - 1)
+    assert len(g) == len(coeffs) and g[-1] == coeffs[-1]
+    assert g[0] == value(coeffs, -1)
 
 
 @st.composite
@@ -252,7 +254,7 @@ def _p_lead_towers(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(_p_lead_towers())
-@example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # f(-1) = 13 a unit: f*
+@example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # f(-1) = 13 a unit: reversal
 @example((IwaPoly(3, (1, 1, 0, 3)), 5))  # f(-1) = -3 with mu = 0: circulant
 @example((IwaPoly(3, (3, 3, 6, 9)), 5))  # mu = 1: circulant
 def test_p_lead_snf_oracle_matches_other_routes(case):
@@ -275,7 +277,7 @@ def test_snf_oracle_builds_no_omega_for_p_lead(monkeypatch):
 
 @pytest.mark.parametrize("coeffs, n", [
     ((3, 1, 2, 0, 9), 8),
-    ((3, 1, 2, 0, 9), 12),  # f*: 3^12 is past the circulant's size bound
+    ((3, 1, 2, 0, 9), 12),  # reversal: 3^12 is past the circulant's size bound
     ((3, 3, 6, 9), 9),  # a 3^9 square circulant
 ])
 def test_p_lead_snf_oracle_past_the_dense_matrix(coeffs, n):
