@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 
@@ -54,8 +55,23 @@ EXIT_INFINITE = 5
 EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
 
 
+def _printable(render) -> str:
+    """render(), refused with ValidationError when an integer in it is too
+    long for str() (sys.get_int_max_str_digits()), so nothing is printed."""
+    try:
+        return render()
+    except ValueError as exc:  # the only ValueError that rendering the results raises
+        raise ValidationError(
+            f"result has an integer over the {sys.get_int_max_str_digits()}-digit "
+            "limit for printing"
+        ) from exc
+
+
 def _emit(payload, pretty: bool):
-    print(json.dumps(payload, indent=2 if pretty else None))
+    """Print payload as JSON, each object in it by its to_json(); the whole
+    text is rendered before any of it is printed."""
+    print(_printable(lambda: json.dumps(payload, indent=2 if pretty else None,
+                                        default=lambda obj: obj.to_json())))
 
 
 def _parse_ints(text: str, label: str) -> tuple[int, ...]:
@@ -68,7 +84,7 @@ def _parse_ints(text: str, label: str) -> tuple[int, ...]:
 def cmd_logmat(args) -> int:
     data = LocalCurveData(args.p, args.av)
     mat = h_matrix(data, args.n) if args.which == "h" else m_matrix(data, args.n)
-    _emit(mat.to_json(), args.pretty)
+    _emit(mat, args.pretty)
     return EXIT_OK
 
 
@@ -77,8 +93,8 @@ def cmd_valmat(args) -> int:
     computed = valuation_matrix(data, args.n)
     closed = valuation_matrix_closed_form(data, args.n)
     payload = {
-        "computed": computed.to_json(),
-        "closed_form": closed.to_json(),
+        "computed": computed,
+        "closed_form": closed,
         "agree": computed.entries == closed.entries,
         "signature": signature(data, args.n),
     }
@@ -104,7 +120,7 @@ def cmd_kobrank(args) -> int:
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; choose from {list(_METHOD_MAP)}")
     results = [_METHOD_MAP[m](tower, args.n) for m in methods]
-    payload = {"results": [r.to_json() for r in results]}
+    payload = {"results": results}
     if len(results) > 1:
         payload["all_agree"] = len({r.value for r in results}) == 1
     _emit(payload, args.pretty)
@@ -119,23 +135,30 @@ def cmd_growth(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"bad scenario file {args.scenario}: {exc!r}")
     rows = sha_table(sc, args.n_max)
+    fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
+
+    def render() -> str:
+        out = io.StringIO()
+        if args.format == "csv":
+            writer = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore")
+            writer.writeheader()
+            for r in rows:
+                writer.writerow(r.to_json())
+        elif args.pretty:
+            print("  ".join(f"{h:>10}" for h in fields), file=out)
+            for r in rows:
+                d = r.to_json()
+                print("  ".join(f"{str(d[h]):>10}" for h in fields), file=out)
+        else:
+            for r in rows:
+                print(json.dumps(r.to_json()), file=out)
+        return out.getvalue()
+
+    text = _printable(render)
     for r in rows:
         if r.warning:
             print(f"warning: n={r.n}: {r.warning}", file=sys.stderr)
-    fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
-    if args.format == "csv":
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields, extrasaction="ignore")
-        writer.writeheader()
-        for r in rows:
-            writer.writerow(r.to_json())
-    elif args.pretty:
-        print("  ".join(f"{h:>10}" for h in fields))
-        for r in rows:
-            d = r.to_json()
-            print("  ".join(f"{str(d[h]):>10}" for h in fields))
-    else:
-        for r in rows:
-            print(json.dumps(r.to_json()))
+    sys.stdout.write(text)
     return EXIT_OK
 
 

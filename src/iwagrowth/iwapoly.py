@@ -26,6 +26,34 @@ from .errors import (
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
 
+def _mul(a, b) -> list[int]:
+    """The schoolbook product of two coefficient lists, constant term first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
+
+
+def _divmod(a, b, pn: int | None = None) -> tuple[list[int], list[int]]:
+    """(q, r) with a = q*b + r and len(r) <= deg b, for a monic list b; over Z,
+    or mod pn when pn is given.  Mod pn each quotient digit is reduced as it
+    is formed, and the remainder once, at the end."""
+    d = len(b) - 1
+    low = b[:-1]  # b's lead is 1, and the entries it would clear are dropped
+    r = list(a)
+    q = [0] * max(len(r) - d, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + d] if pn is None else r[k + d] % pn
+        q[k] = c
+        if c:
+            for i, y in enumerate(low, k):
+                r[i] -= c * y
+    del r[d:]
+    return q, (r if pn is None else [x % pn for x in r])
+
+
 @dataclass(frozen=True)
 class IwaPoly:
     """Element of Lambda: coeffs[i] holds the coefficient of X^i."""
@@ -104,15 +132,7 @@ class IwaPoly:
 
     def __mul__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
-        if self.is_zero or other.is_zero:
-            return IwaPoly(self.prime, (), prec)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IwaPoly(self.prime, tuple(out), prec)
+        return IwaPoly(self.prime, tuple(_mul(self.coeffs, other.coeffs)), prec)
 
     def scale(self, k: int) -> "IwaPoly":
         return IwaPoly(self.prime, tuple(k * c for c in self.coeffs), self.mod_prec)
@@ -120,28 +140,16 @@ class IwaPoly:
     def __divmod__(self, other: "IwaPoly") -> tuple["IwaPoly", "IwaPoly"]:
         """f = q*g + r with deg r < deg g, for a monic g (X, Phi_n and omega_n
         are the divisors the library needs); exact over Z when both inputs
-        are exact, reduced mod p^N at every step when either is modular."""
+        are exact, mod p^N (_divmod) when either is modular."""
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
         prec = self._join_prec(other)
-        p = self.prime
         if other.coeffs[-1] != 1:
             raise NonUnitLeadingCoefficient(
                 f"division needs a monic divisor, got leading coefficient {other.coeffs[-1]}"
             )
-        pn = None if prec is None else p**prec
-        reduce = (lambda x: x) if pn is None else (lambda x: x % pn)
-        r = list(self.coeffs)
-        dg = other.degree
-        q = [0] * max(len(r) - dg, 1)
-        for k in range(len(r) - 1 - dg, -1, -1):
-            c = reduce(r[k + dg])
-            q[k] = c
-            if c:
-                for i, b in enumerate(other.coeffs):
-                    r[k + i] = reduce(r[k + i] - c * b)
-        del r[dg:]
-        return IwaPoly(p, tuple(q), prec), IwaPoly(p, tuple(r), prec)
+        q, r = _divmod(self.coeffs, other.coeffs, None if prec is None else self.prime**prec)
+        return IwaPoly(self.prime, tuple(q), prec), IwaPoly(self.prime, tuple(r), prec)
 
     def __floordiv__(self, other: "IwaPoly") -> "IwaPoly":
         return divmod(self, other)[0]

@@ -22,6 +22,8 @@ from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from .iwapoly import (
     IwaPoly,
     WeierstrassData,
+    _divmod,
+    _mul,
     _require_exact_size,
     coprime_to_omega,
     omega,
@@ -180,37 +182,12 @@ def elementary_divisor_valuations(
     return vals
 
 
-def _times_x_plus(cur: list[int], c: int, tail: list[int], pn: int) -> list[int]:
-    """T * cur + c mod (T^d + tail, pn), with d = len(tail)."""
-    lead = cur[-1]
-    cur = [c % pn] + cur[:-1]
-    if lead:
-        cur = [(x - lead * y) % pn for x, y in zip(cur, tail)]
-    return cur
-
-
-def _times(u: list[int], v: list[int], tail: list[int], pn: int) -> list[int]:
-    """u * v mod (T^d + tail, pn), reduced from the top in place."""
-    d = len(tail)
-    prod = [0] * (2 * d - 1)
-    for i, x in enumerate(u):
-        if x:
-            for j, y in enumerate(v, i):
-                prod[j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        lead = prod[k] % pn
-        if lead:
-            for i, y in enumerate(tail, k - d):
-                prod[i] -= lead * y
-    return [x % pn for x in prod[:d]]
-
-
 def _shift(coeffs) -> list[int]:
     """g(T) = f(T-1) by the Horner rule g <- g (T - 1) + c_i.  It keeps f's
     degree and leading coefficient, and g(0) = f(-1)."""
     g: list[int] = []
     for c in reversed(coeffs):
-        g = [y - x for x, y in zip(g + [0], [0] + g)]
+        g = _mul(g, [-1, 1])
         g[0] += c
     return g
 
@@ -218,10 +195,8 @@ def _shift(coeffs) -> list[int]:
 def _circulant_columns(g, size: int, pn: int) -> list[dict[int, int]]:
     """Columns of multiplication by g(T) on (Z/pn)[T]/(T^size - 1) in the
     basis T^j: column j holds g_k at row (j + k) mod size."""
-    folded: dict[int, int] = {}
-    for k, x in enumerate(g):
-        folded[k % size] = folded.get(k % size, 0) + x
-    band = [(k, x % pn) for k, x in folded.items() if x % pn]
+    folded = _divmod(g, [-1] + [0] * (size - 1) + [1], pn)[1]
+    band = [(k, x) for k, x in enumerate(folded) if x]
     return [{(j + k) % size: x for k, x in band} for j in range(size)]
 
 
@@ -238,10 +213,10 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
 
     * g's leading coefficient (f's) or g[0] = f(-1) a unit: multiplication
       by T^(p^m) - 1 on (Z/p^prec)[T]/(h), deg f square, with h the one of
-      g and g[::-1] with a unit lead.  Z_p[T]/(h) is free of rank deg f.
-      The first column, T^(p^m) - 1 mod (h, p^prec), is T raised m times to
-      the p-th power, by squaring, less 1: a large p costs O(m log p)
-      products mod h, and this form has no size bound.
+      g and g[::-1] with a unit lead, made monic.  Z_p[T]/(h) is free of
+      rank deg f.  The first column, T^(p^m) - 1 mod (h, p^prec), is T
+      raised m times to the p-th power, by squaring, less 1: a large p
+      costs O(m log p) products mod h, and this form has no size bound.
     * otherwise (mu > 0, or p dividing the leading coefficient and f(-1)):
       the circulant of multiplication by g on the group ring, deg f + 1
       nonzeros per column.  It has p^m columns, so it is refused with
@@ -255,21 +230,21 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
         _require_exact_size(p, m)
         return _circulant_columns(g, p**m, pn)
     inv = pow(h[-1], -1, pn)
-    tail = [c * inv % pn for c in h[:-1]]  # h made monic is T^d + tail
-    d = len(tail)
+    h = [c * inv % pn for c in h]
+    d = len(h) - 1
     if not d:
         return []
-    col = _times_x_plus([1] + [0] * (d - 1), 0, tail, pn)  # T mod h
+    col = _divmod([0, 1], h, pn)[1]  # T mod h
     for _ in range(m):
         base = col
         for bit in bin(p)[3:]:
-            col = _times(col, col, tail, pn)
+            col = _divmod(_mul(col, col), h, pn)[1]
             if bit == "1":
-                col = _times(col, base, tail, pn)
+                col = _divmod(_mul(col, base), h, pn)[1]
     col[0] = (col[0] - 1) % pn
     cols = [col]
     for _ in range(d - 1):
-        cols.append(_times_x_plus(cols[-1], 0, tail, pn))
+        cols.append(_divmod([0] + cols[-1], h, pn)[1])
     return [{i: x for i, x in enumerate(c) if x} for c in cols]
 
 

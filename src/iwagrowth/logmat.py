@@ -207,6 +207,7 @@ def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     """M_(v,n) = A_v^(n+1) H_(v,n), A_v = p^(-1) [[0, -1], [p, a_v]]."""
     if n < 1:
         raise ValidationError("n must be >= 1")
+    h = h_matrix(data, n)  # first, so a level past the size bound is refused at once
     p = data.prime
     a = ((0, -1), (p, data.a_v))
     power = ((1, 0), (0, 1))
@@ -219,7 +220,7 @@ def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
         tuple(tuple(IwaPoly.const(p, power[i][j]) for j in range(2)) for i in range(2)),
         denom_exp=n + 1,
     )
-    return apoly * h_matrix(data, n)
+    return apoly * h
 
 
 def det_structure_check(data: LocalCurveData, n: int,
@@ -266,9 +267,10 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
+    entries = h_entries(data, n)  # before totient, which is slow past the size bound
     phi_deg = totient(data.prime, n)
     first = []
-    for entry in h_entries(data, n):
+    for entry in entries:
         o = ord_eps(entry, n)
         if o.is_infinite:
             first.append(INF)

@@ -227,8 +227,10 @@ def test_kobrank_refuses_omega_at_a_large_prime(capsys):
     ("valmat", "--p", "5", "--av", "0", "--n", "8"),
     ("logmat", "--p", "5", "--av", "0", "--n", "7"),
     ("valmat", "--p", "3", "--av", "3", "--n", "11"),
+    ("valmat", "--p", "3", "--av", "0", "--n", "30000000"),
+    ("logmat", "--p", "3", "--av", "0", "--n", "30000000", "--which", "m"),
 ], ids=["kobrank_n20", "valmat_p1000003", "valmat_n2000", "valmat_p5_n8", "logmat_p5_n7",
-        "valmat_p3_av3_n11"])
+        "valmat_p3_av3_n11", "valmat_n30000000", "logmat_m_n30000000"])
 def test_oversized_exact_omega_is_refused_before_it_is_built(argv):
     # Run under a 1.5 GiB address-space limit and a timeout, so that a build
     # of omega_n or Phi_n at this p^n fails the test instead of the machine.
@@ -241,6 +243,29 @@ def test_oversized_exact_omega_is_refused_before_it_is_built(argv):
                           capture_output=True, text=True, timeout=20, env=env)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "above 32768" in proc.stderr and "Traceback" not in proc.stderr
+
+
+BIG_P = str(2**61 - 1)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kobrank", "--p", BIG_P, "--f", BIG_P, "--n", "300", "--methods", "closed_form"),
+    ("kobrank", "--p", "3", "--f", "3", "--n", "10000", "--methods", "closed_form"),
+    ("growth", "--n-max", "300"),
+    ("growth", "--n-max", "300", "--format", "csv"),
+    ("growth", "--n-max", "300", "--pretty"),
+], ids=["kobrank_big_p", "kobrank_p3_n10000", "growth_json", "growth_csv", "growth_pretty"])
+def test_result_too_long_to_print_is_refused(capsys, tmp_path, argv):
+    # phi(p^n) has more digits than str() converts; nothing is printed, not
+    # even the rows of a growth table below the first long one.
+    if argv[0] == "growth":
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"p": int(BIG_P), "ss_primes": [{"degree": 1, "a_v": 0}]}))
+        argv += ("--scenario", str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == (f"error: result has an integer over the {sys.get_int_max_str_digits()}"
+                   "-digit limit for printing\n")
 
 
 def test_kobrank_at_the_largest_exact_level_finishes():

@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import zip_longest
 from math import comb
 
 import pytest
@@ -13,6 +14,8 @@ from iwagrowth.errors import (
 )
 from iwagrowth.iwapoly import (
     IwaPoly,
+    _divmod,
+    _mul,
     coprime_to_omega,
     mu_lambda,
     omega,
@@ -264,3 +267,40 @@ def test_division_by_omega_round_trips(fc):
     assert r.degree < w.degree
     # a monic divisor: reducing mod 3^2 commutes with the division
     assert divmod(f.with_modulus(2), w) == (q.with_modulus(2), r.with_modulus(2))
+
+
+kernel_lists = st.lists(st.integers(-10**6, 10**6), max_size=12)
+
+
+def _value(coeffs, t):
+    return sum(c * t**i for i, c in enumerate(coeffs))
+
+
+@given(kernel_lists, kernel_lists)
+@example([], [])
+@example([], [1, 2])
+def test_list_product_agrees_with_evaluation(a, b):
+    prod = _mul(a, b)
+    assert len(prod) == max(len(a) + len(b) - 1, 0)
+    # the coefficients are far below 10^30 / 2, so that point fixes all of them
+    for t in (-2, -1, 0, 1, 3, 10**30):
+        assert _value(prod, t) == _value(a, t) * _value(b, t)
+
+
+@given(kernel_lists, st.lists(st.integers(-10**6, 10**6), max_size=8),
+       st.sampled_from((None, 3, 9, 25, 7**5, 3**40)))
+@example([], [], None)  # a = [], deg b = 0
+@example([], [5, 0, 2], 9)
+@example([1, 2], [0, 0, 0, 4], None)  # deg a < deg b
+@example([1, 2], [0, 0, 0, 4], 25)
+def test_list_division_by_a_monic_list(a, b_low, pn):
+    b = b_low + [1]
+    q, r = _divmod(a, b, pn)
+    assert len(r) <= len(b) - 1
+    back = [x + y for x, y in zip_longest(_mul(q, b), r, fillvalue=0)]
+    gap = [x - y for x, y in zip_longest(a, back, fillvalue=0)]
+    if pn is None:
+        assert not any(gap)
+    else:
+        assert all(x % pn == 0 for x in gap)
+        assert all(0 <= x < pn for x in r)
