@@ -11,6 +11,7 @@ Cumulative tables prefix-sum the deltas from a base anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import InfiniteTerm, NotAvZero, ValidationError
 from .iwapoly import totient
@@ -65,9 +66,11 @@ class GrowthScenario:
     sigma is used at odd levels, tau at even levels; None means the defaults
     chosen by logmat.signature (flat at odd levels, sharp at even ones).
     Construction checks shapes and that the invariants and the anchor
-    (base_n0, base_e0) are nonnegative; semantic problems (bad traces,
-    inconsistent signatures) are reported by validate_scenario and raised by
-    the term evaluators.
+    (base_n0, base_e0) are nonnegative.  The places (p and the traces) are
+    validated once per scenario, when places is first read; sha_table reads
+    it before its first row, so an invalid scenario is refused even when the
+    table is empty.  An inconsistent signature is raised only at a level
+    whose term is computed.  validate_scenario reports every problem at once.
     """
 
     prime: int
@@ -99,21 +102,24 @@ class GrowthScenario:
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
-    def local_data(self) -> list[LocalCurveData]:
-        return [LocalCurveData(self.prime, w.a_v) for w in self.ss_primes]
+    @cached_property
+    def places(self) -> tuple[LocalCurveData, ...]:
+        """One LocalCurveData per supersingular place, built and validated on
+        first use and then kept: ValidationError when there is no place, p is
+        not an odd prime, or a trace is not divisible by p or breaks the Weil
+        bound."""
+        if not self.ss_primes:
+            raise ValidationError("scenario needs at least one supersingular place")
+        return tuple(LocalCurveData(self.prime, w.a_v) for w in self.ss_primes)
 
-    def signs(self, parity_n: int,
-              places: list[LocalCurveData] | None = None) -> tuple[str, ...]:
-        """The effective signature vector at a level of the given parity.
-
-        places, when given, is the already built local_data() list.
-        """
+    def signs(self, parity_n: int) -> tuple[str, ...]:
+        """The signature vector at levels of parity_n's parity: sigma (odd) or
+        tau (even) when given, else logmat.signature of each place, which
+        depends only on the parity and so is read at level 1 or 2."""
         explicit = self.sigma if parity_n % 2 == 1 else self.tau
         if explicit is not None:
             return explicit
-        if places is None:
-            places = self.local_data()
-        return tuple(signature(d, parity_n) for d in places)
+        return tuple(signature(d, 2 - parity_n % 2) for d in self.places)
 
     def to_json(self) -> dict:
         return {
@@ -149,47 +155,38 @@ class GrowthScenario:
         )
 
 
-def _require_places(sc: GrowthScenario) -> list[LocalCurveData]:
-    if not sc.ss_primes:
-        raise ValidationError("scenario needs at least one supersingular place")
-    return sc.local_data()
-
-
-def _weighted_sum(sc: GrowthScenario, n: int) -> int:
-    """phi(p^n) times the degree-weighted valuation sum at level n: each
-    place contributes its first-row closed-form entry (logmat.parity_tails)
-    in the column of its sign."""
-    p = sc.prime
-    places = _require_places(sc)
-    signs = sc.signs(n, places)
-    carrier, even, odd = parity_tails(p, n)
-    phi_deg = totient(p, n)
-    total = 0
-    for w, data, s in zip(sc.ss_primes, places, signs):
-        if s == carrier:
-            r_v = data.r_v
-            if r_v.is_infinite:
-                raise InfiniteTerm(
-                    f"signature {s} needs finite ord_p(a_v) but a_v = {w.a_v}"
-                )
-            total += w.degree * (phi_deg * int(r_v.value) + even)
+def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
+    """(S or T, phi(p^n)*mu, lambda, delta) at level n >= 1, with the
+    invariants of n's parity.  S or T is phi(p^n) times the degree-weighted
+    valuation sum: each place contributes its first-row closed-form entry
+    (logmat.parity_tails) in the column of its sign."""
+    carrier, even, odd = parity_tails(sc.prime, n)
+    phi_deg = totient(sc.prime, n)
+    term = 0
+    for w, data, s in zip(sc.ss_primes, sc.places, sc.signs(n)):
+        if s != carrier:
+            term += w.degree * odd
+        elif data.r_v.is_infinite:
+            raise InfiniteTerm(f"signature {s} needs finite ord_p(a_v) but a_v = {w.a_v}")
         else:
-            total += w.degree * odd
-    return total
+            term += w.degree * (phi_deg * int(data.r_v.value) + even)
+    mu, lam = (sc.mu_sigma, sc.lambda_sigma) if n % 2 == 1 else (sc.mu_tau, sc.lambda_tau)
+    phi_mu = phi_deg * mu
+    return term, phi_mu, lam, term + phi_mu + lam - sc.r_inf
 
 
 def s_term(sc: GrowthScenario, n: int) -> int:
     """The odd-level term S(sigma, n)."""
     if n < 1 or n % 2 == 0:
         raise ValidationError("n must be odd and >= 1")
-    return _weighted_sum(sc, n)
+    return _level(sc, n)[0]
 
 
 def t_term(sc: GrowthScenario, n: int) -> int:
     """The even-level term T(tau, n)."""
     if n < 2 or n % 2 == 1:
         raise ValidationError("n must be even and >= 2")
-    return _weighted_sum(sc, n)
+    return _level(sc, n)[0]
 
 
 def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
@@ -199,22 +196,11 @@ def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
         raise ValidationError("n must be >= 1")
     if any(w.a_v != 0 for w in sc.ss_primes):
         raise NotAvZero("closed form requires every a_v = 0")
-    _require_places(sc)
+    sc.places  # refuses an empty or invalid place list
     p = sc.prime
     low = 1 if n % 2 == 1 else 0
     tail = sum((-1) ** (n - 1 - j) * p**j for j in range(low, n))
     return sum(w.degree for w in sc.ss_primes) * tail
-
-
-def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
-    """(S or T, phi(p^n)*mu, lambda, delta) at level n >= 1, with the
-    invariants of n's parity."""
-    if n % 2 == 1:
-        term, mu, lam = s_term(sc, n), sc.mu_sigma, sc.lambda_sigma
-    else:
-        term, mu, lam = t_term(sc, n), sc.mu_tau, sc.lambda_tau
-    phi_mu = totient(sc.prime, n) * mu
-    return term, phi_mu, lam, term + phi_mu + lam - sc.r_inf
 
 
 def sha_delta(sc: GrowthScenario, n: int) -> int:
@@ -256,6 +242,7 @@ def sha_table(sc: GrowthScenario, n_max: int) -> list[TableRow]:
     """Rows for base_n0 < n <= n_max, cumulative anchored at (n0, e0)."""
     if n_max < sc.base_n0:
         raise ValidationError(f"n_max {n_max} is below the anchor n0 {sc.base_n0}")
+    sc.places  # refuses an invalid scenario even when the table is empty
     rows = []
     cum = sc.base_e0
     for n in range(sc.base_n0 + 1, n_max + 1):
@@ -280,26 +267,24 @@ class ScenarioReport:
 
 
 def validate_scenario(sc: GrowthScenario) -> ScenarioReport:
+    """Every problem of sc at once: each invalid place or, when the places
+    are valid, each sign that picks an infinite entry."""
+    try:
+        places = sc.places
+    except ValidationError:
+        violations = [] if sc.ss_primes else ["no supersingular places"]
+        for i, w in enumerate(sc.ss_primes):
+            try:
+                LocalCurveData(sc.prime, w.a_v)
+            except ValidationError as exc:
+                violations.append(f"place {i}: {exc}")
+        return ScenarioReport(False, violations)
     violations = []
-    if not sc.ss_primes:
-        violations.append("no supersingular places")
-    places = []
-    for i, w in enumerate(sc.ss_primes):
-        try:
-            places.append(LocalCurveData(sc.prime, w.a_v))
-        except ValidationError as exc:
-            violations.append(f"place {i}: {exc}")
-            places.append(None)
-    default_sigma = default_tau = None
-    if places and all(d is not None for d in places):
-        default_sigma = tuple(signature(d, 1) for d in places)
-        default_tau = tuple(signature(d, 2) for d in places)
-        for parity, vec in (1, sc.sigma or default_sigma), (2, sc.tau or default_tau):
-            carrier = parity_tails(sc.prime, parity)[0]
-            which = "sigma" if parity == 1 else "tau"
-            for i, (d, s) in enumerate(zip(places, vec)):
-                if s == carrier and d.r_v.is_infinite:
-                    violations.append(
-                        f"{which}[{i}] = {s} needs finite ord_p(a_v) but a_v = {d.a_v}"
-                    )
-    return ScenarioReport(not violations, violations, default_sigma, default_tau)
+    for parity, which in (1, "sigma"), (2, "tau"):
+        carrier = parity_tails(sc.prime, parity)[0]
+        for i, (d, s) in enumerate(zip(places, sc.signs(parity))):
+            if s == carrier and d.r_v.is_infinite:
+                violations.append(f"{which}[{i}] = {s} needs finite ord_p(a_v) but a_v = {d.a_v}")
+    return ScenarioReport(not violations, violations,
+                          tuple(signature(d, 1) for d in places),
+                          tuple(signature(d, 2) for d in places))

@@ -219,11 +219,14 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).
 
     Uses Phi_n = sum_{i=0}^{p-1} (1+X)^(i*p^(n-1)) (the geometric sum of
-    Y = (1+X)^(p^(n-1)) over Y - 1), so it is p binomial rows added up.
+    Y = (1+X)^(p^(n-1)) over Y - 1), so it is p binomial rows added up.  At
+    n = 1 the sum is the single row C(p, k+1) (the hockey-stick identity).
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     _require_exact_size(p, n)
+    if n == 1:
+        return IwaPoly(p, tuple(_binomial_row(p)[1:]))
     q = p ** (n - 1)
     coeffs = [0] * ((p - 1) * q + 1)
     for i in range(p):

@@ -199,6 +199,21 @@ def test_wrongly_typed_input_exits_2(capsys, tmp_path, scenario, named):
     assert err.startswith("error: ") and named in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("scenario, n_max, message", [
+    ({"p": 4, "ss_primes": [{"degree": 1, "a_v": 1}]}, 0, "4 is not an odd prime"),
+    ({"p": 3, "ss_primes": []}, 0, "scenario needs at least one supersingular place"),
+    ({"p": 3, "ss_primes": [{"degree": 1, "a_v": 1}], "base": {"n0": 2, "e0": 0}}, 2,
+     "supersingular trace must be divisible by p: a_v=1, p=3"),
+], ids=["p4", "no_places", "a_v1_at_anchor"])
+def test_invalid_places_are_refused_with_an_empty_table(capsys, tmp_path, scenario, n_max,
+                                                         message):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    code, out, err = run(capsys, "growth", "--scenario", str(path), "--n-max", str(n_max))
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("prec", ["0", "100000000000"])
 def test_kobrank_prec_is_refused_at_once(prec):
     # kobrank takes no working precision: argparse refuses one, however
@@ -280,6 +295,25 @@ def test_kobrank_at_the_largest_exact_level_finishes():
     )
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["all_agree"] is True
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("valmat", "--p", "32749", "--av", "0", "--n", "2"), 0),
+    (("logmat", "--p", "32749", "--av", "0", "--n", "1"), 2),
+], ids=["valmat_p32749_n2", "logmat_p32749_n1"])
+def test_phi_1_at_the_largest_admitted_prime_finishes(argv, code):
+    # 32749 is the largest prime the size bound admits at n = 1.  Phi_1 is
+    # one binomial row, not a sum of p rows; logmat's H holds -Phi_1, whose
+    # coefficients are too long to print.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "iwagrowth.cli", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == code
+    if code == 0:
+        assert json.loads(proc.stdout)["agree"] is True
+    else:
+        assert proc.stdout == "" and "-digit limit for printing" in proc.stderr
 
 
 @pytest.mark.parametrize("p, n, value", [("3", "12", 1), (str(2**61 - 1), "1", 0)],

@@ -44,8 +44,8 @@ class TestScenario:
 
     def test_default_signs(self):
         sc = one_prime(3)
-        assert sc.signs(1) == ("flat",)
-        assert sc.signs(2) == ("sharp",)
+        assert sc.signs(1) == sc.signs(7) == ("flat",)
+        assert sc.signs(2) == sc.signs(8) == ("sharp",)
 
     def test_places_built_once_per_level(self, monkeypatch):
         from iwagrowth import growth
@@ -59,7 +59,11 @@ class TestScenario:
         monkeypatch.setattr(growth, "LocalCurveData", counting)
         sc = GrowthScenario(3, (SsPrime(1, 0), SsPrime(2, 3)))
         sha_table(sc, 4)
-        assert len(built) == 4 * 2
+        sha_delta(sc, 5)
+        s_term(sc, 3)
+        t_term(sc, 6)
+        validate_scenario(sc)
+        assert built == [(3, 0), (3, 3)]  # once per place for the whole scenario
 
 
 class TestTerms:
@@ -163,6 +167,46 @@ class TestTable:
         sc = one_prime(3, r_inf=5, base_n0=0, base_e0=0)
         rows = sha_table(sc, 1)
         assert rows[0].cumulative < 0 and rows[0].warning
+
+
+def test_table_rows_agree_with_the_per_level_api():
+    # seeded p = 3 scenarios: every row of the one-pass table is the level's
+    # sha_delta and S or T, and an inconsistent sign stops the table at the
+    # level where the per-level API raises, with the same text
+    rng = random.Random(20)
+    finished = stopped = 0
+    for _ in range(60):
+        places = tuple(SsPrime(rng.randint(1, 6), rng.choice((0, 3, -3)))
+                       for _ in range(rng.randint(1, 3)))
+
+        def vec():
+            return None if rng.random() < 0.4 else tuple(
+                rng.choice(("sharp", "flat")) for _ in places)
+
+        sc = GrowthScenario(3, places, sigma=vec(), tau=vec(),
+                            mu_sigma=rng.randint(0, 2), lambda_sigma=rng.randint(0, 9),
+                            mu_tau=rng.randint(0, 2), lambda_tau=rng.randint(0, 9),
+                            r_inf=rng.randint(0, 6), base_n0=rng.randint(0, 3),
+                            base_e0=rng.randint(0, 40))
+        n_max = sc.base_n0 + 6
+        levels = []
+        for n in range(sc.base_n0 + 1, n_max + 1):
+            try:
+                term = s_term(sc, n) if n % 2 == 1 else t_term(sc, n)
+                levels.append((n, term, sha_delta(sc, n)))
+            except InfiniteTerm as exc:
+                with pytest.raises(InfiniteTerm) as caught:
+                    sha_table(sc, n_max)
+                assert str(caught.value) == str(exc)
+                assert len(sha_table(sc, n - 1)) == len(levels)
+                stopped += 1
+                break
+        else:
+            rows = sha_table(sc, n_max)
+            assert [(r.n, r.s_or_t, r.delta) for r in rows] == levels
+            assert all(r.delta == r.s_or_t + r.phi_mu + r.lam - r.r_inf for r in rows)
+            finished += 1
+    assert finished and stopped
 
 
 class TestValidateScenario:

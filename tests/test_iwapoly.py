@@ -98,6 +98,11 @@ def test_omega_and_phi():
             assert acc == omega(p, m)
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 101])
+def test_phi_1_is_omega_1_over_x(p):
+    assert phi_poly(p, 1) == omega(p, 1) // omega(p, 0)
+
+
 @pytest.mark.parametrize("build", [omega, phi_poly])
 @pytest.mark.parametrize("n", [1, 2])
 def test_exact_omega_and_phi_refuse_p_n_above_the_bound(build, n):
