@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .growth import GrowthScenario, sha_table
+from .growth import GrowthScenario, exceeds_digits, sha_table
 from .kobayashi import (
     CLOSED_FORM,
     RESULTANT_ORACLE,
@@ -55,16 +55,21 @@ EXIT_INFINITE = 5
 EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
 
 
+def _too_long() -> ValidationError:
+    """The refusal of a result with an integer too long for str()."""
+    return ValidationError(
+        f"result has an integer over the {sys.get_int_max_str_digits()}-digit "
+        "limit for printing"
+    )
+
+
 def _printable(render) -> str:
     """render(), refused with ValidationError when an integer in it is too
     long for str() (sys.get_int_max_str_digits()), so nothing is printed."""
     try:
         return render()
     except ValueError as exc:  # the only ValueError that rendering the results raises
-        raise ValidationError(
-            f"result has an integer over the {sys.get_int_max_str_digits()}-digit "
-            "limit for printing"
-        ) from exc
+        raise _too_long() from exc
 
 
 def _emit(payload, pretty: bool):
@@ -134,6 +139,8 @@ def cmd_growth(args) -> int:
         sc = GrowthScenario.from_json(raw)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ValidationError(f"bad scenario file {args.scenario}: {exc!r}")
+    if exceeds_digits(sc, args.n_max, sys.get_int_max_str_digits()):
+        raise _too_long()  # before the rows are built; _printable stays the final check
     rows = sha_table(sc, args.n_max)
     fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
 

@@ -10,6 +10,7 @@ Cumulative tables prefix-sum the deltas from a base anchor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -238,11 +239,17 @@ class TableRow:
         return d
 
 
-def sha_table(sc: GrowthScenario, n_max: int) -> list[TableRow]:
-    """Rows for base_n0 < n <= n_max, cumulative anchored at (n0, e0)."""
+def _require_anchor(sc: GrowthScenario, n_max: int) -> None:
+    """Refuse an n_max below the anchor, then an invalid scenario, even when
+    the table would be empty."""
     if n_max < sc.base_n0:
         raise ValidationError(f"n_max {n_max} is below the anchor n0 {sc.base_n0}")
-    sc.places  # refuses an invalid scenario even when the table is empty
+    sc.places
+
+
+def sha_table(sc: GrowthScenario, n_max: int) -> list[TableRow]:
+    """Rows for base_n0 < n <= n_max, cumulative anchored at (n0, e0)."""
+    _require_anchor(sc, n_max)
     rows = []
     cum = sc.base_e0
     for n in range(sc.base_n0 + 1, n_max + 1):
@@ -254,6 +261,31 @@ def sha_table(sc: GrowthScenario, n_max: int) -> list[TableRow]:
         rows.append(TableRow(n, "odd" if n % 2 == 1 else "even", term, phi_mu, lam,
                              sc.r_inf, delta, cum, warning))
     return rows
+
+
+def exceeds_digits(sc: GrowthScenario, n_max: int, digits: int) -> bool:
+    """Whether sha_table(sc, n_max) provably holds an integer of more than
+    digits decimal digits (0: no limit), decided without forming p^n_max.
+
+    First refuses what sha_table refuses before any row: an n_max below the
+    anchor and an invalid scenario.  With D the sum of the degrees, the last
+    row's S_or_T is at least D * O(n_max), O the odd tail of
+    logmat.parity_tails: a carrier place adds
+    d_w (phi(p^n) r_v + even) >= d_w phi(p^n) > d_w O(n).  And
+    O(n) >= (p-1) p^(n-2) for n >= 2.  A digit of margin covers the float
+    rounding of the logarithms.  Before it answers True it raises the
+    InfiniteTerm that sha_table's first rows would: that depends only on
+    the parity, so it is read at level 1 or 2.
+    """
+    _require_anchor(sc, n_max)
+    if not digits or n_max <= max(sc.base_n0, 1):
+        return False
+    weight = sum(w.degree for w in sc.ss_primes) * (sc.prime - 1)
+    if n_max - 2 < (digits + 1 - math.log10(weight)) / math.log10(sc.prime):
+        return False
+    for n in range(sc.base_n0 + 1, min(n_max, sc.base_n0 + 2) + 1):
+        _level(sc, 2 - n % 2)
+    return True
 
 
 @dataclass

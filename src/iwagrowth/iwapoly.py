@@ -81,10 +81,6 @@ class IwaPoly:
     def const(cls, prime: int, value: int, mod_prec: int | None = None) -> "IwaPoly":
         return cls(prime, (value,), mod_prec)
 
-    @classmethod
-    def x(cls, prime: int) -> "IwaPoly":
-        return cls(prime, (0, 1))
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs

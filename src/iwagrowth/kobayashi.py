@@ -93,12 +93,10 @@ def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     return NablaResult(n, e_hi - e_lo, RESULTANT_ORACLE)
 
 
-def elementary_divisor_valuations(
-    rows: list[dict[int, int]], ncols: int, p: int, prec: int
-) -> list[int]:
-    """Valuations of the elementary divisors of an integer matrix with ncols
-    columns, given by its sparse rows ({column: entry}), computed by
-    minimal-valuation pivoting over Z/p^prec.
+def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int) -> list[int]:
+    """Valuations of the elementary divisors of a square integer matrix,
+    given by its sparse rows ({column: entry}, each column below len(rows)),
+    computed by minimal-valuation pivoting over Z/p^prec.
 
     The active block's least valuation never falls: after a pivot of
     valuation v < prec, minimal in its block, every row operation subtracts
@@ -111,12 +109,12 @@ def elementary_divisor_valuations(
     matrix cheap.
 
     Raises PrecisionExhausted when a needed pivot is indistinguishable from
-    zero at the working modulus (an elementary divisor reaching p^prec, or an
-    infinite cokernel), and NotFinite when the rows run out first.
+    zero at the working modulus: an elementary divisor reaching p^prec, or a
+    singular matrix (an infinite cokernel).
     """
     pn = p**prec
     m: list[dict[int, int]] = []
-    meets: list[set[int]] = [set() for _ in range(ncols)]  # column -> active rows
+    meets: list[set[int]] = [set() for _ in rows]  # column -> active rows
     for i, row in enumerate(rows):
         kept = {}
         for j, x in row.items():
@@ -126,10 +124,9 @@ def elementary_divisor_valuations(
                 meets[j].add(i)
         m.append(kept)
     act_rows = dict.fromkeys(range(len(m)))  # an ordered set
-    cols_left = ncols
     vals: list[int] = []
     lo = 0  # the active block's least valuation, a lower bound for every pivot
-    while act_rows and cols_left:
+    while act_rows:
         best = None  # (val, row, col)
         for i in act_rows:
             for j, x in m[i].items():
@@ -148,13 +145,12 @@ def elementary_divisor_valuations(
         if best is None:
             raise PrecisionExhausted(
                 f"remaining block vanishes mod {p}^{prec} with "
-                f"{cols_left} columns unpivoted"
+                f"{len(act_rows)} columns unpivoted"
             )
         v, pi, pj = best
         lo = v
         vals.append(v)
         del act_rows[pi]
-        cols_left -= 1
         prow = m[pi]
         pv = p**v
         unit_inv = pow(prow.pop(pj) // pv, -1, pn)
@@ -177,8 +173,6 @@ def elementary_divisor_valuations(
                 elif x is not None:
                     del row[j]
                     meets[j].discard(i)
-    if cols_left:
-        raise NotFinite("matrix has a nontrivial kernel direction: infinite cokernel")
     return vals
 
 
@@ -251,7 +245,7 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
 def _size_exponent(f: IwaPoly, m: int, prec: int) -> int:
     """e_m, with Lambda/(f, omega_m) of size p^e_m, eliminated over Z/p^prec."""
     cols = _omega_columns(f, m, prec)
-    return sum(elementary_divisor_valuations(cols, len(cols), f.prime, prec))
+    return sum(elementary_divisor_valuations(cols, f.prime, prec))
 
 
 def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:

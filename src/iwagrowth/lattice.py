@@ -80,9 +80,8 @@ def witness(data: LocalCurveData, n: int, u) -> LatticePair:
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = data.prime
-    sharp, flat = h_entries(data, n - 1)
-    x = IwaPoly.x(p)
+    x_sharp, x_flat = (IwaPoly(p, (0,) + e.coeffs) for e in h_entries(data, n - 1))
     inv = _unit(u, p)
     if inv.mod_prec is not None:  # +-1 is its own inverse
         inv = IwaPoly.const(p, pow(inv.coeff(0), -1, p**inv.mod_prec), inv.mod_prec)
-    return LatticePair(-(x * flat), inv * (x * sharp))
+    return LatticePair(-x_flat, inv * x_sharp)

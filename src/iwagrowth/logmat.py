@@ -216,11 +216,11 @@ def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
             tuple(sum(power[i][k] * a[k][j] for k in range(2)) for j in range(2))
             for i in range(2)
         )
-    apoly = LogMatrix2(
-        tuple(tuple(IwaPoly.const(p, power[i][j]) for j in range(2)) for i in range(2)),
-        denom_exp=n + 1,
+    rows = tuple(
+        tuple(h[0, j].scale(power[i][0]) + h[1, j].scale(power[i][1]) for j in range(2))
+        for i in range(2)
     )
-    return apoly * h
+    return LogMatrix2(rows, denom_exp=n + 1)
 
 
 def det_structure_check(data: LocalCurveData, n: int,

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from iwagrowth import cli
 from iwagrowth.cli import main
 
 
@@ -281,6 +282,64 @@ def test_result_too_long_to_print_is_refused(capsys, tmp_path, argv):
     assert code == 2 and out == ""
     assert err == (f"error: result has an integer over the {sys.get_int_max_str_digits()}"
                    "-digit limit for printing\n")
+
+
+GROWTH_P3 = {"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}]}
+
+
+@pytest.mark.parametrize("n_max", ["16000", "40000", "1000000000"])
+def test_unprintable_growth_table_is_refused_before_it_is_built(tmp_path, n_max):
+    # Building the rows to n_max = 16000 takes seconds and to 10^9 forever;
+    # the last row's S_or_T has more digits than str() converts, so the
+    # table is refused before its first row.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(GROWTH_P3))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "iwagrowth.cli", "growth",
+                           "--scenario", str(path), "--n-max", n_max],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: result has an integer over the "
+                           f"{sys.get_int_max_str_digits()}-digit limit for printing\n")
+
+
+def test_inconsistent_sign_is_refused_before_the_print_limit(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(GROWTH_P3, sigma=["sharp"])))
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "iwagrowth.cli", "growth",
+                           "--scenario", str(path), "--n-max", "40000"],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert proc.stderr == "error: signature sharp needs finite ord_p(a_v) but a_v = 0\n"
+
+
+def test_growth_refusal_follows_the_live_print_limit(capsys, tmp_path, monkeypatch):
+    # At a 640-digit limit the first unprintable table is n_max = 1342 (its
+    # cumulative); the bound on the last S_or_T refuses from 1345 on without
+    # building a row, and _printable refuses the levels between.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(GROWTH_P3))
+    argv = ("growth", "--scenario", str(path), "--n-max")
+    refused = "error: result has an integer over the 640-digit limit for printing\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv, "1341")
+        assert code == 0 and err == "" and len(out.splitlines()) == 1341
+        for n_max in ("1342", "1344"):
+            assert run(capsys, *argv, n_max) == (2, "", refused)
+
+        def built(*_):
+            raise AssertionError("rows built")
+
+        monkeypatch.setattr(cli, "sha_table", built)
+        for n_max in ("1345", "1000000000"):
+            assert run(capsys, *argv, n_max) == (2, "", refused)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_kobrank_at_the_largest_exact_level_finishes():

@@ -8,6 +8,7 @@ from iwagrowth.growth import (
     GrowthScenario,
     SsPrime,
     av_zero_closed_form,
+    exceeds_digits,
     s_term,
     sha_delta,
     sha_table,
@@ -16,7 +17,7 @@ from iwagrowth.growth import (
 )
 from iwagrowth.iwapoly import totient
 from iwagrowth.kobayashi import nabla_finite_tower
-from iwagrowth.logmat import LocalCurveData
+from iwagrowth.logmat import FLAT, SHARP, LocalCurveData, valuation_matrix
 
 
 def one_prime(p, degree=1, a_v=0, **kw):
@@ -207,6 +208,90 @@ def test_table_rows_agree_with_the_per_level_api():
             assert all(r.delta == r.s_or_t + r.phi_mu + r.lam - r.r_inf for r in rows)
             finished += 1
     assert finished and stopped
+
+
+def test_deltas_match_the_computed_valuation_tables():
+    # sha_delta sums the closed-form parity tails; here each place's term is
+    # read off the valuation table computed from H instead, in the column of
+    # its sign.  A default sign is the column with the smaller computed
+    # entry, and InfiniteTerm must be raised exactly where a selected entry
+    # is infinite.
+    rng = random.Random(21)
+    tables = {}
+    finite = infinite = 0
+    for _ in range(60):
+        places = tuple(SsPrime(rng.randint(1, 6), rng.choice((0, 3, -3)))
+                       for _ in range(rng.randint(1, 3)))
+
+        def vec():
+            return None if rng.random() < 0.4 else tuple(
+                rng.choice((SHARP, FLAT)) for _ in places)
+
+        sc = GrowthScenario(3, places, sigma=vec(), tau=vec(),
+                            mu_sigma=rng.randint(0, 2), lambda_sigma=rng.randint(0, 9),
+                            mu_tau=rng.randint(0, 2), lambda_tau=rng.randint(0, 9),
+                            r_inf=rng.randint(0, 6))
+        for n in range(1, 8):
+            phi = totient(3, n)
+            explicit = sc.sigma if n % 2 == 1 else sc.tau
+            term, selected_inf = 0, False
+            for i, w in enumerate(places):
+                if (w.a_v, n) not in tables:
+                    tables[w.a_v, n] = valuation_matrix(LocalCurveData(3, w.a_v), n)
+                row = tables[w.a_v, n].entries[0]
+                if explicit is None:
+                    assert row[0] != row[1]
+                    entry = min(row)
+                else:
+                    entry = row[0 if explicit[i] == SHARP else 1]
+                if entry.is_infinite:
+                    selected_inf = True
+                else:
+                    term += w.degree * phi * entry.value
+            mu, lam = (sc.mu_sigma, sc.lambda_sigma) if n % 2 else (sc.mu_tau, sc.lambda_tau)
+            if selected_inf:
+                with pytest.raises(InfiniteTerm):
+                    sha_delta(sc, n)
+                infinite += 1
+            else:
+                assert sha_delta(sc, n) == term + phi * mu + lam - sc.r_inf
+                finite += 1
+    assert (finite, infinite) == (354, 66)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([3, 5, 7]),
+       st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=3),
+       st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=40))
+def test_digit_bound_is_sound_and_fires_within_three_levels(p, degrees, base_n0, digits):
+    # exceeds_digits may claim an unprintable table only when its last row's
+    # S_or_T really has more digits than the limit, and it claims one at the
+    # latest three levels after S_or_T first has.  With a_v = 0 and default
+    # signs, S_or_T is D*O(n) itself, the bound's tightest case.
+    sc = GrowthScenario(p, tuple(SsPrime(d, 0) for d in degrees), base_n0=base_n0)
+    terms = [0] + [r.s_or_t for r in sha_table(sc, base_n0 + 119)]
+    last = None
+    for n, term in enumerate(terms, base_n0):
+        if exceeds_digits(sc, n, digits):
+            assert len(str(term)) > digits
+        elif last is not None:
+            assert n - last < 3
+        if last is None and len(str(term)) > digits:
+            last = n
+    assert last is not None
+
+
+def test_digit_bound_needs_no_power_of_p():
+    sc = one_prime(3, degree=2)
+    assert exceeds_digits(sc, 10**9, 4300)
+    assert exceeds_digits(sc, 10**400, 640)
+    assert not exceeds_digits(sc, 10**9, 0)  # 0 means no limit
+    assert not exceeds_digits(one_prime(3, base_n0=10**9), 10**9, 640)  # an empty table
+    with pytest.raises(InfiniteTerm):
+        exceeds_digits(one_prime(3, sigma=("sharp",)), 10**9, 640)
+    with pytest.raises(InfiniteTerm):  # the first even level, after an odd one
+        exceeds_digits(one_prime(3, base_n0=4, tau=("flat",)), 10**9, 640)
+    assert not exceeds_digits(one_prime(3, base_n0=4, tau=("flat",)), 5, 640)
 
 
 class TestValidateScenario:

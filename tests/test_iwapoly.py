@@ -43,7 +43,7 @@ class TestIwaPoly:
             IwaPoly(3, (1,)) + IwaPoly(5, (1,))
 
     def test_arithmetic(self):
-        x = IwaPoly.x(3)
+        x = IwaPoly(3, (0, 1))
         f = (x + IwaPoly.const(3, 1)) * (x - IwaPoly.const(3, 1))
         assert f == IwaPoly(3, (-1, 0, 1))
         assert f.scale(2) == IwaPoly(3, (-2, 0, 2))
@@ -79,7 +79,7 @@ def test_totient():
 
 
 def test_omega_and_phi():
-    assert omega(3, 0) == IwaPoly.x(3)
+    assert omega(3, 0) == IwaPoly(3, (0, 1))
     assert omega(3, 1) == IwaPoly(3, (0, 3, 3, 1))
     assert omega(7, 2).coeffs == (0,) + tuple(comb(49, k) for k in range(1, 50))
     phi1 = phi_poly(3, 1)
@@ -114,7 +114,7 @@ def test_exact_omega_and_phi_refuse_p_n_above_the_bound(build, n):
 def test_ord_eps_uniformizer():
     # ord(eps_n) = 1 and ord(p) = totient
     for p, n in ((3, 1), (3, 2), (5, 2), (7, 1)):
-        assert ord_eps(IwaPoly.x(p), n) == 1
+        assert ord_eps(IwaPoly(p, (0, 1)), n) == 1
         assert ord_eps(IwaPoly.const(p, p), n) == totient(p, n)
 
 

@@ -11,7 +11,7 @@ from iwagrowth.lattice import (
     in_image,
     witness,
 )
-from iwagrowth.logmat import LocalCurveData, h_entries
+from iwagrowth.logmat import LocalCurveData, h_entries, h_matrix, m_matrix
 from iwagrowth.padic import PadicUnit, unit_from_int
 
 
@@ -35,7 +35,7 @@ class TestInImage:
         assert in_image(const_pair(3, 2, 2), d)  # 2*2 = 2*2
         assert not in_image(const_pair(3, 1, 2), d)  # 2 != 4
         # constant term 0 on both sides always qualifies
-        assert in_image(LatticePair(IwaPoly.x(3), IwaPoly.x(3)), d)
+        assert in_image(LatticePair(IwaPoly(3, (0, 1)), IwaPoly(3, (0, 1))), d)
 
     def test_trace_enters_the_condition(self):
         d = LocalCurveData(3, 3)  # (p-1) G1(0) = -G2(0)
@@ -225,3 +225,23 @@ class TestCrossIdentity:
         sharp, _ = h_entries(d, 2)
         rep = cross_identity_check(d, 2, sharp_n=sharp + IwaPoly.const(3, 1))
         assert not rep.passed and rep.failures
+
+
+@pytest.mark.parametrize("p, av, n", [(3, 0, 3), (3, 3, 4), (3, -3, 2), (5, 0, 2)])
+def test_m_matrix_and_witness_form_no_products_but_the_unit(monkeypatch, p, av, n):
+    # M applies the integer matrix p^(n+1) A_v^(n+1) to H's rows by scaling,
+    # and the witness multiplies by X as a shift: once H's cache is warm,
+    # the witness's product by the unit is the only polynomial product.
+    d = LocalCurveData(p, av)
+    h_matrix(d, n)
+    product, calls = IwaPoly.__mul__, []
+
+    def counted(a, b):
+        calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(IwaPoly, "__mul__", counted)
+    m_matrix(d, n)
+    assert calls == []
+    witness(d, n, unit_from_int(2, p, 8))
+    assert len(calls) == 1
