@@ -39,6 +39,7 @@ from .kobayashi import (
 from .iwapoly import IwaPoly
 from .logmat import (
     LocalCurveData,
+    exceeds_digits as matrix_exceeds_digits,
     h_matrix,
     m_matrix,
     signature,
@@ -88,6 +89,8 @@ def _parse_ints(text: str, label: str) -> tuple[int, ...]:
 
 def cmd_logmat(args) -> int:
     data = LocalCurveData(args.p, args.av)
+    if matrix_exceeds_digits(data, args.n, sys.get_int_max_str_digits(), m=args.which == "m"):
+        raise _too_long()  # before H is built; _printable stays the final check
     mat = h_matrix(data, args.n) if args.which == "h" else m_matrix(data, args.n)
     _emit(mat, args.pretty)
     return EXIT_OK

@@ -15,7 +15,9 @@ never by silent truncation.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .errors import (
     NonUnitLeadingCoefficient,
@@ -54,6 +56,17 @@ def _divmod(a, b, pn: int | None = None) -> tuple[list[int], list[int]]:
     return q, (r if pn is None else [x % pn for x in r])
 
 
+def _reduced(c: list[int], p: int, mod_prec: int | None) -> tuple[int, ...]:
+    """The list c reduced mod p^mod_prec (when mod_prec is given) with its
+    trailing zeros dropped; c may be consumed."""
+    if mod_prec is not None:
+        pn = p**mod_prec
+        c = [x % pn for x in c]
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
 @dataclass(frozen=True)
 class IwaPoly:
     """Element of Lambda: coeffs[i] holds the coefficient of X^i."""
@@ -63,17 +76,25 @@ class IwaPoly:
     mod_prec: int | None = None
 
     def __post_init__(self):
+        # The prime and the modulus come from a caller, so they are checked
+        # here; results of ring operations are built by _of, which does not.
         if not is_odd_prime(self.prime):
             raise ValidationError(f"{self.prime} is not an odd prime")
-        c = list(self.coeffs)
-        if self.mod_prec is not None:
-            if self.mod_prec < 1:
-                raise ValidationError("mod_prec must be positive")
-            pn = self.prime**self.mod_prec
-            c = [x % pn for x in c]
-        while c and c[-1] == 0:
-            c.pop()
-        object.__setattr__(self, "coeffs", tuple(c))
+        if self.mod_prec is not None and self.mod_prec < 1:
+            raise ValidationError("mod_prec must be positive")
+        object.__setattr__(self, "coeffs", _reduced(list(self.coeffs), self.prime, self.mod_prec))
+
+    @classmethod
+    def _of(cls, prime: int, coeffs: list[int], mod_prec: int | None) -> "IwaPoly":
+        """A ring operation's result: the fresh list coeffs reduced mod
+        p^mod_prec and trimmed, as the public constructor would leave it.
+        prime and mod_prec are an operand's, validated when it was built, so
+        they are not checked again.  The fields are written to the instance
+        dict, as object.__setattr__ would, at half its cost."""
+        obj = object.__new__(cls)
+        d = obj.__dict__
+        d["prime"], d["coeffs"], d["mod_prec"] = prime, _reduced(coeffs, prime, mod_prec), mod_prec
+        return obj
 
     # -- basics ------------------------------------------------------------
 
@@ -113,25 +134,29 @@ class IwaPoly:
 
     def __add__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return IwaPoly(
+        return IwaPoly._of(
             self.prime,
-            tuple(self.coeff(i) + other.coeff(i) for i in range(n)),
+            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
             prec,
         )
 
     def __neg__(self) -> "IwaPoly":
-        return IwaPoly(self.prime, tuple(-c for c in self.coeffs), self.mod_prec)
+        return IwaPoly._of(self.prime, [-c for c in self.coeffs], self.mod_prec)
 
     def __sub__(self, other: "IwaPoly") -> "IwaPoly":
-        return self + (-other)
+        prec = self._join_prec(other)
+        return IwaPoly._of(
+            self.prime,
+            [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
+            prec,
+        )
 
     def __mul__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
-        return IwaPoly(self.prime, tuple(_mul(self.coeffs, other.coeffs)), prec)
+        return IwaPoly._of(self.prime, _mul(self.coeffs, other.coeffs), prec)
 
     def scale(self, k: int) -> "IwaPoly":
-        return IwaPoly(self.prime, tuple(k * c for c in self.coeffs), self.mod_prec)
+        return IwaPoly._of(self.prime, [k * c for c in self.coeffs], self.mod_prec)
 
     def __divmod__(self, other: "IwaPoly") -> tuple["IwaPoly", "IwaPoly"]:
         """f = q*g + r with deg r < deg g, for a monic g (X, Phi_n and omega_n
@@ -145,7 +170,7 @@ class IwaPoly:
                 f"division needs a monic divisor, got leading coefficient {other.coeffs[-1]}"
             )
         q, r = _divmod(self.coeffs, other.coeffs, None if prec is None else self.prime**prec)
-        return IwaPoly(self.prime, tuple(q), prec), IwaPoly(self.prime, tuple(r), prec)
+        return IwaPoly._of(self.prime, q, prec), IwaPoly._of(self.prime, r, prec)
 
     def __floordiv__(self, other: "IwaPoly") -> "IwaPoly":
         return divmod(self, other)[0]
@@ -240,10 +265,12 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     Phi_n only when deg f >= e, so Phi_n is built only then.  For the
     representative sum c_i eps_n^i with i < e, the term valuations
     e*ord_p(c_i) + i are distinct mod e, so no cancellation is possible and
-    the valuation is their minimum.  It equals ord_p of the norm
-    Res(Phi_n, rep).  For f mod p^N a nonzero coefficient has ord_p below N,
-    so the minimum is below N*e and is the same for every lift of f; only a
-    zero residue raises PrecisionExhausted.
+    the valuation is their minimum.  It is read as e*v + i0, with
+    v = ord_p(gcd of the c_i) and i0 the first index with ord_p(c_i) = v: a
+    term with a larger ord_p is at least e*(v+1) > e*v + i0.  It equals
+    ord_p of the norm Res(Phi_n, rep).  For f mod p^N a nonzero coefficient
+    has ord_p below N, so the minimum is below N*e and is the same for every
+    lift of f; only a zero residue raises PrecisionExhausted.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
@@ -257,9 +284,9 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
                 f"element vanishes mod {p}^{f.mod_prec}: ord only bounded below"
             )
         return INF
-    return ExtendedRational(
-        min(phi_deg * int_valuation(c, p) + i for i, c in enumerate(f.coeffs) if c)
-    )
+    v = int_valuation(math.gcd(*f.coeffs), p)
+    pv1 = p ** (v + 1)
+    return ExtendedRational(phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1))
 
 
 def mu_lambda(f: IwaPoly) -> WeierstrassData:

@@ -60,16 +60,23 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
     """H_sharp G_1 + u H_flat G_2 mod omega_n, modulo the least modulus of
     u, G_1 and G_2; exact when none has one.
 
-    u is an int or a PadicUnit; the int +-1 is exact.  The reduction is
-    skipped when the total has degree below p^n = deg omega_n, where it would
-    return the total unchanged; a witness image (degree at most
-    p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built for it.
+    u is an int or a PadicUnit; the int +-1 is exact.  When the total is
+    known only mod p^k, H_sharp and H_flat are reduced mod p^k before the
+    products.  The reduction mod omega_n is skipped when the total has
+    degree below p^n = deg omega_n, where it would return the total
+    unchanged; a witness image (degree at most p^(n-1) + p^(n-2) - 1) is
+    such a total, so omega_n is not built for it.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = data.prime
     sharp, flat = h_entries(data, n)
-    total = sharp * pair.g1 + _unit(u, p) * (flat * pair.g2)
+    unit = _unit(u, p)
+    k = min((g.mod_prec for g in (unit, pair.g1, pair.g2) if g.mod_prec is not None),
+            default=None)
+    if k is not None:
+        sharp, flat = sharp.with_modulus(k), flat.with_modulus(k)
+    total = sharp * pair.g1 + unit * (flat * pair.g2)
     return total if total.degree < p**n else total % omega(p, n)
 
 
@@ -80,7 +87,7 @@ def witness(data: LocalCurveData, n: int, u) -> LatticePair:
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = data.prime
-    x_sharp, x_flat = (IwaPoly(p, (0,) + e.coeffs) for e in h_entries(data, n - 1))
+    x_sharp, x_flat = (IwaPoly._of(p, [0, *e.coeffs], None) for e in h_entries(data, n - 1))
     inv = _unit(u, p)
     if inv.mod_prec is not None:  # +-1 is its own inverse
         inv = IwaPoly.const(p, pow(inv.coeff(0), -1, p**inv.mod_prec), inv.mod_prec)

@@ -16,6 +16,7 @@ signature and the growth terms all read it.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -203,24 +204,58 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     return LogMatrix2((_first_row(p, data.a_v, n), second))
 
 
+def _a_power(data: LocalCurveData, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """p^(n+1) A_v^(n+1) = [[0, -1], [p, a_v]]^(n+1), an integer matrix."""
+    p, a_v = data.prime, data.a_v
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(n + 1):  # [[a, b], [c, d]] times [[0, -1], [p, a_v]]
+        a, b, c, d = p * b, a_v * b - a, p * d, a_v * d - c
+    return (a, b), (c, d)
+
+
 def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     """M_(v,n) = A_v^(n+1) H_(v,n), A_v = p^(-1) [[0, -1], [p, a_v]]."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     h = h_matrix(data, n)  # first, so a level past the size bound is refused at once
-    p = data.prime
-    a = ((0, -1), (p, data.a_v))
-    power = ((1, 0), (0, 1))
-    for _ in range(n + 1):
-        power = tuple(
-            tuple(sum(power[i][k] * a[k][j] for k in range(2)) for j in range(2))
-            for i in range(2)
-        )
+    power = _a_power(data, n)
     rows = tuple(
         tuple(h[0, j].scale(power[i][0]) + h[1, j].scale(power[i][1]) for j in range(2))
         for i in range(2)
     )
     return LogMatrix2(rows, denom_exp=n + 1)
+
+
+def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -> bool:
+    """Whether H_(v,n) (M_(v,n) when m) provably has a coefficient of more
+    than digits decimal digits (0: no limit), decided without building it.
+
+    First refuses, as h_matrix would, a level past the size bound.  The
+    entries are valued at X = 1 over the integers, by the first-row
+    recursion with Phi_k(1) = (2^(p^k) - 1)/(2^(p^(k-1)) - 1); the second
+    row is H(n+1) - a_v H(n), and M's rows are p^(n+1) A_v^(n+1) times H's.
+    Every entry has degree below p^n, so at most p^n coefficients, and its
+    largest coefficient is at least |E(1)|/p^n.  So an entry with
+    |E(1)| >= p^n 10^digits has a coefficient of more than digits digits.
+    """
+    if n < 1 or not digits:
+        return False
+    p, a_v = data.prime, data.a_v
+    _require_exact_size(p, n)
+    s0, f0, s1, f1 = 1, 0, a_v, 1  # the first rows of H(k-1) and H(k) at 1
+    for k in range(1, n + 1):
+        phi_at_1 = ((1 << p**k) - 1) // ((1 << p ** (k - 1)) - 1)
+        s0, f0, s1, f1 = s1, f1, a_v * s1 - phi_at_1 * s0, a_v * f1 - phi_at_1 * f0
+    h00, h01, h10, h11 = s0, f0, s1 - a_v * s0, f1 - a_v * f0
+    if m:
+        (a, b), (c, d) = _a_power(data, n)
+        h00, h01, h10, h11 = (a * h00 + b * h10, a * h01 + b * h11,
+                              c * h00 + d * h10, c * h01 + d * h11)
+    largest = max(abs(h00), abs(h01), abs(h10), abs(h11))
+    # largest < 2^bit_length, so well below the bound 10^digits is not formed
+    if largest.bit_length() + 1 < n * math.log2(p) + digits * math.log2(10):
+        return False
+    return largest >= p**n * 10**digits
 
 
 def det_structure_check(data: LocalCurveData, n: int,

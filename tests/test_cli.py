@@ -7,6 +7,8 @@ import pytest
 
 from iwagrowth import cli
 from iwagrowth.cli import main
+from iwagrowth.errors import ValidationError
+from iwagrowth.logmat import LocalCurveData, exceeds_digits, h_matrix, m_matrix
 
 
 def run(capsys, *argv):
@@ -340,6 +342,78 @@ def test_growth_refusal_follows_the_live_print_limit(capsys, tmp_path, monkeypat
             assert run(capsys, *argv, n_max) == (2, "", refused)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--p", "7", "--av", "0", "--n", "5"),
+    ("--p", "7", "--av", "0", "--n", "5", "--which", "m"),
+    ("--p", "3", "--av", "3", "--n", "9"),
+    ("--p", "3", "--av", "0", "--n", "9"),
+], ids=["p7_n5", "p7_n5_m", "p3_av3_n9", "p3_av0_n9"])
+def test_unprintable_logmat_is_refused_before_it_is_built(argv):
+    # Building these H took 29 s to over 100 s, only to be refused by the
+    # print limit; their entries at X = 1 prove a coefficient too long.
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "iwagrowth.cli", "logmat", *argv],
+                          capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: result has an integer over the "
+                           f"{sys.get_int_max_str_digits()}-digit limit for printing\n")
+
+
+def test_logmat_refusal_follows_the_live_print_limit(capsys, monkeypatch):
+    argv = ("logmat", "--p", "5", "--av", "0", "--n", "5")
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == "" and json.loads(out)["denom_exp"] == 0
+        sys.set_int_max_str_digits(640)
+
+        def built(*_):
+            raise AssertionError("H built")
+
+        monkeypatch.setattr(cli, "h_matrix", built)
+        monkeypatch.setattr(cli, "m_matrix", built)
+        refused = "error: result has an integer over the 640-digit limit for printing\n"
+        for which in ("h", "m"):
+            assert run(capsys, *argv, "--which", which) == (2, "", refused)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _logmat_grid():
+    """Every (p, a_v, n) with p^n <= 3^6, and (5, 0, 5), which is refused at
+    the smallest print limit."""
+    primes = [p for p in range(3, 3**6 + 1, 2) if all(p % q for q in range(3, p, 2))]
+    for p in primes:
+        for a_v in ((0, 3, -3) if p == 3 else (0,)):
+            n = 1
+            while p**n <= 3**6:
+                yield p, a_v, n
+                n += 1
+    yield 5, 0, 5
+
+
+def test_logmat_print_bound_refuses_only_what_cannot_print(capsys):
+    limit = sys.get_int_max_str_digits()
+    refused = []
+    try:
+        for p, a_v, n in _logmat_grid():
+            data = LocalCurveData(p, a_v)
+            for which, build in (("h", h_matrix), ("m", m_matrix)):
+                mat = build(data, n)
+                for digits in (640, 1000, 4300):
+                    sys.set_int_max_str_digits(digits)
+                    if exceeds_digits(data, n, digits, m=which == "m"):
+                        refused.append((p, a_v, n, which, digits))
+                        with pytest.raises(ValidationError, match="limit for printing"):
+                            cli._emit(mat, False)
+                    capsys.readouterr()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert refused == [(5, 0, 5, "h", 640), (5, 0, 5, "m", 640)]
 
 
 def test_kobrank_at_the_largest_exact_level_finishes():

@@ -309,3 +309,68 @@ def test_list_division_by_a_monic_list(a, b_low, pn):
     else:
         assert all(x % pn == 0 for x in gap)
         assert all(0 <= x < pn for x in r)
+
+
+def _ring_results(f, g, monic):
+    """Every ring operation's result on built operands: +, -, unary -, *,
+    scale, and divmod by a monic polynomial."""
+    return [f + g, f - g, g - f, -f, f * g, f.scale(-6), *divmod(f, monic)]
+
+
+def test_ring_operations_do_not_revalidate_the_prime(monkeypatch):
+    operands = [
+        (IwaPoly(3, (4, -2, 9)), IwaPoly(3, (1, 5)), IwaPoly(3, (2, 0, 1))),
+        (IwaPoly(5, (7, 1, 3, 2), 3), IwaPoly(5, (11, 4)), IwaPoly(5, (1, 1))),
+        (IwaPoly(7, (3, 1), 2), IwaPoly(7, (50, 6, 1), 1), IwaPoly(7, (0, 4, 1), 4)),
+    ]
+
+    def refuse(_):
+        raise AssertionError("is_odd_prime called")
+
+    monkeypatch.setattr("iwagrowth.iwapoly.is_odd_prime", refuse)
+    for f, g, monic in operands:
+        for r in _ring_results(f, g, monic):
+            assert r.prime == f.prime
+
+
+poly_coeffs = st.lists(st.integers(-10**12, 10**12), max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from((3, 5, 7)), poly_coeffs, poly_coeffs,
+       st.lists(st.integers(-10**6, 10**6), max_size=4),
+       st.sampled_from((None, 1, 2, 5)), st.sampled_from((None, 1, 3)))
+def test_ring_results_are_reduced_and_trimmed(p, a, b, monic_low, fp, gp):
+    """A result is what the public constructor makes of its fields."""
+    f, g = IwaPoly(p, tuple(a), fp), IwaPoly(p, tuple(b), gp)
+    for r in _ring_results(f, g, IwaPoly(p, tuple(monic_low) + (1,))):
+        assert r == IwaPoly(r.prime, r.coeffs, r.mod_prec)
+        assert type(r.coeffs) is tuple
+
+
+def _ord_eps_as_minimum(f, n):
+    """ord_eps by its definition, min over the terms of e*ord_p(c_i) + i."""
+    e = totient(f.prime, n)
+    return min(e * int_valuation(c, f.prime) + i for i, c in enumerate(f.coeffs) if c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from((3, 5, 7)), st.integers(1, 3), st.data(),
+       st.sampled_from((None, 1, 2, 4)))
+def test_ord_eps_reads_the_minimum_term_valuation(p, n, data, mod_prec):
+    """Below degree e = phi(p^n), ord_eps = e*v_p(gcd) + the first index of
+    a coefficient with that valuation, which is the minimum term valuation."""
+    e = totient(p, n)
+    size = data.draw(st.integers(0, min(e, 10)))
+    coeffs = [p ** data.draw(st.integers(0, 5)) * data.draw(st.integers(-p**3, p**3))
+              for _ in range(size)]
+    f = IwaPoly(p, tuple(coeffs), mod_prec)
+    assert f.degree < e
+    if f.is_zero:
+        if mod_prec is None:
+            assert ord_eps(f, n).is_infinite
+        else:
+            with pytest.raises(PrecisionExhausted):
+                ord_eps(f, n)
+        return
+    assert ord_eps(f, n) == ExtendedRational(_ord_eps_as_minimum(f, n))
