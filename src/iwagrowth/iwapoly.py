@@ -2,7 +2,10 @@
 
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
-with ValidationError when p^n exceeds MAX_EXACT_P_POWER; ord_eps(f, n),
+with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
+reads polynomials in the group-ring coordinate T = 1 + X into X (a Taylor
+shift; Phi_n and H_(v,n) are sparse in T) by binomial rows, or through one
+integer below degree PACKED_MAX_DEGREE; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction.
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -212,8 +216,108 @@ def _binomial_row(m: int) -> list[int]:
     return row
 
 
-# The largest p^n for which omega(p, n) and phi_poly(p, n) are built: they
-# hold about p^n coefficients of up to p^n bits, 300 MiB for omega(3, 10).
+def _row_uses(terms: dict[int, int]) -> list[tuple[int, int, int]]:
+    """The binomial rows that read sum c_e T^e (T = 1 + X; terms maps e to
+    a nonzero c_e) into X: a list of (e, w, s), each adding w times
+    ((1+X)^e - 1)/X when s is 1 and w times (1+X)^e when s is 0.
+
+    The exponents fall into blocks of consecutive ones.  By summation by
+    parts a block a..b-1 is sum_(e=a..b) (c_(e-1) - c_e)((1+X)^e - 1)/X,
+    with c_(a-1) = c_b = 0, so it needs one row per change of coefficient:
+    a run of one c is c((1+X)^b - (1+X)^a)/X, two rows (the hockey-stick
+    identity), and ((1+X)^0 - 1)/X = 0 needs none.  A block takes that form
+    when it needs fewer rows than the block has terms, and one row per term
+    otherwise.
+    """
+    exps = sorted(terms)
+    if not exps:
+        return []
+    cuts = [k for k, (x, y) in enumerate(zip(exps, exps[1:]), 1) if y != x + 1]
+    uses: list[tuple[int, int, int]] = []
+    for i, j in zip([0, *cuts], [*cuts, len(exps)]):
+        a, b = exps[i], exps[j - 1] + 1
+        if b == a + 1:
+            uses.append((a, terms[a], 0))
+            continue
+        cs = list(map(terms.__getitem__, range(a, b)))
+        jumps = [(e, c - d, 1) for e, c, d in zip(range(a + 1, b), cs, cs[1:]) if c != d]
+        jumps.append((b, cs[-1], 1))
+        if a:
+            jumps.append((a, -cs[0], 1))
+        uses += jumps if len(jumps) < b - a else [(e, c, 0) for e, c in zip(range(a, b), cs)]
+    return uses
+
+
+def _plus(a: list[int], b: list[int]) -> list[int]:
+    """a + b coefficientwise, as a new list."""
+    m = min(len(a), len(b))
+    return [*map(operator.add, a, b), *a[m:], *b[m:]]
+
+
+# Polynomials of degree below this in T are read into X through one integer
+# (_packed_readout), the others by binomial rows (_rows_readout).  The packed
+# route costs about degree^3 bit operations, the rows cost Python overhead
+# per term; H's second rows at p = 3 and 5 break even between degree 60
+# (packed faster by 0-15%) and 104 (rows 4 times faster).
+PACKED_MAX_DEGREE = 64
+
+
+def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
+    """The X-coefficients of each sum c_e T^e, T = 1 + X, given as
+    {e: nonzero c_e}: a Taylor shift."""
+    if max((max(terms) for terms in entries if terms), default=0) < PACKED_MAX_DEGREE:
+        return [_packed_readout(terms) for terms in entries]
+    return _rows_readout(entries)
+
+
+def _packed_readout(terms: dict[int, int]) -> list[int]:
+    """sum c_e T^e read into X by Kronecker substitution: its value V at
+    T = 1 + 2^k has the X-coefficients as balanced base-2^k digits.  Each
+    has absolute value at most sum |c_e| C(e, j) < sum |c_e| 2^d for the
+    degree d, so k = d + bitlen(sum |c_e|) + 1 keeps them below 2^(k-1)."""
+    if not terms:
+        return []
+    d = max(terms)
+    k = d + sum(map(abs, terms.values())).bit_length() + 1
+    base, half, mask = (1 << k) + 1, 1 << (k - 1), (1 << k) - 1
+    v = sum(c * pow(base, e) for e, c in terms.items())
+    out = []
+    for _ in range(d + 1):
+        digit = ((v + half) & mask) - half
+        out.append(digit)
+        v = (v - digit) >> k
+    return out
+
+
+def _rows_readout(entries: list[dict[int, int]]) -> list[list[int]]:
+    """_from_t row by row (_row_uses): a sparse Taylor shift.
+
+    Each row is built once for all entries, shortest first, so that a sum
+    is written straight into an empty list and its low coefficients grow
+    row by row.  The rows an entry takes with one weight w are added up
+    first and multiplied by w once: the weights of H are few (16 values
+    over 318 rows at p = 3, a_v = 3, n = 9).
+    """
+    uses = sorted((e, k, w, s) for k, terms in enumerate(entries) for e, w, s in _row_uses(terms))
+    sums: list[dict[int, list[int]]] = [{} for _ in entries]
+    built = None
+    for e, k, w, s in uses:
+        if e != built:
+            row, built = _binomial_row(e), e
+        acc = sums[k].get(w)
+        sums[k][w] = row[s:] if acc is None else _plus(acc, row[s:])
+    outs = []
+    for by_weight in sums:
+        out: list[int] = []
+        for w, acc in by_weight.items():
+            out = _plus(out, acc if w == 1 else [w * x for x in acc])
+        outs.append(out)
+    return outs
+
+
+# The largest p^n for which omega(p, n), phi_poly(p, n) and the second row
+# of H_(v,n) are built: they hold about p^n coefficients of up to p^n bits,
+# 300 MiB for omega(3, 10).
 # It admits 3^9, 5^6 and 7^5.
 MAX_EXACT_P_POWER = 2**15
 
@@ -239,20 +343,17 @@ def omega(p: int, n: int) -> IwaPoly:
 def phi_poly(p: int, n: int) -> IwaPoly:
     """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).
 
-    Uses Phi_n = sum_{i=0}^{p-1} (1+X)^(i*p^(n-1)) (the geometric sum of
-    Y = (1+X)^(p^(n-1)) over Y - 1), so it is p binomial rows added up.  At
-    n = 1 the sum is the single row C(p, k+1) (the hockey-stick identity).
+    In T = 1 + X, Phi_n = sum_{i=0}^{p-1} T^(i*p^(n-1)) (the geometric sum
+    of Y = T^(p^(n-1)) over Y - 1), so it is the readout (_from_t) of those
+    p terms.  By binomial rows, the run at n = 1 is the single row
+    C(p, k+1) (the hockey-stick identity), and from n = 2 on the terms are
+    p rows added up.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     _require_exact_size(p, n)
-    if n == 1:
-        return IwaPoly(p, tuple(_binomial_row(p)[1:]))
     q = p ** (n - 1)
-    coeffs = [0] * ((p - 1) * q + 1)
-    for i in range(p):
-        for k, c in enumerate(_binomial_row(i * q)):
-            coeffs[k] += c
+    (coeffs,) = _from_t([dict.fromkeys(range(0, p * q, q), 1)])
     return IwaPoly(p, tuple(coeffs))
 
 
@@ -272,6 +373,13 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     has ord_p below N, so the minimum is below N*e and is the same for every
     lift of f; only a zero residue raises PrecisionExhausted.
     """
+    v = _ord_eps_int(f, n)
+    return INF if v is None else ExtendedRational(v)
+
+
+def _ord_eps_int(f: IwaPoly, n: int) -> int | None:
+    """ord_eps(f, n) as an int, None where it is infinite, so that a caller
+    that scales it by 1/phi(p^n) builds one Fraction."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = f.prime
@@ -283,10 +391,10 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
             raise PrecisionExhausted(
                 f"element vanishes mod {p}^{f.mod_prec}: ord only bounded below"
             )
-        return INF
+        return None
     v = int_valuation(math.gcd(*f.coeffs), p)
     pv1 = p ** (v + 1)
-    return ExtendedRational(phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1))
+    return phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1)
 
 
 def mu_lambda(f: IwaPoly) -> WeierstrassData:

@@ -2,9 +2,13 @@
 
 H_(v,n) = C_(v,n)...C_(v,1) is built once, from the second-order recursion on
 first-row entries; the direct product of the C_(v,m) is kept as an oracle in
-selfcheck and the tests.  The second row of H_(v,n) is -Phi_n times the first
-row of H_(v,n-1), and by the recursion that product is already the level-(n+1)
-first row minus a_v times the level-n one, so each Phi_n product is built once.
+selfcheck and the tests.  The recursion runs in the group-ring coordinate
+T = 1 + X, where Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms: the term
+-Phi_n H(n-1) is p shifted copies of H(n-1), with small integer coefficients,
+and no polynomial product is formed.  That term is the second row of
+H_(v,n); each level's is read into X once, by a Taylor shift
+(iwapoly._from_t: binomial rows, or one packed integer at small degree), and
+the first row is H(n) = a_v H(n-1) + that term of level n-1.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -19,9 +23,18 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import ValidationError
-from .iwapoly import IwaPoly, _require_exact_size, omega, ord_eps, phi_poly, totient
+from .iwapoly import (
+    IwaPoly,
+    _from_t,
+    _ord_eps_int,
+    _require_exact_size,
+    omega,
+    phi_poly,
+    totient,
+)
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
 SHARP = "sharp"
@@ -122,35 +135,71 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
-    """First row of H_(v,n) by the recursion
-    H_n = a_v*H_(n-1) - Phi_(n-1)*H_(n-2), seeded by H_0 = (1, 0), H_1 = (a_v, 1).
+def _t_low(p: int, a_v: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """-Phi_n times the first row of H_(v,n-1), n >= 1, in T = 1 + X, each
+    entry as {exponent: nonzero coefficient}.
 
-    The term -Phi_(n-1)*H_(n-2) is the second row of H_(v,n-1) (see
-    _second_row), so the cache holds one level past the highest H requested.
-    Phi_(n-1)'s size bound is checked before the recursion, so a level past
-    it is refused before any lower level is built.
+    In T, Phi_n = sum_(i<p) T^(i*q) with q = p^(n-1), and H_(n-1) has degree
+    below q, so the product is p disjoint shifted copies of _t_row(n-1):
+    no product is formed.
+    """
+    q = p ** (n - 1)
+    return tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
+                 for terms in _t_row(p, a_v, n - 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _t_row(p: int, a_v: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
+    """First row of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
+    coefficient}, by the recursion H_n = a_v*H_(n-1) - Phi_(n-1)*H_(n-2),
+    seeded by H_0 = (1, 0), H_1 = (a_v, 1).  The second term is _t_low,
+    which a_v*H_(n-1) meets only in its first copy, so the step is a few
+    subtractions of small integers (at most 2,584 at p = 3, a_v = 3, n = 8).
     """
     if n == 0:
-        return IwaPoly.const(p, 1), IwaPoly.const(p, 0)
+        return {0: 1}, {}
     if n == 1:
-        return IwaPoly.const(p, a_v), IwaPoly.const(p, 1)
-    _require_exact_size(p, n - 1)
-    s1, f1 = _first_row(p, a_v, n - 1)
-    s2, f2 = _first_row(p, a_v, n - 2)
-    phi = phi_poly(p, n - 1)
-    return s1.scale(a_v) - phi * s2, f1.scale(a_v) - phi * f2
+        return ({0: a_v} if a_v else {}), {0: 1}
+    row = _t_low(p, a_v, n - 1)
+    if a_v:
+        for last, terms in zip(_t_row(p, a_v, n - 1), row):
+            for e, c in last.items():
+                c = terms.pop(e, 0) + a_v * c
+                if c:
+                    terms[e] = c
+    return row
 
 
+@functools.lru_cache(maxsize=None)
 def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
-    """Second row of H_(v,n), n >= 1: -Phi_n times the first row of H_(v,n-1),
-    read as _first_row(n+1) - a_v*_first_row(n).  For a_v = 0 these are the
-    cached level-(n+1) entries themselves."""
-    up = _first_row(p, a_v, n + 1)
+    """Second row of H_(v,n), n >= 1: -Phi_n times the first row of
+    H_(v,n-1), read into X from _t_low by one Taylor shift (_from_t) for
+    both entries.
+
+    Phi_n's size bound is checked first, so a level past it is refused
+    before any work.
+    """
+    _require_exact_size(p, n)
+    return tuple(IwaPoly._of(p, c, None) for c in _from_t(_t_low(p, a_v, n)))
+
+
+@functools.lru_cache(maxsize=None)
+def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
+    """First row of H_(v,n): (1, 0) and (a_v, 1) at n = 0 and 1, then
+    a_v*H_(n-1) plus the second row of H_(v,n-1), which for a_v = 0 is the
+    level-n first row itself.  The second row comes first, so a level past
+    the size bound is refused before any lower level is built.
+    """
+    if n == 0:
+        return IwaPoly._of(p, [1], None), IwaPoly._of(p, [], None)
+    if n == 1:
+        return IwaPoly._of(p, [a_v], None), IwaPoly._of(p, [1], None)
+    low = _second_row(p, a_v, n - 1)
     if a_v == 0:
-        return up
-    return tuple(u - c.scale(a_v) for u, c in zip(up, _first_row(p, a_v, n)))
+        return low
+    return tuple(
+        IwaPoly._of(p, [a_v * x + y for x, y in zip_longest(h.coeffs, c.coeffs, fillvalue=0)], None)
+        for h, c in zip(_first_row(p, a_v, n - 1), low))
 
 
 def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
@@ -189,10 +238,10 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     Built from the first-row recursion and the block shape
     H_(v,n) = [[H_sharp(n), H_flat(n)], [-Phi_n H_sharp(n-1), -Phi_n H_flat(n-1)]],
     which holds because H_(v,n) = C_(v,n) H_(v,n-1) and the second row of
-    C_(v,n) is (-Phi_n, 0).  The second row is read off the recursion as
-    (H_sharp(n+1), H_flat(n+1)) - a_v (H_sharp(n), H_flat(n)), so no Phi_n
-    product is formed here.  The second row is built first: it needs Phi_n,
-    so a level past the size bound is refused before the first row is built.
+    C_(v,n) is (-Phi_n, 0).  The second row is the recursion's own term
+    (_second_row, read from T = 1 + X), so no Phi_n product is formed.  It is
+    built first: it stands for Phi_n, so a level past the size bound is
+    refused before the first row is built.
     """
     if n < 0:
         raise ValidationError("n must be >= 0")
@@ -263,9 +312,9 @@ def det_structure_check(data: LocalCurveData, n: int,
     """Assert det H_(v,n) = omega_n / X and the block shape of H_(v,n).
 
     The block shape (second row = -Phi_n times the first row of H_(v,n-1))
-    is checked first, against _second_row: the recursion's level-(n+1) first
-    row is literally a_v H(n) - Phi_n H(n-1), so subtracting a_v H(n) gives
-    the product without forming it again.  When the shape holds,
+    is checked first, against _second_row, the recursion's term
+    -Phi_n H(n-1) read from T = 1 + X, so the product is not formed again.
+    When the shape holds,
     det H = Phi_n * (H01 H_sharp(n-1) - H00 H_flat(n-1)) and
     omega_n / X = Phi_n * omega_(n-1) / X, so in the
     domain Z[X] the determinant identity is H01 H_sharp(n-1) - H00 H_flat(n-1)
@@ -306,11 +355,8 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     phi_deg = totient(data.prime, n)
     first = []
     for entry in entries:
-        o = ord_eps(entry, n)
-        if o.is_infinite:
-            first.append(INF)
-        else:
-            first.append(ExtendedRational(Fraction(o.value, phi_deg)))
+        v = _ord_eps_int(entry, n)
+        first.append(INF if v is None else ExtendedRational(Fraction(v, phi_deg)))
     return ValuationMatrix((tuple(first), (INF, INF)))
 
 

@@ -65,7 +65,8 @@ class ExtendedRational:
     __slots__ = ("_value",)
 
     def __init__(self, value: Fraction | int | None = 0):
-        self._value = None if value is None else Fraction(value)
+        # A Fraction is immutable, so one handed in is kept, not copied.
+        self._value = value if value is None or isinstance(value, Fraction) else Fraction(value)
 
     @classmethod
     def infinity(cls) -> "ExtendedRational":

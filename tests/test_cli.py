@@ -64,6 +64,20 @@ class TestValmat:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["agree"] is True
 
+    @pytest.mark.parametrize("av", ["0", "3"])
+    def test_level_9_finishes(self, av):
+        # H's first row at level 9 has up to 3^8 coefficients.  Built in
+        # T = 1 + X and read into X by binomial rows, with no Phi_8 product,
+        # it takes about a second.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwagrowth.cli", "valmat", "--p", "3", "--av", av, "--n", "9"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["agree"] is True
+
     def test_large_prime_finishes(self):
         # p = 2^61 - 1 is a prime far past what trial division can reach.
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")

@@ -15,7 +15,10 @@ from iwagrowth.errors import (
 from iwagrowth.iwapoly import (
     IwaPoly,
     _divmod,
+    _from_t,
     _mul,
+    _packed_readout,
+    _rows_readout,
     coprime_to_omega,
     mu_lambda,
     omega,
@@ -374,3 +377,53 @@ def test_ord_eps_reads_the_minimum_term_valuation(p, n, data, mod_prec):
                 ord_eps(f, n)
         return
     assert ord_eps(f, n) == ExtendedRational(_ord_eps_as_minimum(f, n))
+
+
+# A polynomial in T = 1 + X as {exponent: nonzero coefficient}: blocks of
+# consecutive exponents, each a run of one coefficient or drawn term by term,
+# after gaps of 0 to 6 (a gap of 0 joins two blocks, exponent 0 may be used).
+t_blocks = st.lists(
+    st.tuples(st.integers(0, 6), st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
+              st.booleans()),
+    max_size=5)
+
+
+def _t_terms(blocks):
+    terms, e = {}, 0
+    for gap, coeffs, run in blocks:
+        e += gap
+        for c in coeffs[:1] * len(coeffs) if run else coeffs:
+            terms[e] = c
+            e += 1
+    return terms
+
+
+def _expand_in_x(terms):
+    """sum c_e (1+X)^e by repeated products with 1 + X."""
+    out, power = [], [1]
+    for e in range(max(terms, default=-1) + 1):
+        if e in terms:
+            out = [a + terms[e] * b for a, b in zip_longest(out, power, fillvalue=0)]
+        power = _mul(power, [1, 1])
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+@given(t_blocks, t_blocks)
+@example([], [])
+@example([(0, [1], False)], [])  # the constant 1
+@example([(0, [1, 1, 1], True)], [(0, [1, 1, 1, 1, 1], True)])  # Phi_1 at p = 3 and 5
+@example([(0, [8, -1, -1], False)], [(0, [3], False)])  # H_2 at p = 3, a_v = 3
+@example([(3, [-2] * 5, True), (4, [5], False)], [(0, [7], False), (9, [-1], False)])
+@example([(0, [1, 1, 2, 2, -3], False)], [(1, [1, 2, 3], False), (0, [4, 4, 4], True)])
+@example([(66, [3, -1], False)], [(2, [1] * 6, True)])  # past PACKED_MAX_DEGREE
+def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
+    """Both readouts, and _from_t's choice between them, give each entry in
+    X; the rows route shares its rows between the two entries."""
+    ta, tb = _t_terms(a), _t_terms(b)
+    expected = [_expand_in_x(ta), _expand_in_x(tb)]
+    assert _rows_readout([ta, tb]) == expected
+    assert [_packed_readout(ta), _packed_readout(tb)] == expected
+    assert _from_t([ta, tb]) == expected
+    assert _rows_readout([ta]) == expected[:1]

@@ -63,9 +63,15 @@ def test_h_small_cases():
 
 
 def test_h_matrix_equals_explicit_product():
-    d = LocalCurveData(3, 3)
-    prod = c_matrix(d, 3) * (c_matrix(d, 2) * c_matrix(d, 1))
-    assert h_matrix(d, 3).entries == prod.entries
+    # Every valid (p, a_v) for p <= 7 (p | a_v and a_v^2 <= 4p leave a_v = 0
+    # for p = 5 and 7), up to p^n = 3^6, 5^4 and 7^3.
+    for p, av, top in ((3, 0, 6), (3, 3, 6), (3, -3, 6), (5, 0, 4), (7, 0, 3)):
+        d = LocalCurveData(p, av)
+        prod = c_matrix(d, 1)
+        for n in range(1, top + 1):
+            if n > 1:
+                prod = c_matrix(d, n) * prod
+            assert h_matrix(d, n).entries == prod.entries, (p, av, n)
 
 
 # The second row of H_(v,n) is read off the first-row recursion; the product
@@ -203,7 +209,8 @@ def test_valuation_matrix_matches_every_entry_of_h():
 
 def test_valuation_matrix_builds_no_phi_at_its_level(monkeypatch):
     # H_(v,n)'s first row has degree < phi(p^n), so valuing it needs no
-    # reduction mod Phi_n: the recursion builds Phi_m for m < n only.
+    # reduction mod Phi_n, and the recursion runs in T = 1 + X, where each
+    # Phi_m is p shifted copies: no Phi is built at any level.
     from iwagrowth import iwapoly, logmat
 
     real = iwapoly.phi_poly
@@ -217,9 +224,10 @@ def test_valuation_matrix_builds_no_phi_at_its_level(monkeypatch):
         monkeypatch.setattr(module, "phi_poly", recording)
     real.cache_clear()
     iwapoly.omega.cache_clear()
-    logmat._first_row.cache_clear()
+    for cached in (logmat._t_row, logmat._second_row, logmat._first_row):
+        cached.cache_clear()
     valuation_matrix(LocalCurveData(5, 0), 4)
-    assert levels and max(levels) < 4
+    assert levels == []
 
 
 def test_signature():
