@@ -4,8 +4,7 @@ Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
 with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
 reads polynomials in the group-ring coordinate T = 1 + X into X (a Taylor
-shift; Phi_n and H_(v,n) are sparse in T) by binomial rows, or through one
-integer below degree PACKED_MAX_DEGREE; ord_eps(f, n),
+shift; Phi_n and H_(v,n) are sparse in T) by binomial rows; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction.
@@ -254,43 +253,9 @@ def _plus(a: list[int], b: list[int]) -> list[int]:
     return [*map(operator.add, a, b), *a[m:], *b[m:]]
 
 
-# Polynomials of degree below this in T are read into X through one integer
-# (_packed_readout), the others by binomial rows (_rows_readout).  The packed
-# route costs about degree^3 bit operations, the rows cost Python overhead
-# per term; H's second rows at p = 3 and 5 break even between degree 60
-# (packed faster by 0-15%) and 104 (rows 4 times faster).
-PACKED_MAX_DEGREE = 64
-
-
 def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
     """The X-coefficients of each sum c_e T^e, T = 1 + X, given as
-    {e: nonzero c_e}: a Taylor shift."""
-    if max((max(terms) for terms in entries if terms), default=0) < PACKED_MAX_DEGREE:
-        return [_packed_readout(terms) for terms in entries]
-    return _rows_readout(entries)
-
-
-def _packed_readout(terms: dict[int, int]) -> list[int]:
-    """sum c_e T^e read into X by Kronecker substitution: its value V at
-    T = 1 + 2^k has the X-coefficients as balanced base-2^k digits.  Each
-    has absolute value at most sum |c_e| C(e, j) < sum |c_e| 2^d for the
-    degree d, so k = d + bitlen(sum |c_e|) + 1 keeps them below 2^(k-1)."""
-    if not terms:
-        return []
-    d = max(terms)
-    k = d + sum(map(abs, terms.values())).bit_length() + 1
-    base, half, mask = (1 << k) + 1, 1 << (k - 1), (1 << k) - 1
-    v = sum(c * pow(base, e) for e, c in terms.items())
-    out = []
-    for _ in range(d + 1):
-        digit = ((v + half) & mask) - half
-        out.append(digit)
-        v = (v - digit) >> k
-    return out
-
-
-def _rows_readout(entries: list[dict[int, int]]) -> list[list[int]]:
-    """_from_t row by row (_row_uses): a sparse Taylor shift.
+    {e: nonzero c_e}: a sparse Taylor shift by binomial rows (_row_uses).
 
     Each row is built once for all entries, shortest first, so that a sum
     is written straight into an empty list and its low coefficients grow
@@ -373,13 +338,6 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     has ord_p below N, so the minimum is below N*e and is the same for every
     lift of f; only a zero residue raises PrecisionExhausted.
     """
-    v = _ord_eps_int(f, n)
-    return INF if v is None else ExtendedRational(v)
-
-
-def _ord_eps_int(f: IwaPoly, n: int) -> int | None:
-    """ord_eps(f, n) as an int, None where it is infinite, so that a caller
-    that scales it by 1/phi(p^n) builds one Fraction."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = f.prime
@@ -391,10 +349,10 @@ def _ord_eps_int(f: IwaPoly, n: int) -> int | None:
             raise PrecisionExhausted(
                 f"element vanishes mod {p}^{f.mod_prec}: ord only bounded below"
             )
-        return None
+        return INF
     v = int_valuation(math.gcd(*f.coeffs), p)
     pv1 = p ** (v + 1)
-    return phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1)
+    return ExtendedRational(phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1))
 
 
 def mu_lambda(f: IwaPoly) -> WeierstrassData:

@@ -6,9 +6,9 @@ selfcheck and the tests.  The recursion runs in the group-ring coordinate
 T = 1 + X, where Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms: the term
 -Phi_n H(n-1) is p shifted copies of H(n-1), with small integer coefficients,
 and no polynomial product is formed.  That term is the second row of
-H_(v,n); each level's is read into X once, by a Taylor shift
-(iwapoly._from_t: binomial rows, or one packed integer at small degree), and
-the first row is H(n) = a_v H(n-1) + that term of level n-1.
+H_(v,n); each level's is read into X once, by a Taylor shift from binomial
+rows (iwapoly._from_t), and the first row is H(n) = a_v H(n-1) plus that
+term of level n-1.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -29,9 +29,9 @@ from .errors import ValidationError
 from .iwapoly import (
     IwaPoly,
     _from_t,
-    _ord_eps_int,
     _require_exact_size,
     omega,
+    ord_eps,
     phi_poly,
     totient,
 )
@@ -355,8 +355,8 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     phi_deg = totient(data.prime, n)
     first = []
     for entry in entries:
-        v = _ord_eps_int(entry, n)
-        first.append(INF if v is None else ExtendedRational(Fraction(v, phi_deg)))
+        o = ord_eps(entry, n)
+        first.append(o if o.is_infinite else ExtendedRational(o.value / phi_deg))
     return ValuationMatrix((tuple(first), (INF, INF)))
 
 

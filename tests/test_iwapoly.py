@@ -17,8 +17,6 @@ from iwagrowth.iwapoly import (
     _divmod,
     _from_t,
     _mul,
-    _packed_readout,
-    _rows_readout,
     coprime_to_omega,
     mu_lambda,
     omega,
@@ -417,13 +415,11 @@ def _expand_in_x(terms):
 @example([(0, [8, -1, -1], False)], [(0, [3], False)])  # H_2 at p = 3, a_v = 3
 @example([(3, [-2] * 5, True), (4, [5], False)], [(0, [7], False), (9, [-1], False)])
 @example([(0, [1, 1, 2, 2, -3], False)], [(1, [1, 2, 3], False), (0, [4, 4, 4], True)])
-@example([(66, [3, -1], False)], [(2, [1] * 6, True)])  # past PACKED_MAX_DEGREE
+@example([(66, [3, -1], False)], [(2, [1] * 6, True)])
 def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
-    """Both readouts, and _from_t's choice between them, give each entry in
-    X; the rows route shares its rows between the two entries."""
+    """The readout gives each entry in X, with its rows shared between the
+    two entries or built for one alone."""
     ta, tb = _t_terms(a), _t_terms(b)
     expected = [_expand_in_x(ta), _expand_in_x(tb)]
-    assert _rows_readout([ta, tb]) == expected
-    assert [_packed_readout(ta), _packed_readout(tb)] == expected
     assert _from_t([ta, tb]) == expected
-    assert _rows_readout([ta]) == expected[:1]
+    assert _from_t([ta]) == expected[:1]
