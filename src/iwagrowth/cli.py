@@ -32,6 +32,7 @@ from .kobayashi import (
     RESULTANT_ORACLE,
     SNF_ORACLE,
     TowerOfQuotients,
+    exceeds_digits as closed_form_exceeds_digits,
     nabla_closed_form,
     nabla_resultant_oracle,
     nabla_snf_oracle,
@@ -127,6 +128,9 @@ def cmd_kobrank(args) -> int:
         unknown = [m for m in methods if m not in _METHOD_MAP]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; choose from {list(_METHOD_MAP)}")
+    if CLOSED_FORM in methods and \
+            closed_form_exceeds_digits(tower, args.n, sys.get_int_max_str_digits()):
+        raise _too_long()  # before p^n is formed; _printable stays the final check
     results = [_METHOD_MAP[m](tower, args.n) for m in methods]
     payload = {"results": results}
     if len(results) > 1:

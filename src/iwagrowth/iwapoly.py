@@ -1,6 +1,10 @@
 """Polynomial arithmetic in Lambda = Z_p[[X]] truncated to polynomials.
 
-Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
+Every product goes through _mul: the schoolbook loop when either list has
+fewer than _PACK_MIN_LEN = 16 coefficients, and otherwise Kronecker
+substitution, one integer product of the lists packed at 2^w, with the slot
+width w a multiple of 8 and 2^(w-1) above min(len a, len b) max|a_i|
+max|b_j|.  Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
 with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
 reads polynomials in the group-ring coordinate T = 1 + X into X (a Taylor
@@ -31,14 +35,58 @@ from .errors import (
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
 
+# The shorter operand's length from which _mul packs.  Packing costs about
+# 6 us even for a 1x1 product (schoolbook: 1 us).  Measured crossover
+# (CPython 3.11): at 16x16 the schoolbook/packed time ratio is 0.9-1.1 for
+# coefficients of 8 to 400 bits, at 16 by 500 coefficients it is 1.5-2.2,
+# and at 8 by 500 it is 0.8-1.4.
+_PACK_MIN_LEN = 16
+
+
 def _mul(a, b) -> list[int]:
-    """The schoolbook product of two coefficient lists, constant term first."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-    return out
+    """The product of two coefficient lists, constant term first, as a list
+    of len(a) + len(b) - 1 coefficients (trailing zeros kept).
+
+    When either list is shorter than _PACK_MIN_LEN, the schoolbook loop.
+    Otherwise Kronecker substitution: each list is packed as its value at
+    2^w and the two integers are multiplied once, so the work is CPython's
+    integer multiply.  Every product coefficient has |c_k| at most
+    min(len a, len b) max|a_i| max|b_j|, and w, a multiple of 8, has
+    2^(w-1) above that, so c_k + 2^(w-1) lies in [0, 2^w): with 2^(w-1)
+    added to every slot, the product is read slot by slot without borrows,
+    and 2^(w-1) is taken off each.
+    """
+    if len(a) < _PACK_MIN_LEN or len(b) < _PACK_MIN_LEN:  # no min(): it costs 15% at 3x2
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return out
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    if not bound:  # a zero list: the slots would be too narrow for the other
+        return [0] * (len(a) + len(b) - 1)
+    size = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8 size - 1) > bound
+    packed = _pack(a, size)
+    value = packed * (packed if b is a else _pack(b, size))
+    slots = len(a) + len(b) - 1
+    half = 1 << (8 * size - 1)
+    value += int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
+    data = value.to_bytes(slots * size, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, slots * size, size)]
+
+
+def _pack(a, size: int) -> int:
+    """sum a_i 2^(8 size i) for |a_i| < 2^(8 size): the nonnegative
+    coefficients' bytes less the negative ones'."""
+    zero = bytes(size)
+    value = int.from_bytes(b"".join(x.to_bytes(size, "little") if x > 0 else zero for x in a),
+                           "little")
+    if min(a) < 0:
+        value -= int.from_bytes(b"".join((-x).to_bytes(size, "little") if x < 0 else zero
+                                         for x in a), "little")
+    return value
 
 
 def _divmod(a, b, pn: int | None = None) -> tuple[list[int], list[int]]:

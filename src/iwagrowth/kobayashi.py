@@ -16,6 +16,7 @@ Three routes that must agree on finite towers:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
@@ -73,6 +74,26 @@ def nabla_closed_form(t: TowerOfQuotients, n: int) -> NablaResult:
     if o.is_infinite:
         raise PhiDividesF(f"Phi_{n} divides f")
     return NablaResult(n, int(o.value), CLOSED_FORM)
+
+
+def exceeds_digits(t: TowerOfQuotients, n: int, digits: int) -> bool:
+    """Whether nabla_closed_form(t, n) provably has more than digits decimal
+    digits (0: no limit), decided without forming p^n.
+
+    When deg f < phi(p^n), the value is phi(p^n) v + i0 (ord_eps), v the
+    p-adic valuation of the content of f; so for v >= 1 it is at least
+    (p-1) p^(n-1) v.  Both that bound and deg f < phi(p^n) are read from
+    logarithms, each with a digit of margin for their float rounding.  An n
+    below 1 is left to nabla_closed_form to refuse.
+    """
+    if n < 1 or not digits:
+        return False
+    p, f = t.prime, t.f
+    v = int_valuation(math.gcd(*f.coeffs), p)
+    if not v:
+        return False
+    log_phi = math.log10(p - 1) + (n - 1) * math.log10(p)
+    return log_phi >= math.log10(f.degree + 1) + 1 and log_phi + math.log10(v) >= digits + 1
 
 
 def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:

@@ -1,13 +1,15 @@
+import itertools
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from iwagrowth import cli
+from iwagrowth import cli, iwapoly, kobayashi
 from iwagrowth.cli import main
-from iwagrowth.errors import ValidationError
+from iwagrowth.errors import PhiDividesF, ValidationError
 from iwagrowth.logmat import LocalCurveData, exceeds_digits, h_matrix, m_matrix
 
 
@@ -428,6 +430,78 @@ def test_logmat_print_bound_refuses_only_what_cannot_print(capsys):
     finally:
         sys.set_int_max_str_digits(limit)
     assert refused == [(5, 0, 5, "h", 640), (5, 0, 5, "m", 640)]
+
+
+@pytest.mark.parametrize("n", ["3000000", "30000000"])
+def test_unprintable_closed_form_is_refused_before_p_n_is_formed(n):
+    # Forming 3^n took 1.5 s at n = 3*10^6 and about 54 s at 3*10^7, only
+    # for the print limit to refuse phi(3^n) = 2*3^(n-1).
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "iwagrowth.cli", "kobrank", "--p", "3",
+                           "--f", "3", "--n", n, "--methods", "closed_form"],
+                          capture_output=True, text=True, timeout=5, env=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (f"error: result has an integer over the "
+                           f"{sys.get_int_max_str_digits()}-digit limit for printing\n")
+
+
+def test_kobrank_refusal_follows_the_live_print_limit(capsys, monkeypatch):
+    # f = 3 has the value 2*3^(n-1): at a 640-digit limit n = 1341 is the
+    # last that prints; the bound refuses from 1344 on without forming 3^n,
+    # and _printable refuses the levels between.
+    argv = ("kobrank", "--p", "3", "--f", "3", "--methods", "closed_form", "--n")
+    refused = "error: result has an integer over the 640-digit limit for printing\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, *argv, "1341")
+        assert code == 0 and err == ""
+        assert json.loads(out)["results"][0]["value"] == 2 * 3**1340
+        for n in ("1342", "1343"):
+            assert run(capsys, *argv, n) == (2, "", refused)
+
+        def formed(*_):
+            raise AssertionError("phi(p^n) formed")
+
+        monkeypatch.setattr(kobayashi, "totient", formed)
+        monkeypatch.setattr(iwapoly, "totient", formed)
+        for n in ("1344", "1000000000"):
+            assert run(capsys, *argv, n) == (2, "", refused)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_closed_form_print_bound_refuses_only_what_cannot_print():
+    # The bound refuses nothing that prints, and refuses within three levels
+    # of the first value with more digits than the limit.  Both sides grow
+    # with n, so the scan starts ten levels below where p^n has digits digits.
+    cases = [(3, (3,)), (3, (9, 18, 27)), (5, (5, 10)), (7, (49,)), (32749, (32749, 2 * 32749))]
+    for p, f in cases:
+        t = kobayashi.TowerOfQuotients(iwapoly.IwaPoly(p, f))
+        for digits in (640, 1000, 4300):
+            first_long = None
+            start = max(1, int(digits / math.log10(p)) - 10)
+            assert not kobayashi.exceeds_digits(t, start, digits)
+            for n in itertools.count(start):
+                too_long = kobayashi.nabla_closed_form(t, n).value >= 10**digits
+                assert n > start or not too_long
+                refused = kobayashi.exceeds_digits(t, n, digits)
+                assert too_long or not refused, (p, f, n, digits)
+                if too_long and first_long is None:
+                    first_long = n
+                if refused:
+                    assert n - first_long <= 3, (p, f, n, digits)
+                    break
+    # An f whose content is a unit has the value i0 < deg f at every level.
+    for f in ((1, 1), (5, 3), (15, 30, 5)):
+        t = kobayashi.TowerOfQuotients(iwapoly.IwaPoly(3, f))
+        assert not any(kobayashi.exceeds_digits(t, n, 640) for n in (1, 2, 10**6, 10**9))
+    # At deg f >= phi(p^n), Phi_n may divide f: 3^200 Phi_1 has no value at n = 1.
+    t = kobayashi.TowerOfQuotients(iwapoly.IwaPoly(3, (3**201, 3**201, 3**200)))
+    assert not kobayashi.exceeds_digits(t, 1, 1)
+    with pytest.raises(PhiDividesF):
+        kobayashi.nabla_closed_form(t, 1)
 
 
 def test_kobrank_at_the_largest_exact_level_finishes():

@@ -293,6 +293,50 @@ def test_list_product_agrees_with_evaluation(a, b):
         assert _value(prod, t) == _value(a, t) * _value(b, t)
 
 
+def _schoolbook(a, b):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _long_list(draw):
+    """0-48 signed coefficients of up to about 700 bits, with a run of zeros
+    and up to 3 trailing zeros: lists of 16 or more go through the packed
+    route."""
+    bits = draw(st.integers(0, 700))
+    entry = st.integers(-(2**bits), 2**bits)
+    coeffs = draw(st.lists(st.one_of(entry, st.just(0)), max_size=48))
+    if coeffs and draw(st.booleans()):
+        start = draw(st.integers(0, len(coeffs) - 1))
+        stop = min(start + draw(st.integers(1, 20)), len(coeffs))
+        coeffs[start:stop] = [0] * (stop - start)
+    return coeffs + [0] * draw(st.integers(0, 3))
+
+
+# The middle coefficient of each square is the slot bound itself:
+# 20 (2^129 - 1)^2 needs 263 bits, so the 264-bit slot has no bit to spare,
+# and 16 (2^126 - 1)^2 needs 256, so a slot without the sign bit carries.
+_ALL_ONES = [2**129 - 1] * 20
+_ALL_ONES_256 = [2**126 - 1] * 16
+
+
+@settings(max_examples=200, deadline=None)
+@given(_long_list(), _long_list())
+@example([1] * 15, [1] * 15)
+@example([-1] * 16, [1] * 16)
+@example(list(range(-8, 9)), [2**64] * 17)
+@example([0] * 16, [2**100 + 1] * 17)  # a zero list beside a wide one
+@example([7] + [0] * 15, [0] * 16 + [-3])
+@example(_ALL_ONES, _ALL_ONES)
+@example(_ALL_ONES, [-(2**129 - 1)] * 20)
+@example(_ALL_ONES_256, _ALL_ONES_256)
+def test_packed_product_is_the_schoolbook_list(a, b):
+    assert _mul(a, b) == _schoolbook(a, b)
+
+
 @given(kernel_lists, st.lists(st.integers(-10**6, 10**6), max_size=8),
        st.sampled_from((None, 3, 9, 25, 7**5, 3**40)))
 @example([], [], None)  # a = [], deg b = 0

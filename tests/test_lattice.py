@@ -124,7 +124,10 @@ class TestFiniteLevelMap:
             assert img.mod_prec == prec
 
     def test_witness_hits_omega(self):
-        for p, av, nmax in ((3, 0, 4), (3, -3, 4), (5, 0, 2)):
+        # From (3, a_v, 5) and (5, 0, 4) on, the shorter factor of each of the
+        # image's products has 20 or more coefficients, so _mul packs them:
+        # exactly for u = +-1, mod p^32 for the third unit.
+        for p, av, nmax in ((3, 0, 6), (3, 3, 6), (3, -3, 6), (5, 0, 4), (7, 0, 3)):
             d = LocalCurveData(p, av)
             for n in range(1, nmax + 1):
                 for u in (1, -1, unit_from_int(1 + p, p, 32)):
@@ -215,7 +218,9 @@ def test_level_map_is_known_mod_the_least_modulus(case):
 
 class TestCrossIdentity:
     def test_holds_on_grid(self):
-        for p, av, nmax in ((3, 0, 5), (3, 3, 5), (5, 0, 3)):
+        # up to the tops of the benchmark's tower series; from (3, a_v, 5),
+        # (5, 0, 4) and (7, 0, 4) on, the identity's products are packed
+        for p, av, nmax in ((3, 0, 7), (3, 3, 6), (5, 0, 5), (7, 0, 4)):
             d = LocalCurveData(p, av)
             for n in range(1, nmax + 1):
                 assert cross_identity_check(d, n).passed
