@@ -67,8 +67,7 @@ def _mul(a, b) -> list[int]:
     if not bound:  # a zero list: the slots would be too narrow for the other
         return [0] * (len(a) + len(b) - 1)
     size = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8 size - 1) > bound
-    packed = _pack(a, size)
-    value = packed * (packed if b is a else _pack(b, size))
+    value = _pack(a, size) * _pack(b, size)
     slots = len(a) + len(b) - 1
     half = 1 << (8 * size - 1)
     value += int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
