@@ -1,14 +1,15 @@
 """The 2x2 matrices A_v, C_(v,n), H_(v,n), M_(v,n) and their valuation data.
 
-H_(v,n) = C_(v,n)...C_(v,1) is built once, from the second-order recursion on
-first-row entries; the direct product of the C_(v,m) is kept as an oracle in
-selfcheck and the tests.  The recursion runs in the group-ring coordinate
-T = 1 + X, where Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms: the term
--Phi_n H(n-1) is p shifted copies of H(n-1), with small integer coefficients,
-and no polynomial product is formed.  That term is the second row of
-H_(v,n); each level's is read into X once, by a Taylor shift from binomial
-rows (iwapoly._from_t), and the first row is H(n) = a_v H(n-1) plus that
-term of level n-1.
+H_(v,n) = C_(v,n)...C_(v,1) is built by one recursion from H_0 = I,
+H_n = C_(v,n) H_(n-1): the first row is a_v H(n-1) plus the second row of
+H(n-1), and the second row is -Phi_n times the first row of H(n-1).  The
+direct product of the C_(v,m) is kept as an oracle in selfcheck and the
+tests.  The recursion runs in the group-ring coordinate T = 1 + X, where
+Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms, so -Phi_n H(n-1) is p shifted
+copies of H(n-1), with small integer coefficients, and no polynomial product
+is formed.  Each level's second row is read into X once, by a Taylor shift
+from binomial rows (iwapoly._from_t), and the first row follows in X by the
+same step; the print-limit bound values the T rows at T = 2, which is X = 1.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -135,65 +136,53 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     )
 
 
-def _t_low(p: int, a_v: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """-Phi_n times the first row of H_(v,n-1), n >= 1, in T = 1 + X, each
-    entry as {exponent: nonzero coefficient}.
-
-    In T, Phi_n = sum_(i<p) T^(i*q) with q = p^(n-1), and H_(n-1) has degree
-    below q, so the product is p disjoint shifted copies of _t_row(n-1):
-    no product is formed.
-    """
-    q = p ** (n - 1)
-    return tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
-                 for terms in _t_row(p, a_v, n - 1))
-
-
 @functools.lru_cache(maxsize=None)
-def _t_row(p: int, a_v: int, n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """First row of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
-    coefficient}, by the recursion H_n = a_v*H_(n-1) - Phi_(n-1)*H_(n-2),
-    seeded by H_0 = (1, 0), H_1 = (a_v, 1).  The second term is _t_low,
-    which a_v*H_(n-1) meets only in its first copy, so the step is a few
-    subtractions of small integers (at most 2,584 at p = 3, a_v = 3, n = 8).
+def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
+    """Both rows of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
+    coefficient}, from H_0 = I by H_n = C_(v,n) H_(n-1): the first row is
+    a_v*H_(n-1) plus the second row of H_(n-1), and the second row is
+    -Phi_n H_(n-1).  In T, Phi_n = sum_(i<p) T^(i*q) with q = p^(n-1), and
+    the first row of H_(n-1) has degree below q, so that term is p disjoint
+    negated shifted copies of it: no product is formed.  The cached dicts of
+    level n-1 are read, never written.
     """
     if n == 0:
-        return {0: 1}, {}
-    if n == 1:
-        return ({0: a_v} if a_v else {}), {0: 1}
-    row = _t_low(p, a_v, n - 1)
+        return ({0: 1}, {}), ({}, {0: 1})
+    first, second = _t_rows(p, a_v, n - 1)
+    q = p ** (n - 1)
+    low = tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
+                for terms in first)
     if a_v:
-        for last, terms in zip(_t_row(p, a_v, n - 1), row):
+        second = tuple(dict(terms) for terms in second)
+        for last, terms in zip(first, second):
             for e, c in last.items():
                 c = terms.pop(e, 0) + a_v * c
                 if c:
                     terms[e] = c
-    return row
+    return second, low
 
 
 @functools.lru_cache(maxsize=None)
 def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
-    """Second row of H_(v,n), n >= 1: -Phi_n times the first row of
-    H_(v,n-1), read into X from _t_low by one Taylor shift (_from_t) for
-    both entries.
+    """Second row of H_(v,n): -Phi_n times the first row of H_(v,n-1), read
+    into X from _t_rows by one Taylor shift (_from_t) for both entries.
 
     Phi_n's size bound is checked first, so a level past it is refused
     before any work.
     """
     _require_exact_size(p, n)
-    return tuple(IwaPoly._of(p, c, None) for c in _from_t(_t_low(p, a_v, n)))
+    return tuple(IwaPoly._of(p, c, None) for c in _from_t(_t_rows(p, a_v, n)[1]))
 
 
 @functools.lru_cache(maxsize=None)
 def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
-    """First row of H_(v,n): (1, 0) and (a_v, 1) at n = 0 and 1, then
-    a_v*H_(n-1) plus the second row of H_(v,n-1), which for a_v = 0 is the
-    level-n first row itself.  The second row comes first, so a level past
-    the size bound is refused before any lower level is built.
+    """First row of H_(v,n): (1, 0) at n = 0, then a_v*H_(n-1) plus the
+    second row of H_(v,n-1), which for a_v = 0 is the level-n first row
+    itself.  The second row comes first, so a level past the size bound is
+    refused before any lower level is built.
     """
     if n == 0:
         return IwaPoly._of(p, [1], None), IwaPoly._of(p, [], None)
-    if n == 1:
-        return IwaPoly._of(p, [a_v], None), IwaPoly._of(p, [1], None)
     low = _second_row(p, a_v, n - 1)
     if a_v == 0:
         return low
@@ -233,9 +222,10 @@ def cross_identity_check(data: LocalCurveData, n: int,
 
 
 def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
-    """H_(v,n) = C_(v,n)...C_(v,1); H_0 is the identity.
+    """H_(v,n) = C_(v,n)...C_(v,1); H_0 is the identity, the recursion's
+    seed, and comes out of the same two rows as every other level.
 
-    Built from the first-row recursion and the block shape
+    Built from the recursion's two rows and the block shape
     H_(v,n) = [[H_sharp(n), H_flat(n)], [-Phi_n H_sharp(n-1), -Phi_n H_flat(n-1)]],
     which holds because H_(v,n) = C_(v,n) H_(v,n-1) and the second row of
     C_(v,n) is (-Phi_n, 0).  The second row is the recursion's own term
@@ -246,9 +236,6 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     if n < 0:
         raise ValidationError("n must be >= 0")
     p = data.prime
-    if n == 0:
-        one, zero = IwaPoly.const(p, 1), IwaPoly.const(p, 0)
-        return LogMatrix2(((one, zero), (zero, one)))
     second = _second_row(p, data.a_v, n)
     return LogMatrix2((_first_row(p, data.a_v, n), second))
 
@@ -280,22 +267,18 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     than digits decimal digits (0: no limit), decided without building it.
 
     First refuses, as h_matrix would, a level past the size bound.  The
-    entries are valued at X = 1 over the integers, by the first-row
-    recursion with Phi_k(1) = (2^(p^k) - 1)/(2^(p^(k-1)) - 1); the second
-    row is H(n+1) - a_v H(n), and M's rows are p^(n+1) A_v^(n+1) times H's.
-    Every entry has degree below p^n, so at most p^n coefficients, and its
-    largest coefficient is at least |E(1)|/p^n.  So an entry with
+    entries are valued at X = 1, which is T = 2, over the integers: each
+    entry of _t_rows is sum c_e 2^e.  M's rows are p^(n+1) A_v^(n+1) times
+    H's.  Every entry has degree below p^n, so at most p^n coefficients, and
+    its largest coefficient is at least |E(1)|/p^n.  So an entry with
     |E(1)| >= p^n 10^digits has a coefficient of more than digits digits.
     """
     if n < 1 or not digits:
         return False
-    p, a_v = data.prime, data.a_v
+    p = data.prime
     _require_exact_size(p, n)
-    s0, f0, s1, f1 = 1, 0, a_v, 1  # the first rows of H(k-1) and H(k) at 1
-    for k in range(1, n + 1):
-        phi_at_1 = ((1 << p**k) - 1) // ((1 << p ** (k - 1)) - 1)
-        s0, f0, s1, f1 = s1, f1, a_v * s1 - phi_at_1 * s0, a_v * f1 - phi_at_1 * f0
-    h00, h01, h10, h11 = s0, f0, s1 - a_v * s0, f1 - a_v * f0
+    h00, h01, h10, h11 = (sum(c << e for e, c in terms.items())
+                          for row in _t_rows(p, data.a_v, n) for terms in row)
     if m:
         (a, b), (c, d) = _a_power(data, n)
         h00, h01, h10, h11 = (a * h00 + b * h10, a * h01 + b * h11,

@@ -27,6 +27,14 @@ class TestLogmat:
         assert d["entries"][0][0]["coeffs"] == []  # zero
         assert d["entries"][0][1]["coeffs"] == ["1"]
 
+    def test_h_0_is_the_identity(self, capsys):
+        code, out, _ = run(capsys, "logmat", "--p", "3", "--av", "3", "--n", "0")
+        assert code == 0
+        assert out == (
+            '{"denom_exp": 0, "entries": '
+            '[[{"p": 3, "coeffs": ["1"], "mod_prec": null}, {"p": 3, "coeffs": [], "mod_prec": null}], '
+            '[{"p": 3, "coeffs": [], "mod_prec": null}, {"p": 3, "coeffs": ["1"], "mod_prec": null}]]}\n')
+
     def test_m_denominator(self, capsys):
         code, out, _ = run(capsys, "logmat", "--p", "3", "--av", "0",
                            "--n", "2", "--which", "m")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from iwagrowth.logmat import (
     StructureReport,
     c_matrix,
     det_structure_check,
+    exceeds_digits,
     h_entries,
     h_matrix,
     m_convergence_gap,
@@ -62,10 +64,13 @@ def test_h_small_cases():
     assert h_entries(d0, 3) == (IwaPoly(3, ()), -phi_poly(3, 2))
 
 
+# Every valid (p, a_v) for p <= 7 (p | a_v and a_v^2 <= 4p leave a_v = 0
+# for p = 5 and 7), up to p^n = 3^6, 5^4 and 7^3.
+TOWER_TOPS = ((3, 0, 6), (3, 3, 6), (3, -3, 6), (5, 0, 4), (7, 0, 3))
+
+
 def test_h_matrix_equals_explicit_product():
-    # Every valid (p, a_v) for p <= 7 (p | a_v and a_v^2 <= 4p leave a_v = 0
-    # for p = 5 and 7), up to p^n = 3^6, 5^4 and 7^3.
-    for p, av, top in ((3, 0, 6), (3, 3, 6), (3, -3, 6), (5, 0, 4), (7, 0, 3)):
+    for p, av, top in TOWER_TOPS:
         d = LocalCurveData(p, av)
         prod = c_matrix(d, 1)
         for n in range(1, top + 1):
@@ -74,7 +79,61 @@ def test_h_matrix_equals_explicit_product():
             assert h_matrix(d, n).entries == prod.entries, (p, av, n)
 
 
-# The second row of H_(v,n) is read off the first-row recursion; the product
+def _clear_h_caches():
+    from iwagrowth import logmat
+
+    for cached in (logmat._t_rows, logmat._second_row, logmat._first_row):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("p, av, top", TOWER_TOPS)
+def test_h_caches_do_not_depend_on_build_order(p, av, top):
+    # Each level of the recursion reads the cached rows of the level below
+    # and never writes them, so a top-down or shuffled build, which forms
+    # every lower level before reading it, gives the ascending build.
+    d = LocalCurveData(p, av)
+    levels = list(range(top + 1))
+    _clear_h_caches()
+    ascending = [h_matrix(d, n) for n in levels]
+    shuffled = levels[:]
+    random.Random(0).shuffle(shuffled)
+    for order in (levels[::-1], shuffled):
+        _clear_h_caches()
+        built = {n: h_matrix(d, n) for n in order}
+        assert [built[n] for n in levels] == ascending, order
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_h_0_is_the_identity(p):
+    one, zero = IwaPoly.const(p, 1), IwaPoly.const(p, 0)
+    for av in range(-p, p + 1, p):
+        if av * av <= 4 * p:
+            assert h_matrix(LocalCurveData(p, av), 0) == LogMatrix2(((one, zero), (zero, one)))
+
+
+@pytest.mark.parametrize("m", [False, True])
+def test_exceeds_digits_is_exact_at_the_built_matrices(m):
+    # The bound claims digits exactly when some entry's value at X = 1 (the
+    # sum of its coefficients) is at least p^n 10^digits.  Pinned at the
+    # largest such digits D and at D + 1 for every level with D >= 1, so a
+    # bound read off the wrong level or row fails here.
+    pinned = 0
+    for p, av, top in TOWER_TOPS:
+        d = LocalCurveData(p, av)
+        for n in range(1, top + 1):
+            mat = (m_matrix if m else h_matrix)(d, n)
+            largest = max(abs(sum(e.coeffs)) for row in mat.entries for e in row)
+            digits = 0
+            while p**n * 10 ** (digits + 1) <= largest:
+                digits += 1
+            if digits:
+                pinned += 1
+                assert exceeds_digits(d, n, digits, m=m), (p, av, n)
+                assert not exceeds_digits(d, n, digits + 1, m=m), (p, av, n)
+    assert pinned >= 20
+
+
+# The second row of H_(v,n) is read off the recursion in T = 1 + X; the product
 # -Phi_n * (first row of H_(v,n-1)) it stands for is the oracle here.
 SECOND_ROW_GRID = [(3, av, n) for av in (0, 3, -3) for n in range(1, 7)] \
     + [(5, 0, n) for n in range(1, 5)] + [(7, 0, n) for n in range(1, 4)]
@@ -224,8 +283,7 @@ def test_valuation_matrix_builds_no_phi_at_its_level(monkeypatch):
         monkeypatch.setattr(module, "phi_poly", recording)
     real.cache_clear()
     iwapoly.omega.cache_clear()
-    for cached in (logmat._t_row, logmat._second_row, logmat._first_row):
-        cached.cache_clear()
+    _clear_h_caches()
     valuation_matrix(LocalCurveData(5, 0), 4)
     assert levels == []
 
