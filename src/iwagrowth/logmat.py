@@ -145,7 +145,11 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, i
     the first row of H_(n-1) has degree below q, so that term is p disjoint
     negated shifted copies of it: no product is formed.  The cached dicts of
     level n-1 are read, never written.
+
+    Phi_n's size bound is checked first, so a level past it is refused
+    before any work.
     """
+    _require_exact_size(p, n)
     if n == 0:
         return ({0: 1}, {}), ({}, {0: 1})
     first, second = _t_rows(p, a_v, n - 1)
@@ -165,12 +169,7 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, i
 @functools.lru_cache(maxsize=None)
 def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     """Second row of H_(v,n): -Phi_n times the first row of H_(v,n-1), read
-    into X from _t_rows by one Taylor shift (_from_t) for both entries.
-
-    Phi_n's size bound is checked first, so a level past it is refused
-    before any work.
-    """
-    _require_exact_size(p, n)
+    into X from _t_rows by one Taylor shift (_from_t) for both entries."""
     return tuple(IwaPoly._of(p, c, None) for c in _from_t(_t_rows(p, a_v, n)[1]))
 
 
@@ -215,7 +214,7 @@ def cross_identity_check(data: LocalCurveData, n: int,
         f_n = flat_n
     s_prev, f_prev = h_entries(data, n - 1)
     lhs = -(s_n * f_prev) + f_n * s_prev
-    rhs = omega(p, n - 1) // omega(p, 0)
+    rhs = IwaPoly(p, omega(p, n - 1).coeffs[1:])
     if lhs == rhs:
         return StructureReport(True)
     return StructureReport(False, [f"cross identity off by {(lhs - rhs).coeffs}"])
@@ -276,7 +275,6 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     if n < 1 or not digits:
         return False
     p = data.prime
-    _require_exact_size(p, n)
     h00, h01, h10, h11 = (sum(c << e for e, c in terms.items())
                           for row in _t_rows(p, data.a_v, n) for terms in row)
     if m:
@@ -316,7 +314,7 @@ def det_structure_check(data: LocalCurveData, n: int,
     if h[1, 1] != low_flat:
         shape.append("entry (1,1) != -Phi_n * H_flat(n-1)")
     if shape:
-        det_ok = h.det() == omega(p, n) // omega(p, 0)
+        det_ok = h.det() == IwaPoly(p, omega(p, n).coeffs[1:])
     else:
         det_ok = cross_identity_check(data, n, h[0, 0], h[0, 1]).passed
     failures = ([] if det_ok else ["det != omega_n/X"]) + shape
@@ -386,22 +384,22 @@ def m_convergence_gap(data: LocalCurveData, n: int, deg_cap: int) -> ExtendedRat
 
     Convergence of the finite stages shows up as this gap being nondecreasing
     in n.  deg_cap = 0 restricts to constant coefficients.
+
+    With P = [[0, -1], [p, a_v]], P C_(v,n+1) - pI = (Phi_(n+1) - p)
+    [[1, 0], [-a_v, 0]] and -Phi_(n+1) H_n[0] = H_(n+1)[1], so
+    M_(v,n+1) - M_(v,n) = -p^-(n+2) w (x) (H_(n+1)[1] + p H_n[0]) with
+    w = P^(n+1) (1, -a_v) (_a_power): the gap is min ord_p(w_i) - (n+2) plus
+    the least ord_p of that row's first deg_cap + 1 coefficients.  Level n+1
+    comes first, so a level past the size bound is refused before level n.
     """
     if n < 1 or deg_cap < 0:
         raise ValidationError("need n >= 1 and deg_cap >= 0")
-    p = data.prime
-    m_next = m_matrix(data, n + 1)
-    m_cur = m_matrix(data, n)
-    # align denominators: p^-(n+2) * (E_(n+1) - p*E_n)
-    best: ExtendedRational = INF
-    for i in range(2):
-        for j in range(2):
-            diff = m_next[i, j] - m_cur[i, j].scale(p)
-            for k in range(min(deg_cap, diff.degree) + 1):
-                c = diff.coeff(k)
-                if c == 0:
-                    continue
-                v = ExtendedRational(int_valuation(c, p) - (n + 2))
-                if v < best:
-                    best = v
-    return best
+    p, a_v = data.prime, data.a_v
+    low = _second_row(p, a_v, n + 1)
+    row = [c + p * x for entry, h in zip(low, h_entries(data, n))
+           for c, x in zip_longest(entry.coeffs[:deg_cap + 1], h.coeffs[:deg_cap + 1], fillvalue=0)]
+    if not any(row):
+        return INF
+    w = [a - a_v * b for a, b in _a_power(data, n)]  # nonzero: det P = p
+    return ExtendedRational(min(int_valuation(x, p) for x in w if x) - (n + 2)
+                            + min(int_valuation(c, p) for c in row if c))

@@ -56,17 +56,17 @@ class CriterionResult:
         return f"criterion {self.number} ({self.name}): {status} [{self.seconds:.1f}s] {self.detail}"
 
 
+def _curves(p_list):
+    """(data, cap) for each curve of the valuation-table grid: levels 1..cap."""
+    for p, avs, cap in ((3, (0, 3, -3), 6), (5, (0,), 4), (7, (0,), 4)):
+        if p in p_list:
+            for av in avs:
+                yield LocalCurveData(p, av), cap
+
+
 def _curve_grid(p_list, n_max):
     """(data, n) pairs of the valuation-table grid."""
-    grid = []
-    for p, avs, cap in ((3, (0, 3, -3), 6), (5, (0,), 4), (7, (0,), 4)):
-        if p not in p_list:
-            continue
-        for av in avs:
-            data = LocalCurveData(p, av)
-            for n in range(1, min(cap, n_max) + 1):
-                grid.append((data, n))
-    return grid
+    return [(data, n) for data, cap in _curves(p_list) for n in range(1, min(cap, n_max) + 1)]
 
 
 def criterion(number, name):
@@ -239,12 +239,13 @@ def check_growth_composition(p_list, n_max, seed):
 
 @criterion(8, "convergence gaps")
 def check_convergence_gaps(p_list, n_max, seed):
-    for av in (0, 3) if 3 in p_list else ():
-        data = LocalCurveData(3, av)
-        gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(5, n_max) + 1)]
+    # a gap at n reads level n+1, so n stops below the curve's cap: every
+    # level is one that criterion 2 builds
+    for data, cap in _curves(p_list):
+        gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(cap - 1, n_max) + 1)]
         for a, b in zip(gaps, gaps[1:]):
             if b < a:
-                yield f"av={av}: gaps {[str(g) for g in gaps]} not monotone"
+                yield f"p={data.prime} av={data.a_v}: gaps {[str(g) for g in gaps]} not monotone"
                 break
             yield None
 

@@ -23,7 +23,7 @@ from iwagrowth.logmat import (
     valuation_matrix,
     valuation_matrix_closed_form,
 )
-from iwagrowth.padic import INF, ExtendedRational
+from iwagrowth.padic import INF, ExtendedRational, int_valuation
 
 
 class TestLocalCurveData:
@@ -329,15 +329,59 @@ def test_signature_is_the_strictly_smaller_closed_form_entry(p):
 
 
 def test_convergence_gap_monotone():
-    for av in (0, 3):
-        d = LocalCurveData(3, av)
-        gaps = [m_convergence_gap(d, n, 10) for n in range(1, 5)]
-        assert all(a <= b for a, b in zip(gaps, gaps[1:])), [str(g) for g in gaps]
+    for p, av, top in ((3, 0, 4), (3, 3, 4), (5, 0, 3), (7, 0, 3)):
+        d = LocalCurveData(p, av)
+        gaps = [m_convergence_gap(d, n, 10) for n in range(1, top + 1)]
+        assert all(a <= b for a, b in zip(gaps, gaps[1:])), (p, av, [str(g) for g in gaps])
 
 
 def test_convergence_gap_validation():
     with pytest.raises(ValidationError):
         m_convergence_gap(LocalCurveData(3, 0), 0, 5)
+
+
+def _gap_from_m(data, n, deg_cap):
+    """The gap as defined: M_(v,n+1) - M_(v,n) = p^-(n+2) (E_(n+1) - p E_n),
+    E the integer parts of the two M matrices, over the first deg_cap + 1
+    coefficients of each entry."""
+    if n < 1 or deg_cap < 0:
+        raise ValidationError("need n >= 1 and deg_cap >= 0")
+    p = data.prime
+    m_next, m_cur = m_matrix(data, n + 1), m_matrix(data, n)
+    vals = [int_valuation(c, p) for i in range(2) for j in range(2)
+            for c in (m_next[i, j] - m_cur[i, j].scale(p)).coeffs[:deg_cap + 1] if c]
+    return ExtendedRational(min(vals) - (n + 2)) if vals else INF
+
+
+def _gap_outcome(gap, p, av, n, deg_cap):
+    try:
+        return str(gap(LocalCurveData(p, av), n, deg_cap))
+    except ValidationError as e:
+        return f"ValidationError: {e}"
+
+
+GAP_GRID = [(3, av, n) for av in (0, 3, -3) for n in range(1, 8)] \
+    + [(5, 0, n) for n in range(1, 6)] + [(7, 0, n) for n in range(1, 5)]
+
+
+@pytest.mark.parametrize("p, av, n", GAP_GRID)
+def test_convergence_gap_matches_the_m_difference(p, av, n):
+    # m_convergence_gap reads one row of H by the identity in its docstring;
+    # the two M matrices it stands for are the oracle here.
+    for deg_cap in (0, 1, 10, 40):
+        assert _gap_outcome(m_convergence_gap, p, av, n, deg_cap) == \
+            _gap_outcome(_gap_from_m, p, av, n, deg_cap), deg_cap
+
+
+@pytest.mark.parametrize("p, av, n, deg_cap", [
+    (3, 0, 0, 10), (3, 3, 1, -1),
+    # level n+1 is past the size bound
+    (3, 0, 9, 10), (181, 0, 2, 10), (2**61 - 1, 0, 1, 10),
+])
+def test_convergence_gap_refusals_match_the_m_difference(p, av, n, deg_cap):
+    new = _gap_outcome(m_convergence_gap, p, av, n, deg_cap)
+    assert new.startswith("ValidationError: ")
+    assert new == _gap_outcome(_gap_from_m, p, av, n, deg_cap)
 
 
 def test_selfcheck_compares_h_with_the_c_product(monkeypatch):
@@ -356,6 +400,18 @@ def test_selfcheck_compares_h_with_the_c_product(monkeypatch):
     result = selfcheck.check_matrix_structure(p_list=(3,), n_max=3)
     assert not result.passed
     assert "3 of 9 cases failed" in result.detail and "C product" in result.detail
+
+
+def test_selfcheck_reports_a_falling_convergence_gap(monkeypatch):
+    from iwagrowth import selfcheck
+
+    assert selfcheck.check_convergence_gaps().detail == "16 cases"
+    assert selfcheck.check_convergence_gaps(p_list=(3,), n_max=2).detail == "3 cases"
+    monkeypatch.setattr(selfcheck, "m_convergence_gap",
+                        lambda data, n, deg_cap: ExtendedRational(-n))
+    result = selfcheck.check_convergence_gaps(p_list=(3,), n_max=9)
+    assert not result.passed and "FAIL" in result.line()
+    assert "3 of 3 cases failed" in result.detail and "not monotone" in result.detail
 
 
 def test_selfcheck_counts_each_failed_mu_lambda_read_off(monkeypatch):
