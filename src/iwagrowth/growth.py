@@ -272,16 +272,17 @@ def exceeds_digits(sc: GrowthScenario, n_max: int, digits: int) -> bool:
     row's S_or_T is at least D * O(n_max), O the odd tail of
     logmat.parity_tails: a carrier place adds
     d_w (phi(p^n) r_v + even) >= d_w phi(p^n) > d_w O(n).  And
-    O(n) >= (p-1) p^(n-2) for n >= 2.  A digit of margin covers the float
-    rounding of the logarithms.  Before it answers True it raises the
-    InfiniteTerm that sha_table's first rows would: that depends only on
-    the parity, so it is read at level 1 or 2.
+    O(n) >= (p-1) p^(n-2) for n >= 2.  The logarithms are compared with a
+    margin of 1e-9 digits, far above their float rounding, so the bound fires
+    at most one level after D * O(n) first has more than digits digits.  Before
+    it answers True it raises the InfiniteTerm that sha_table's first rows
+    would: that depends only on the parity, so it is read at level 1 or 2.
     """
     _require_anchor(sc, n_max)
     if not digits or n_max <= max(sc.base_n0, 1):
         return False
     weight = sum(w.degree for w in sc.ss_primes) * (sc.prime - 1)
-    if n_max - 2 < (digits + 1 - math.log10(weight)) / math.log10(sc.prime):
+    if n_max - 2 < (digits + 1e-9 - math.log10(weight)) / math.log10(sc.prime):
         return False
     for n in range(sc.base_n0 + 1, min(n_max, sc.base_n0 + 2) + 1):
         _level(sc, 2 - n % 2)

@@ -383,13 +383,14 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     term with a larger ord_p is at least e*(v+1) > e*v + i0.  It equals
     ord_p of the norm Res(Phi_n, rep).  For f mod p^N a nonzero coefficient
     has ord_p below N, so the minimum is below N*e and is the same for every
-    lift of f; only a zero residue raises PrecisionExhausted.
+    lift of f; only a zero residue raises PrecisionExhausted.  As
+    e >= 2^n > deg f once n exceeds deg f's bit length, e is formed for the
+    reduction test only below that, and for the result only when v >= 1.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = f.prime
-    phi_deg = totient(p, n)
-    if f.degree >= phi_deg:
+    if n <= f.degree.bit_length() and f.degree >= totient(p, n):
         f = f % phi_poly(p, n)
     if f.is_zero:
         if f.mod_prec is not None:
@@ -399,7 +400,8 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
         return INF
     v = int_valuation(math.gcd(*f.coeffs), p)
     pv1 = p ** (v + 1)
-    return ExtendedRational(phi_deg * v + next(i for i, c in enumerate(f.coeffs) if c % pv1))
+    i0 = next(i for i, c in enumerate(f.coeffs) if c % pv1)
+    return ExtendedRational(totient(p, n) * v + i0 if v else i0)
 
 
 def mu_lambda(f: IwaPoly) -> WeierstrassData:

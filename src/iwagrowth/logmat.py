@@ -14,8 +14,8 @@ M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
 The parity-split closed form of the valuation table is stated once, in
-integers scaled by phi(p^n), by parity_tails; the closed-form table, the
-signature and the growth terms all read it.
+integers scaled by phi(p^n), by parity_tails; the closed-form table and the
+growth terms read it, and the signature reads only its carrier rule.
 """
 
 from __future__ import annotations
@@ -197,21 +197,12 @@ def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return _first_row(data.prime, data.a_v, n)
 
 
-def cross_identity_check(data: LocalCurveData, n: int,
-                         sharp_n: IwaPoly | None = None,
-                         flat_n: IwaPoly | None = None) -> StructureReport:
-    """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly.
-
-    sharp_n and flat_n replace the level-n first row when given.
-    """
+def cross_identity_check(data: LocalCurveData, n: int) -> StructureReport:
+    """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly."""
     if n < 1:
         raise ValidationError("n must be >= 1")
     p = data.prime
     s_n, f_n = h_entries(data, n)
-    if sharp_n is not None:
-        s_n = sharp_n
-    if flat_n is not None:
-        f_n = flat_n
     s_prev, f_prev = h_entries(data, n - 1)
     lhs = -(s_n * f_prev) + f_n * s_prev
     rhs = IwaPoly(p, omega(p, n - 1).coeffs[1:])
@@ -292,31 +283,23 @@ def det_structure_check(data: LocalCurveData, n: int,
                         h: LogMatrix2 | None = None) -> StructureReport:
     """Assert det H_(v,n) = omega_n / X and the block shape of H_(v,n).
 
-    The block shape (second row = -Phi_n times the first row of H_(v,n-1))
-    is checked first, against _second_row, the recursion's term
-    -Phi_n H(n-1) read from T = 1 + X, so the product is not formed again.
-    When the shape holds,
-    det H = Phi_n * (H01 H_sharp(n-1) - H00 H_flat(n-1)) and
-    omega_n / X = Phi_n * omega_(n-1) / X, so in the
-    domain Z[X] the determinant identity is H01 H_sharp(n-1) - H00 H_flat(n-1)
-    = omega_(n-1) / X, which is cross_identity_check on the first row of h.
-    When the shape fails, the full determinant is compared.
+    The library's own H_(v,n) (h None, or h with the rows of h_matrix) has
+    the block shape by construction: its second row is the recursion's term
+    -Phi_n H(n-1).  Then det H = Phi_n * (H01 H_sharp(n-1) - H00 H_flat(n-1))
+    and omega_n / X = Phi_n * omega_(n-1) / X, so in the domain Z[X] the
+    determinant identity is cross_identity_check, and no determinant is
+    formed.  Any other h has its second row compared against the recursion's
+    and its full determinant against omega_n / X.
     """
     if n < 1:
         raise ValidationError("n must be >= 1")
-    p = data.prime
-    if h is None:
-        h = h_matrix(data, n)
-    low_sharp, low_flat = _second_row(p, data.a_v, n)
-    shape = []
-    if h[1, 0] != low_sharp:
-        shape.append("entry (1,0) != -Phi_n * H_sharp(n-1)")
-    if h[1, 1] != low_flat:
-        shape.append("entry (1,1) != -Phi_n * H_flat(n-1)")
-    if shape:
-        det_ok = h.det() == IwaPoly(p, omega(p, n).coeffs[1:])
+    own = h_matrix(data, n)  # first, so a level past the size bound is refused at once
+    if h is None or h.entries == own.entries:
+        det_ok, shape = cross_identity_check(data, n).passed, []
     else:
-        det_ok = cross_identity_check(data, n, h[0, 0], h[0, 1]).passed
+        det_ok = h.det() == IwaPoly(data.prime, omega(data.prime, n).coeffs[1:])
+        shape = [f"entry (1,{j}) != -Phi_n * H_{name}(n-1)"
+                 for j, name in enumerate((SHARP, FLAT)) if h[1, j] != own[1, j]]
     failures = ([] if det_ok else ["det != omega_n/X"]) + shape
     return StructureReport(not failures, failures)
 
@@ -341,6 +324,14 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     return ValuationMatrix((tuple(first), (INF, INF)))
 
 
+def _carrier(n: int) -> str:
+    """The carrier column of the first row at level n: sharp at odd n, flat
+    at even n (see parity_tails)."""
+    if n < 1:
+        raise ValidationError("n must be >= 1")
+    return SHARP if n % 2 == 1 else FLAT
+
+
 def parity_tails(p: int, n: int) -> tuple[str, int, int]:
     """(carrier, even, odd): the parity-split closed form of the first row of
     ord_p H_(v,n)(eps_n), with both tails scaled by phi(p^n) to integers.
@@ -351,10 +342,9 @@ def parity_tails(p: int, n: int) -> tuple[str, int, int]:
     O(m) = p^(m-1) - p^(m-2) + ... = phi(p^m) * sum_(i=1..floor(m/2)) p^(1-2i),
     and odd = O(n), even = O(n-1).
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    carrier = _carrier(n)
     even, odd = ((p**m - p ** (m % 2)) // (p + 1) for m in (n - 1, n))
-    return (SHARP if n % 2 == 1 else FLAT), even, odd
+    return carrier, even, odd
 
 
 def valuation_matrix_closed_form(data: LocalCurveData, n: int) -> ValuationMatrix:
@@ -373,10 +363,10 @@ def signature(data: LocalCurveData, n: int) -> str:
 
     It is the column parity_tails does not name as the carrier: the carrier
     entry is at least r_v >= 1 (r_v is 1 or infinity by the Weil bound), and
-    the other is O(n)/phi(p^n) <= p/(p^2-1) < 1, so the two never tie.
+    the other is O(n)/phi(p^n) <= p/(p^2-1) < 1, so the two never tie.  Only
+    n's parity is read, so p^n is not formed.
     """
-    carrier = parity_tails(data.prime, n)[0]
-    return FLAT if carrier == SHARP else SHARP
+    return FLAT if _carrier(n) == SHARP else SHARP
 
 
 def m_convergence_gap(data: LocalCurveData, n: int, deg_cap: int) -> ExtendedRational:

@@ -75,7 +75,7 @@ def criterion(number, name):
     def runner(outcomes_of):
         @functools.wraps(outcomes_of)
         def check(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> CriterionResult:
-            t0 = time.time()
+            t0 = time.perf_counter()
             outcomes = list(outcomes_of(p_list, n_max, seed))
             failures = [o for o in outcomes if o is not None]
             if failures:
@@ -85,7 +85,7 @@ def criterion(number, name):
             else:
                 detail = f"{len(outcomes)} cases"
             return CriterionResult(number, name, bool(outcomes) and not failures, detail,
-                                   time.time() - t0)
+                                   time.perf_counter() - t0)
         return check
     return runner
 

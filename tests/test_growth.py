@@ -263,10 +263,10 @@ def test_deltas_match_the_computed_valuation_tables():
 @given(st.sampled_from([3, 5, 7]),
        st.lists(st.integers(min_value=1, max_value=50), min_size=1, max_size=3),
        st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=40))
-def test_digit_bound_is_sound_and_fires_within_three_levels(p, degrees, base_n0, digits):
+def test_digit_bound_is_sound_and_fires_within_one_level(p, degrees, base_n0, digits):
     # exceeds_digits may claim an unprintable table only when its last row's
     # S_or_T really has more digits than the limit, and it claims one at the
-    # latest three levels after S_or_T first has.  With a_v = 0 and default
+    # latest one level after S_or_T first has.  With a_v = 0 and default
     # signs, S_or_T is D*O(n) itself, the bound's tightest case.
     sc = GrowthScenario(p, tuple(SsPrime(d, 0) for d in degrees), base_n0=base_n0)
     terms = [0] + [r.s_or_t for r in sha_table(sc, base_n0 + 119)]
@@ -275,7 +275,7 @@ def test_digit_bound_is_sound_and_fires_within_three_levels(p, degrees, base_n0,
         if exceeds_digits(sc, n, digits):
             assert len(str(term)) > digits
         elif last is not None:
-            assert n - last < 3
+            assert n - last < 1
         if last is None and len(str(term)) > digits:
             last = n
     assert last is not None
@@ -292,6 +292,14 @@ def test_digit_bound_needs_no_power_of_p():
     with pytest.raises(InfiniteTerm):  # the first even level, after an odd one
         exceeds_digits(one_prime(3, base_n0=4, tau=("flat",)), 10**9, 640)
     assert not exceeds_digits(one_prime(3, base_n0=4, tau=("flat",)), 5, 640)
+
+
+def test_digit_bound_fires_one_level_after_the_last_printable_row():
+    # S_or_T has 4300 digits at level 9013 and 4301 at 9014, where the bound's
+    # logarithm first passes 4300 (it reads 4299.94 at 9013)
+    sc = one_prime(3, degree=2)
+    assert not exceeds_digits(sc, 9013, 4300)
+    assert exceeds_digits(sc, 9014, 4300)
 
 
 class TestValidateScenario:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from iwagrowth import kobayashi
+from iwagrowth import iwapoly, kobayashi
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, phi_poly, totient
 from iwagrowth.kobayashi import (
@@ -294,6 +294,23 @@ def test_constant_p_all_methods():
         assert nabla_closed_form(t, n).value == expect
         assert nabla_resultant_oracle(t, n).value == expect
         assert nabla_snf_oracle(t, n).value == expect
+
+
+def test_closed_form_with_a_unit_content_forms_no_totient(monkeypatch):
+    # with v = 0 the answer is the index i0 alone, and phi(p^n) >= 2^n exceeds
+    # deg f, so phi(p^n) is needed neither for the answer nor for a reduction
+    totient_of = iwapoly.totient
+
+    def small_totient(p, n):
+        if n > 64:
+            raise AssertionError(f"phi({p}^{n}) formed")
+        return totient_of(p, n)
+
+    monkeypatch.setattr(iwapoly, "totient", small_totient)
+    f = IwaPoly(3, (3, 1))
+    assert iwapoly.ord_eps(f, 10**9) == 1
+    assert nabla_closed_form(TowerOfQuotients(f), 10**9).value == 1
+    assert iwapoly.ord_eps(f, 2) == 1
 
 
 def test_x_is_the_uniformizer():

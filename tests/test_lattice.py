@@ -2,6 +2,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
+from iwagrowth import logmat
 from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.iwapoly import IwaPoly, omega
 from iwagrowth.lattice import (
@@ -225,11 +226,20 @@ class TestCrossIdentity:
             for n in range(1, nmax + 1):
                 assert cross_identity_check(d, n).passed
 
-    def test_negative_control(self):
+    def test_negative_control(self, monkeypatch):
+        # the check reads its rows from h_entries: a level-2 row bumped by 1
+        # breaks the identity
         d = LocalCurveData(3, 0)
-        sharp, _ = h_entries(d, 2)
-        rep = cross_identity_check(d, 2, sharp_n=sharp + IwaPoly.const(3, 1))
-        assert not rep.passed and rep.failures
+        own = logmat.h_entries
+
+        def bumped(data, n):
+            sharp, flat = own(data, n)
+            return (sharp + IwaPoly.const(3, 1), flat) if n == 2 else (sharp, flat)
+
+        monkeypatch.setattr(logmat, "h_entries", bumped)
+        rep = cross_identity_check(d, 2)
+        assert not rep.passed
+        assert rep.failures[0].startswith("cross identity off by")
 
 
 @pytest.mark.parametrize("p, av, n", [(3, 0, 3), (3, 3, 4), (3, -3, 2), (5, 0, 2)])

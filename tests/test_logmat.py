@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from iwagrowth import logmat
 from iwagrowth.errors import ValidationError
 from iwagrowth.iwapoly import IwaPoly, omega, ord_eps, phi_poly, totient
 from iwagrowth.logmat import (
@@ -211,6 +212,20 @@ def test_det_structure_matches_full_determinant_rule():
             det_structure_check(d, n, h=variants[5]).failures
 
 
+def test_det_structure_forms_no_determinant_for_the_librarys_own_h(monkeypatch):
+    # the library's H has the block shape by construction, so its determinant
+    # identity is the cross identity on its first row: det is never formed
+    def no_det(self):
+        raise AssertionError("det formed")
+
+    monkeypatch.setattr(LogMatrix2, "det", no_det)
+    for p, av, top in ((3, 0, 5), (3, 3, 5), (3, -3, 5), (5, 0, 3), (7, 0, 2)):
+        d = LocalCurveData(p, av)
+        for n in range(1, top + 1):
+            assert det_structure_check(d, n).passed
+            assert det_structure_check(d, n, h_matrix(d, n)).passed
+
+
 def test_m_matrix_example():
     # p=3, a_v=0, n=1: M = 3^-2 * [[0, -3], [3*Phi_1, 0]]
     m = m_matrix(LocalCurveData(3, 0), 1)
@@ -295,6 +310,18 @@ def test_signature():
     d3 = LocalCurveData(3, 3)
     assert signature(d3, 3) == FLAT
     assert signature(d3, 2) == SHARP
+
+
+def test_signature_reads_only_the_parity(monkeypatch):
+    # no power of p is formed: parity_tails, which forms p^n, is not called
+    def no_tails(p, n):
+        raise AssertionError("parity_tails called")
+
+    monkeypatch.setattr(logmat, "parity_tails", no_tails)
+    d = LocalCurveData(3, 0)
+    assert signature(d, 10**7) == SHARP and signature(d, 10**7 + 1) == FLAT
+    with pytest.raises(ValidationError, match="n must be >= 1"):
+        signature(d, 0)
 
 
 PRIMES = (3, 5, 7, 11, 13)
