@@ -151,7 +151,7 @@ def cmd_growth(args) -> int:
     rows = sha_table(sc, args.n_max)
     fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
 
-    def render() -> str:
+    def render(rows) -> str:
         out = io.StringIO()
         if args.format == "csv":
             writer = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore")
@@ -168,7 +168,8 @@ def cmd_growth(args) -> int:
                 print(json.dumps(r.to_json()), file=out)
         return out.getvalue()
 
-    text = _printable(render)
+    _printable(lambda: render(rows[-1:]))  # the longest integers, before the other rows
+    text = _printable(lambda: render(rows))
     for r in rows:
         if r.warning:
             print(f"warning: n={r.n}: {r.warning}", file=sys.stderr)

@@ -1,10 +1,11 @@
 """Polynomial arithmetic in Lambda = Z_p[[X]] truncated to polynomials.
 
-Every product goes through _mul: the schoolbook loop when either list has
-fewer than _PACK_MIN_LEN = 16 coefficients, and otherwise Kronecker
-substitution, one integer product of the lists packed at 2^w, with the slot
-width w a multiple of 8 and 2^(w-1) above min(len a, len b) max|a_i|
-max|b_j|.  Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
+Every sum of coefficient lists goes through _plus, and every product
+through _mul: the schoolbook loop when either list has fewer than
+_PACK_MIN_LEN = 16 coefficients, and otherwise Kronecker substitution, one
+integer product of the lists packed at 2^w, with the slot width w a
+multiple of 8 and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.
+Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
 with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
 reads polynomials in the group-ring coordinate T = 1 + X into X (a Taylor
@@ -24,7 +25,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import zip_longest
 
 from .errors import (
     NonUnitLeadingCoefficient,
@@ -33,6 +33,13 @@ from .errors import (
     ZeroPolynomial,
 )
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
+
+
+def _plus(a, b) -> list[int]:
+    """a + b coefficientwise, as a new list: the package's one addition of
+    coefficient lists."""
+    m = min(len(a), len(b))
+    return [*map(operator.add, a, b), *a[m:], *b[m:]]
 
 
 # The shorter operand's length from which _mul packs.  Packing costs about
@@ -184,22 +191,14 @@ class IwaPoly:
 
     def __add__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
-        return IwaPoly._of(
-            self.prime,
-            [a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
-            prec,
-        )
+        return IwaPoly._of(self.prime, _plus(self.coeffs, other.coeffs), prec)
 
     def __neg__(self) -> "IwaPoly":
         return IwaPoly._of(self.prime, [-c for c in self.coeffs], self.mod_prec)
 
     def __sub__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
-        return IwaPoly._of(
-            self.prime,
-            [a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)],
-            prec,
-        )
+        return IwaPoly._of(self.prime, _plus(self.coeffs, [-c for c in other.coeffs]), prec)
 
     def __mul__(self, other: "IwaPoly") -> "IwaPoly":
         prec = self._join_prec(other)
@@ -262,55 +261,33 @@ def _binomial_row(m: int) -> list[int]:
     return row
 
 
-def _row_uses(terms: dict[int, int]) -> list[tuple[int, int, int]]:
-    """The binomial rows that read sum c_e T^e (T = 1 + X; terms maps e to
-    a nonzero c_e) into X: a list of (e, w, s), each adding w times
-    ((1+X)^e - 1)/X when s is 1 and w times (1+X)^e when s is 0.
-
-    The exponents fall into blocks of consecutive ones.  By summation by
-    parts a block a..b-1 is sum_(e=a..b) (c_(e-1) - c_e)((1+X)^e - 1)/X,
-    with c_(a-1) = c_b = 0, so it needs one row per change of coefficient:
-    a run of one c is c((1+X)^b - (1+X)^a)/X, two rows (the hockey-stick
-    identity), and ((1+X)^0 - 1)/X = 0 needs none.  A block takes that form
-    when it needs fewer rows than the block has terms, and one row per term
-    otherwise.
-    """
-    exps = sorted(terms)
-    if not exps:
-        return []
-    cuts = [k for k, (x, y) in enumerate(zip(exps, exps[1:]), 1) if y != x + 1]
-    uses: list[tuple[int, int, int]] = []
-    for i, j in zip([0, *cuts], [*cuts, len(exps)]):
-        a, b = exps[i], exps[j - 1] + 1
-        if b == a + 1:
-            uses.append((a, terms[a], 0))
-            continue
-        cs = list(map(terms.__getitem__, range(a, b)))
-        jumps = [(e, c - d, 1) for e, c, d in zip(range(a + 1, b), cs, cs[1:]) if c != d]
-        jumps.append((b, cs[-1], 1))
-        if a:
-            jumps.append((a, -cs[0], 1))
-        uses += jumps if len(jumps) < b - a else [(e, c, 0) for e, c in zip(range(a, b), cs)]
-    return uses
-
-
-def _plus(a: list[int], b: list[int]) -> list[int]:
-    """a + b coefficientwise, as a new list."""
-    m = min(len(a), len(b))
-    return [*map(operator.add, a, b), *a[m:], *b[m:]]
-
-
 def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
     """The X-coefficients of each sum c_e T^e, T = 1 + X, given as
-    {e: nonzero c_e}: a sparse Taylor shift by binomial rows (_row_uses).
+    {e: nonzero c_e}: a sparse Taylor shift by binomial rows.
 
-    Each row is built once for all entries, shortest first, so that a sum
-    is written straight into an empty list and its low coefficients grow
-    row by row.  The rows an entry takes with one weight w are added up
-    first and multiplied by w once: the weights of H are few (16 values
-    over 318 rows at p = 3, a_v = 3, n = 9).
+    Each entry's exponents fall into runs of consecutive exponents with one
+    coefficient.  A run a..b-1 of c is c((1+X)^b - (1+X)^a)/X by the
+    hockey-stick identity: rows b and a shifted down one place, and row b
+    alone when a = 0, as ((1+X)^0 - 1)/X = 0.  A lone exponent a is
+    c(1+X)^a, row a itself.  Each row is built once for all entries,
+    shortest first, so that a sum is written straight into an empty list and
+    its low coefficients grow row by row.  The rows an entry takes with one
+    weight w are added up first and multiplied by w once: the weights of H
+    are few (at p = 3, a_v = 3, n = 9 the second row's entries take 19 and 8
+    weights over 480 distinct rows).
     """
-    uses = sorted((e, k, w, s) for k, terms in enumerate(entries) for e, w, s in _row_uses(terms))
+    uses = []
+    for k, terms in enumerate(entries):
+        for e, c in terms.items():
+            starts, ends = terms.get(e - 1) != c, terms.get(e + 1) != c
+            if starts and ends:
+                uses.append((e, k, c, 0))
+                continue
+            if starts and e:
+                uses.append((e, k, -c, 1))
+            if ends:
+                uses.append((e + 1, k, c, 1))
+    uses.sort()
     sums: list[dict[int, list[int]]] = [{} for _ in entries]
     built = None
     for e, k, w, s in uses:

@@ -24,12 +24,12 @@ import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import zip_longest
 
 from .errors import ValidationError
 from .iwapoly import (
     IwaPoly,
     _from_t,
+    _plus,
     _require_exact_size,
     omega,
     ord_eps,
@@ -185,9 +185,8 @@ def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     low = _second_row(p, a_v, n - 1)
     if a_v == 0:
         return low
-    return tuple(
-        IwaPoly._of(p, [a_v * x + y for x, y in zip_longest(h.coeffs, c.coeffs, fillvalue=0)], None)
-        for h, c in zip(_first_row(p, a_v, n - 1), low))
+    return tuple(IwaPoly._of(p, _plus([a_v * x for x in h.coeffs], c.coeffs), None)
+                 for h, c in zip(_first_row(p, a_v, n - 1), low))
 
 
 def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
@@ -386,8 +385,8 @@ def m_convergence_gap(data: LocalCurveData, n: int, deg_cap: int) -> ExtendedRat
         raise ValidationError("need n >= 1 and deg_cap >= 0")
     p, a_v = data.prime, data.a_v
     low = _second_row(p, a_v, n + 1)
-    row = [c + p * x for entry, h in zip(low, h_entries(data, n))
-           for c, x in zip_longest(entry.coeffs[:deg_cap + 1], h.coeffs[:deg_cap + 1], fillvalue=0)]
+    row = [c for entry, h in zip(low, h_entries(data, n))
+           for c in _plus(entry.coeffs[:deg_cap + 1], [p * x for x in h.coeffs[:deg_cap + 1]])]
     if not any(row):
         return INF
     w = [a - a_v * b for a, b in _a_power(data, n)]  # nonzero: det P = p

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from iwagrowth import cli, iwapoly, kobayashi
+from iwagrowth import cli, growth, iwapoly, kobayashi
 from iwagrowth.cli import main
 from iwagrowth.errors import PhiDividesF, ValidationError
 from iwagrowth.logmat import LocalCurveData, exceeds_digits, h_matrix, m_matrix
@@ -366,6 +366,26 @@ def test_growth_refusal_follows_the_live_print_limit(capsys, tmp_path, monkeypat
             assert run(capsys, *argv, n_max) == (2, "", refused)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_unprintable_growth_table_is_refused_after_rendering_its_last_row(
+        capsys, tmp_path, monkeypatch):
+    # At n_max = 9013 the bound on the last S_or_T (4,300 digits) does not
+    # fire, but that row's cumulative has 4,301: the last row is rendered
+    # first, so the table is refused before any other row is rendered.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(GROWTH_P3))
+    rendered = []
+    to_json = growth.TableRow.to_json
+    monkeypatch.setattr(growth.TableRow, "to_json", lambda row: rendered.append(row.n) or to_json(row))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert run(capsys, "growth", "--scenario", str(path), "--n-max", "9013") == (
+            2, "", "error: result has an integer over the 4300-digit limit for printing\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rendered == [9013]
 
 
 @pytest.mark.parametrize("argv", [

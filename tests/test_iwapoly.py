@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from iwagrowth import iwapoly, logmat
 from iwagrowth.errors import (
     NonUnitLeadingCoefficient,
     PrecisionExhausted,
@@ -460,6 +461,9 @@ def _expand_in_x(terms):
 @example([(3, [-2] * 5, True), (4, [5], False)], [(0, [7], False), (9, [-1], False)])
 @example([(0, [1, 1, 2, 2, -3], False)], [(1, [1, 2, 3], False), (0, [4, 4, 4], True)])
 @example([(66, [3, -1], False)], [(2, [1] * 6, True)])
+@example([(1, [2] * 3, True), (2, [2] * 4, True)], [(0, [2] * 2, True), (3, [2] * 2, True)])
+@example([(0, [1, 1, 2, 2, 1, 1], False)], [(3, [1, 1, 2, 2, 1, 1], False)])  # staircases
+@example([(0, [3] * 4, True), (1, [3], False)], [(0, [-1] * 2, True), (5, [-1], False)])
 def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
     """The readout gives each entry in X, with its rows shared between the
     two entries or built for one alone."""
@@ -467,3 +471,25 @@ def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
     expected = [_expand_in_x(ta), _expand_in_x(tb)]
     assert _from_t([ta, tb]) == expected
     assert _from_t([ta]) == expected[:1]
+
+
+def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
+    """A run from exponent 0 is one binomial row and a run from a > 0 two,
+    whatever its length (valmat --p 32749 --av 0 --n 2 reads Phi_1, a run
+    of 32,749 terms, as one row); over the benchmark's tower series, H
+    takes at most 515 rows."""
+    built = []
+    row = iwapoly._binomial_row
+    monkeypatch.setattr(iwapoly, "_binomial_row", lambda m: built.append(m) or row(m))
+    assert _from_t([dict.fromkeys(range(40), 7)]) == [[7 * c for c in row(40)[1:]]]
+    assert built == [40]
+    built.clear()
+    _from_t([dict.fromkeys(range(5, 40), 7)])
+    assert built == [5, 40]
+    built.clear()
+    for cached in (logmat._t_rows, logmat._second_row, logmat._first_row):
+        cached.cache_clear()
+    for p, a_v, top in ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4)):
+        for n in range(top + 1):
+            logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
+    assert len(built) <= 515
