@@ -7,7 +7,8 @@ finite level-n module is eliminated.  Exit codes: 0 success, 1 selfcheck
 found a failing criterion, 2 validation failure, 3 precision exhausted (a
 library PrecisionExhausted), 4 precondition failure, 5 infinite term, 70
 internal error (an exception that is not an IwagrowthError, reported on one
-stderr line with no traceback).
+stderr line with no traceback), 141 stdout closed by its reader (as a shell
+reports a death by SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .errors import (
@@ -55,6 +57,7 @@ EXIT_PRECISION = 3
 EXIT_PRECONDITION = 4
 EXIT_INFINITE = 5
 EXIT_INTERNAL = 70  # sysexits.h EX_SOFTWARE
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports that death
 
 
 def _too_long() -> ValidationError:
@@ -248,7 +251,14 @@ _EXIT_CODES = (
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull, so that the
+        # interpreter's final flush of what is still buffered cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except IwagrowthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)),

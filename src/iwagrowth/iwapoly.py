@@ -2,9 +2,11 @@
 
 Every sum of coefficient lists goes through _plus, and every product
 through _mul: the schoolbook loop when either list has fewer than
-_PACK_MIN_LEN = 16 coefficients, and otherwise Kronecker substitution, one
-integer product of the lists packed at 2^w, with the slot width w a
-multiple of 8 and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.
+_PACK_MIN_LEN = 16 coefficients, and otherwise two-point Kronecker
+substitution: two integer products, of the lists' values at 2^s and at
+-2^s, whose sum and difference are read back exactly as the even- and
+odd-index product coefficients at slot width w = 2s, with w a multiple of 8
+and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
 with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
@@ -43,10 +45,13 @@ def _plus(a, b) -> list[int]:
 
 
 # The shorter operand's length from which _mul packs.  Packing costs about
-# 6 us even for a 1x1 product (schoolbook: 1 us).  Measured crossover
-# (CPython 3.11): at 16x16 the schoolbook/packed time ratio is 0.9-1.1 for
-# coefficients of 8 to 400 bits, at 16 by 500 coefficients it is 1.5-2.2,
-# and at 8 by 500 it is 0.8-1.4.
+# 9 us even for a 2x2 product (schoolbook: 1 us).  Measured crossover
+# (CPython 3.11, schoolbook/packed time ratio, coefficients of 8 to 400
+# bits): at n x n it is 0.7-0.95 at n = 16 and reaches 1 at n = 18 to 24;
+# at n by 500 it is 1.3-2.0 at n = 16 and reaches 1 at n = 8 to 12.  In the
+# benchmark's tower workload, products of 19-22 by 61-105 coefficients run
+# 1.8-2.2 times faster packed, and those of 8 by 19-43 0.65-1.1 times, so
+# the latter stay schoolbook (BENCH_29.json).
 _PACK_MIN_LEN = 16
 
 
@@ -55,13 +60,16 @@ def _mul(a, b) -> list[int]:
     of len(a) + len(b) - 1 coefficients (trailing zeros kept).
 
     When either list is shorter than _PACK_MIN_LEN, the schoolbook loop.
-    Otherwise Kronecker substitution: each list is packed as its value at
-    2^w and the two integers are multiplied once, so the work is CPython's
-    integer multiply.  Every product coefficient has |c_k| at most
-    min(len a, len b) max|a_i| max|b_j|, and w, a multiple of 8, has
-    2^(w-1) above that, so c_k + 2^(w-1) lies in [0, 2^w): with 2^(w-1)
-    added to every slot, the product is read slot by slot without borrows,
-    and 2^(w-1) is taken off each.
+    Otherwise two-point Kronecker substitution (Harvey's KS2).  Each list's
+    even- and odd-index coefficients are packed at a slot width of w = 2s
+    bits, as a_e(2^w) and a_o(2^w), and a(2^s) and a(-2^s) are
+    a_e(2^w) +- 2^s a_o(2^w).  The two products h(2^s) = a(2^s) b(2^s) and
+    h(-2^s) = a(-2^s) b(-2^s) of h = ab, each about half the size of one
+    product at 2^w, are formed by CPython; their sum is 2 h_e(2^w) and their
+    difference 2^(s+1) h_o(2^w), so both shifts back are exact.  Every
+    product coefficient has |c_k| at most min(len a, len b) max|a_i|
+    max|b_j|, and w, a multiple of 8, has 2^(w-1) above that: each half is
+    read slot by slot by _unpack, and the halves are interleaved.
     """
     if len(a) < _PACK_MIN_LEN or len(b) < _PACK_MIN_LEN:  # no min(): it costs 15% at 3x2
         out = [0] * (len(a) + len(b) - 1)
@@ -74,8 +82,23 @@ def _mul(a, b) -> list[int]:
     if not bound:  # a zero list: the slots would be too narrow for the other
         return [0] * (len(a) + len(b) - 1)
     size = (bound.bit_length() + 8) // 8  # bytes per slot: 2^(8 size - 1) > bound
-    value = _pack(a, size) * _pack(b, size)
+    s = 4 * size  # half a slot, in bits
+    ae, ao = _pack(a[0::2], size), _pack(a[1::2], size) << s
+    be, bo = _pack(b[0::2], size), _pack(b[1::2], size) << s
+    plus = (ae + ao) * (be + bo)
+    minus = (ae - ao) * (be - bo)
     slots = len(a) + len(b) - 1
+    out = [0] * slots
+    out[0::2] = _unpack((plus + minus) >> 1, size, (slots + 1) // 2)
+    out[1::2] = _unpack((plus - minus) >> (s + 1), size, slots // 2)
+    return out
+
+
+def _unpack(value: int, size: int, slots: int) -> list[int]:
+    """The coefficients c_0, ..., c_(slots-1) of value = sum c_k 2^(8 size k),
+    for |c_k| < 2^(8 size - 1): with 2^(8 size - 1) added to every slot, each
+    lies in [0, 2^(8 size)) and is read without borrows, and the offset is
+    taken off again."""
     half = 1 << (8 * size - 1)
     value += int.from_bytes((bytes(size - 1) + b"\x80") * slots, "little")
     data = value.to_bytes(slots * size, "little")

@@ -274,5 +274,5 @@ def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> bool:
     for check in ALL_CHECKS:
         result = check(p_list=tuple(p_list), n_max=n_max, seed=seed)
         ok = ok and result.passed
-        print(result.line())
+        print(result.line(), flush=True)  # each criterion's line as it ends
     return ok

@@ -675,6 +675,26 @@ class TestSelfcheck:
         assert not any("PASS" in line for line in lines)
         assert all("FAIL" in line and "0 cases" in line for line in lines)
 
+    def test_closed_stdout_exits_141_in_silence(self):
+        # As `selfcheck ... | head -1` does: the reader takes one line and
+        # closes the pipe while later criteria are still running.  Without
+        # PYTHONUNBUFFERED, so that each criterion's line must be flushed.
+        src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "iwagrowth.cli", "selfcheck", "--p", "3,5,7", "--n-max", "9"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline().startswith(b"criterion 1 ")
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == 141
+        assert err == b""
+
 
 def test_round_trip_payloads(capsys):
     from iwagrowth.logmat import LocalCurveData, m_matrix

@@ -322,6 +322,9 @@ def _long_list(draw):
 # and 16 (2^126 - 1)^2 needs 256, so a slot without the sign bit carries.
 _ALL_ONES = [2**129 - 1] * 20
 _ALL_ONES_256 = [2**126 - 1] * 16
+# The same magnitudes with alternating signs: a(2^s) and a(-2^s), the two
+# points of the packed route, then differ in sign at the slot bound.
+_ALTERNATING = [(-1)**i * (2**129 - 1) for i in range(20)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,6 +337,12 @@ _ALL_ONES_256 = [2**126 - 1] * 16
 @example(_ALL_ONES, _ALL_ONES)
 @example(_ALL_ONES, [-(2**129 - 1)] * 20)
 @example(_ALL_ONES_256, _ALL_ONES_256)
+@example(list(range(1, 17)), list(range(-16, 0)))  # 31 slots: 16 even, 15 odd
+@example(list(range(1, 17)), list(range(-17, 0)))  # 32 slots: 16 even, 16 odd
+@example([5, 0] * 8, list(range(-8, 9)))  # odd-index coefficients all 0
+@example([0, -5] * 8, [3, 0] * 9)  # even-index ones all 0, and odd ones
+@example(_ALTERNATING, _ALTERNATING)
+@example(_ALTERNATING, _ALL_ONES)
 def test_packed_product_is_the_schoolbook_list(a, b):
     assert _mul(a, b) == _schoolbook(a, b)
 
