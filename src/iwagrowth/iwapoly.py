@@ -410,15 +410,8 @@ def mu_lambda(f: IwaPoly) -> WeierstrassData:
         if f.mod_prec is not None:
             raise PrecisionExhausted(f"polynomial vanishes mod p^{f.mod_prec}")
         raise ZeroPolynomial("mu/lambda undefined for 0")
-    mu = None
-    lam = None
-    for i, c in enumerate(f.coeffs):
-        if c == 0:
-            continue
-        v = int_valuation(c, f.prime)
-        if mu is None or v < mu:
-            mu, lam = v, i
-    return WeierstrassData(mu, lam)
+    return WeierstrassData(*min((int_valuation(c, f.prime), i)
+                                for i, c in enumerate(f.coeffs) if c))
 
 
 def coprime_to_omega(f: IwaPoly, n: int) -> bool:

@@ -7,9 +7,12 @@ direct product of the C_(v,m) is kept as an oracle in selfcheck and the
 tests.  The recursion runs in the group-ring coordinate T = 1 + X, where
 Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms, so -Phi_n H(n-1) is p shifted
 copies of H(n-1), with small integer coefficients, and no polynomial product
-is formed.  Each level's second row is read into X once, by a Taylor shift
-from binomial rows (iwapoly._from_t), and the first row follows in X by the
-same step; the print-limit bound values the T rows at T = 2, which is X = 1.
+is formed.  The T rows are built by one loop per call (_t_rows), which
+checks the size bound once and is not cached: rebuilding them costs far less
+than the X readouts.  Each level's second row is read into X once, by a
+Taylor shift from binomial rows (iwapoly._from_t), and the first row follows
+in X by the same step; these two readouts are H's only caches.  The
+print-limit bound values the T rows at T = 2, which is X = 1.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -136,34 +139,32 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     )
 
 
-@functools.lru_cache(maxsize=None)
 def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
     """Both rows of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
-    coefficient}, from H_0 = I by H_n = C_(v,n) H_(n-1): the first row is
-    a_v*H_(n-1) plus the second row of H_(n-1), and the second row is
-    -Phi_n H_(n-1).  In T, Phi_n = sum_(i<p) T^(i*q) with q = p^(n-1), and
-    the first row of H_(n-1) has degree below q, so that term is p disjoint
-    negated shifted copies of it: no product is formed.  The cached dicts of
-    level n-1 are read, never written.
+    coefficient}, by one loop from H_0 = I with H_m = C_(v,m) H_(m-1): the
+    first row is a_v*H_(m-1) plus the second row of H_(m-1), and the second
+    row is -Phi_m H_(m-1).  In T, Phi_m = sum_(i<p) T^(i*q) with q = p^(m-1),
+    and the first row of H_(m-1) has degree below q, so that term is p
+    disjoint negated shifted copies of it: no product is formed.  Every dict
+    is made by this call and not cached, so the a_v merge updates it in place.
 
-    Phi_n's size bound is checked first, so a level past it is refused
-    before any work.
+    Phi_n's size bound is checked once, first, so a level past it is refused
+    before any work; it bounds every lower level too.
     """
     _require_exact_size(p, n)
-    if n == 0:
-        return ({0: 1}, {}), ({}, {0: 1})
-    first, second = _t_rows(p, a_v, n - 1)
-    q = p ** (n - 1)
-    low = tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
-                for terms in first)
-    if a_v:
-        second = tuple(dict(terms) for terms in second)
-        for last, terms in zip(first, second):
-            for e, c in last.items():
-                c = terms.pop(e, 0) + a_v * c
-                if c:
-                    terms[e] = c
-    return second, low
+    first, second = ({0: 1}, {}), ({}, {0: 1})
+    for m in range(1, n + 1):
+        q = p ** (m - 1)
+        low = tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
+                    for terms in first)
+        if a_v:
+            for last, terms in zip(first, second):
+                for e, c in last.items():
+                    c = terms.pop(e, 0) + a_v * c
+                    if c:
+                        terms[e] = c
+        first, second = second, low
+    return first, second
 
 
 @functools.lru_cache(maxsize=None)

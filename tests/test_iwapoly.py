@@ -181,6 +181,9 @@ def test_mu_lambda():
     f = IwaPoly(3, (27, 54, 9, 45))
     w = mu_lambda(f)
     assert (w.mu, w.lam) == (2, 2)
+    # two indices tie at the least ord_p: lambda is the first of them
+    w = mu_lambda(IwaPoly(3, (3, 6, 9, 1, 2)))
+    assert (w.mu, w.lam) == (0, 3)
     with pytest.raises(ZeroPolynomial):
         mu_lambda(IwaPoly(3, ()))
     with pytest.raises(PrecisionExhausted):
@@ -496,7 +499,7 @@ def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
     _from_t([dict.fromkeys(range(5, 40), 7)])
     assert built == [5, 40]
     built.clear()
-    for cached in (logmat._t_rows, logmat._second_row, logmat._first_row):
+    for cached in (logmat._second_row, logmat._first_row):
         cached.cache_clear()
     for p, a_v, top in ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4)):
         for n in range(top + 1):

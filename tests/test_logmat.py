@@ -83,15 +83,16 @@ def test_h_matrix_equals_explicit_product():
 def _clear_h_caches():
     from iwagrowth import logmat
 
-    for cached in (logmat._t_rows, logmat._second_row, logmat._first_row):
+    for cached in (logmat._second_row, logmat._first_row):
         cached.cache_clear()
 
 
 @pytest.mark.parametrize("p, av, top", TOWER_TOPS)
 def test_h_caches_do_not_depend_on_build_order(p, av, top):
-    # Each level of the recursion reads the cached rows of the level below
-    # and never writes them, so a top-down or shuffled build, which forms
-    # every lower level before reading it, gives the ascending build.
+    # Each level's first row reads the cached X rows of the level below and
+    # never writes them, and each second row is read from T rows built
+    # afresh, so a top-down or shuffled build, which forms every lower level
+    # before reading it, gives the ascending build.
     d = LocalCurveData(p, av)
     levels = list(range(top + 1))
     _clear_h_caches()
@@ -102,6 +103,24 @@ def test_h_caches_do_not_depend_on_build_order(p, av, top):
         _clear_h_caches()
         built = {n: h_matrix(d, n) for n in order}
         assert [built[n] for n in levels] == ascending, order
+
+
+def test_scribbled_t_rows_do_not_reach_h():
+    # The T rows a caller gets are its own: writing on them changes no
+    # later H level and no later print-limit answer.
+    d = LocalCurveData(3, 3)
+    asks = [(n, digits, m) for n in range(1, 5) for digits in (1, 2, 3, 40) for m in (False, True)]
+    earlier = [exceeds_digits(d, *ask) for ask in asks]
+    _clear_h_caches()
+    (sharp, _), (_, flat) = logmat._t_rows(3, 3, 4)
+    sharp[1] = 10**60
+    flat.clear()
+    prod = c_matrix(d, 1)
+    for n in range(1, 5):
+        if n > 1:
+            prod = c_matrix(d, n) * prod
+        assert h_matrix(d, n).entries == prod.entries, n
+    assert [exceeds_digits(d, *ask) for ask in asks] == earlier
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
