@@ -9,15 +9,19 @@ Three routes that must agree on finite towers:
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
   elimination over Z/p^N of the presentation _omega_columns builds in the
-  group-ring coordinate T = 1 + X.  N doubles from 16 until the finite
-  level-n module is eliminated; no resultant, eps-valuation or omega_m is
-  involved.
+  group-ring coordinate T = 1 + X.  Each level doubles its own N from 16
+  until its finite module is eliminated; no resultant, eps-valuation or
+  omega_m is involved.
+
+Each oracle reads its per-level exponent from a cache keyed by (f, m), so a
+caller climbing the tower computes every level once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from .iwapoly import (
@@ -38,6 +42,11 @@ CLOSED_FORM = "closed_form"
 RESULTANT_ORACLE = "resultant_oracle"
 SNF_ORACLE = "snf_oracle"
 FINITE_TOWER = "finite_tower"
+
+# Entries of each per-level exponent cache.  A caller climbing one f's tower
+# asks level n, then n - 1, and at n + 1 adds level n + 1 before it re-reads
+# level n, the least recently used of the three: three entries hold every hit.
+_LEVEL_CACHE_SIZE = 3
 
 
 @dataclass(frozen=True)
@@ -105,13 +114,18 @@ def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
     return t.f
 
 
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _resultant_exponent(f: IwaPoly, m: int) -> int:
+    """ord_p Res(f, omega_m), an exact integer."""
+    p = f.prime
+    return int_valuation(resultant(f.coeffs, omega(p, m).coeffs), p)
+
+
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
-    """ord_p Res(f, omega_n) - ord_p Res(f, omega_(n-1)), exact integers."""
+    """ord_p Res(f, omega_n) - ord_p Res(f, omega_(n-1))."""
     f = _finite_tower_f(t, n)
-    p = t.prime
-    e_hi = int_valuation(resultant(f.coeffs, omega(p, n).coeffs), p)
-    e_lo = int_valuation(resultant(f.coeffs, omega(p, n - 1).coeffs), p)
-    return NablaResult(n, e_hi - e_lo, RESULTANT_ORACLE)
+    e_n = _resultant_exponent(f, n)
+    return NablaResult(n, e_n - _resultant_exponent(f, n - 1), RESULTANT_ORACLE)
 
 
 def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int) -> list[int]:
@@ -263,10 +277,25 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
     return [{i: x for i, x in enumerate(c) if x} for c in cols]
 
 
-def _size_exponent(f: IwaPoly, m: int, prec: int) -> int:
-    """e_m, with Lambda/(f, omega_m) of size p^e_m, eliminated over Z/p^prec."""
-    cols = _omega_columns(f, m, prec)
-    return sum(elementary_divisor_valuations(cols, f.prime, prec))
+@lru_cache(maxsize=_LEVEL_CACHE_SIZE)
+def _size_exponent(f: IwaPoly, m: int) -> int:
+    """e_m, with Lambda/(f, omega_m) of size p^e_m, for f coprime to omega_m.
+
+    It is read from _omega_columns' presentation, eliminated over Z/p^N.
+    The columns are reduced mod p^N, so they are rebuilt for each N.  N
+    starts at 16 and doubles until the elimination finishes.  This ends: the
+    module is finite, of size p^e_m, so no elementary divisor has valuation
+    above e_m, and the elimination over Z/p^N fails only when every
+    remaining divisor reaches p^N.  Whatever N finishes it, the valuations
+    it returns are exact, so e_m does not depend on N.
+    """
+    prec = 16
+    while True:
+        try:
+            cols = _omega_columns(f, m, prec)
+            return sum(elementary_divisor_valuations(cols, f.prime, prec))
+        except PrecisionExhausted:
+            prec *= 2
 
 
 def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
@@ -279,26 +308,14 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
-    Each e_m is read from _omega_columns' presentation.  Its columns are
-    reduced mod p^N, so they are rebuilt for each N.
-
-    N starts at 16 and doubles until the level-n elimination finishes.  This
-    ends: the coprimality gate makes Lambda/(f, omega_n) finite, of size
-    p^e_n, so no elementary divisor has valuation above e_n, and the
-    elimination over Z/p^N fails only when every remaining divisor reaches
-    p^N.  Lambda/(f, omega_(n-1)) is a quotient of Lambda/(f, omega_n), so
-    its elementary divisors are no larger and its elimination finishes at
-    the same N.
+    The coprimality gate makes Lambda/(f, omega_n) finite, and
+    Lambda/(f, omega_(n-1)), a quotient of it, finite too.  Level n and then
+    level n - 1 are read from _size_exponent, which eliminates each level at
+    its own N and caches e_m per (f, m).
     """
     f = _finite_tower_f(t, n)
-    prec = 16
-    while True:
-        try:
-            e_n = _size_exponent(f, n, prec)
-            break
-        except PrecisionExhausted:
-            prec *= 2
-    return NablaResult(n, e_n - _size_exponent(f, n - 1, prec), SNF_ORACLE)
+    e_n = _size_exponent(f, n)
+    return NablaResult(n, e_n - _size_exponent(f, n - 1), SNF_ORACLE)
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:

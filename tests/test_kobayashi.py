@@ -261,10 +261,16 @@ def test_p_lead_snf_oracle_matches_other_routes(case):
     assert a == b == c, (f.coeffs, n, a, b, c)
 
 
+def _clear_level_caches():
+    for cached in (kobayashi._resultant_exponent, kobayashi._size_exponent):
+        cached.cache_clear()
+
+
 def test_snf_oracle_builds_no_omega_for_p_lead(monkeypatch):
     def refuse(p, n):
         raise AssertionError(f"omega({p}, {n}) built")
 
+    _clear_level_caches()  # levels cached by an earlier test would skip the route
     monkeypatch.setattr(kobayashi, "omega", refuse)
     for coeffs, n in (((3, 1, 2, 0, 9), 4), ((1, 1, 0, 3), 4), ((3, 3, 6, 9), 4)):
         t = TowerOfQuotients(IwaPoly(3, coeffs))
@@ -342,6 +348,49 @@ def test_snf_modulus_grows_past_p128():
     # level 1 reach past 3^128: the oracle must keep doubling its modulus.
     t = TowerOfQuotients(IwaPoly(3, (3**130, 1)))
     assert nabla_snf_oracle(t, 1).value == nabla_closed_form(t, 1).value == 1
+
+
+def test_climbing_oracles_compute_each_level_once(monkeypatch):
+    # Level n's call reads level n - 1 from the call before it, so climbing
+    # n = 1..4 makes one resultant and one elimination per level 0..4.
+    calls = {"resultant": 0, "elementary_divisor_valuations": 0}
+    for name in calls:
+        def counted(*args, name=name, inner=getattr(kobayashi, name)):
+            calls[name] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(kobayashi, name, counted)
+    _clear_level_caches()
+    t = TowerOfQuotients(IwaPoly(3, (3, 1, 2, 0, 9)))
+    for n in range(1, 5):
+        nabla_resultant_oracle(t, n)
+        nabla_snf_oracle(t, n)
+    assert calls == {"resultant": 5, "elementary_divisor_valuations": 5}
+    # the saving is the caches' own: once cleared, a level costs two again
+    _clear_level_caches()
+    nabla_resultant_oracle(t, 4)
+    nabla_snf_oracle(t, 4)
+    assert calls == {"resultant": 7, "elementary_divisor_valuations": 7}
+
+
+@pytest.mark.parametrize("f, top", [
+    # (X + 2·3^12)(1 + X): e_4 = 16 and e_5 = 17 need N = 32, e_3 = 15 not
+    (IwaPoly(3, (2 * 3**12, 1)) * IwaPoly(3, (1, 1)), 5),
+    (IwaPoly(3, (3**130, 1)), 3),  # every level needs N = 256
+])
+def test_routes_agree_in_either_level_order(f, top):
+    # Each level's exponent is exact whatever N finished it, so a level
+    # cached by a call above it or below it gives the same values.
+    t = TowerOfQuotients(f)
+    routes = (nabla_closed_form, nabla_resultant_oracle, nabla_snf_oracle)
+    levels = range(1, top + 1)
+    by_order = []
+    for order in (levels[::-1], levels):
+        _clear_level_caches()
+        values = {n: [route(t, n).value for route in routes] for n in order}
+        by_order.append([values[n] for n in levels])
+    assert by_order[0] == by_order[1]
+    assert all(a == b == c for a, b, c in by_order[0]), by_order[0]
 
 
 def test_triple_agreement_random():
