@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the one tower-level check."""
 
 
 class IwagrowthError(Exception):
@@ -7,6 +7,13 @@ class IwagrowthError(Exception):
 
 class ValidationError(IwagrowthError):
     """Malformed or inconsistent input data."""
+
+
+def require_level(n: int, floor: int = 1) -> None:
+    """Refuse a tower level n below floor: ValidationError("n must be >= floor").
+    Every public entry point with a plain level floor checks it here."""
+    if n < floor:
+        raise ValidationError(f"n must be >= {floor}")
 
 
 class PrecisionExhausted(IwagrowthError):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InfiniteTerm, NotAvZero, ValidationError
+from .errors import InfiniteTerm, NotAvZero, ValidationError, require_level
 from .iwapoly import totient
 from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
 
@@ -38,6 +38,10 @@ def _optional_array(d: dict, name: str) -> tuple | None:
     """d[name] as a tuple when it is a JSON array; None when absent or null."""
     value = d.get(name)
     return None if value is None else tuple(_require_json(value, list, name))
+
+
+# The global invariants of a scenario, in the order of its JSON form.
+_INVARIANTS = ("mu_sigma", "lambda_sigma", "mu_tau", "lambda_tau", "r_inf")
 
 
 @dataclass(frozen=True)
@@ -98,8 +102,7 @@ class GrowthScenario:
             if any(s not in (SHARP, FLAT) for s in vec):
                 raise ValidationError(f"{name} entries must be 'sharp' or 'flat'")
             object.__setattr__(self, name, vec)
-        for name in ("mu_sigma", "lambda_sigma", "mu_tau", "lambda_tau", "r_inf",
-                     "base_n0", "base_e0"):
+        for name in (*_INVARIANTS, "base_n0", "base_e0"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
@@ -128,11 +131,7 @@ class GrowthScenario:
             "ss_primes": [w.to_json() for w in self.ss_primes],
             "sigma": list(self.sigma) if self.sigma is not None else None,
             "tau": list(self.tau) if self.tau is not None else None,
-            "mu_sigma": self.mu_sigma,
-            "lambda_sigma": self.lambda_sigma,
-            "mu_tau": self.mu_tau,
-            "lambda_tau": self.lambda_tau,
-            "r_inf": self.r_inf,
+            **{name: getattr(self, name) for name in _INVARIANTS},
             "base": {"n0": self.base_n0, "e0": self.base_e0},
         }
 
@@ -146,11 +145,7 @@ class GrowthScenario:
                             for w in _require_json(d["ss_primes"], list, "ss_primes")),
             sigma=_optional_array(d, "sigma"),
             tau=_optional_array(d, "tau"),
-            mu_sigma=_require_int(d.get("mu_sigma", 0), "mu_sigma"),
-            lambda_sigma=_require_int(d.get("lambda_sigma", 0), "lambda_sigma"),
-            mu_tau=_require_int(d.get("mu_tau", 0), "mu_tau"),
-            lambda_tau=_require_int(d.get("lambda_tau", 0), "lambda_tau"),
-            r_inf=_require_int(d.get("r_inf", 0), "r_inf"),
+            **{name: _require_int(d.get(name, 0), name) for name in _INVARIANTS},
             base_n0=_require_int(_require_json(base, dict, "base")["n0"], "base.n0"),
             base_e0=_require_int(base["e0"], "base.e0"),
         )
@@ -193,8 +188,7 @@ def t_term(sc: GrowthScenario, n: int) -> int:
 def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
     """Sum of d_w times the alternating tail p^(n-1) - p^(n-2) + ... ending at
     -p (odd n) or -1 (even n); only valid when every a_v = 0."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     if any(w.a_v != 0 for w in sc.ss_primes):
         raise NotAvZero("closed form requires every a_v = 0")
     sc.places  # refuses an empty or invalid place list
@@ -206,8 +200,7 @@ def av_zero_closed_form(sc: GrowthScenario, n: int) -> int:
 
 def sha_delta(sc: GrowthScenario, n: int) -> int:
     """Predicted e(Sha at level n) - e(Sha at level n-1); asymptotic in n."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     return _level(sc, n)[3]
 
 

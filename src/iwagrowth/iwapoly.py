@@ -33,6 +33,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
     ZeroPolynomial,
+    require_level,
 )
 from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
 
@@ -343,29 +344,32 @@ def _require_exact_size(p: int, n: int) -> None:
 @functools.lru_cache(maxsize=None)
 def omega(p: int, n: int) -> IwaPoly:
     """omega_n = (1+X)^(p^n) - 1; omega_0 = X."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    require_level(n, 0)
     _require_exact_size(p, n)
     coeffs = _binomial_row(p**n)
     coeffs[0] = 0
     return IwaPoly(p, tuple(coeffs))
 
 
+def _phi_t(p: int, m: int) -> dict[int, int]:
+    """Phi_m in T = 1 + X, as {exponent: coefficient}: sum_(i<p) T^(i*p^(m-1)),
+    the geometric sum of Y = T^(p^(m-1)) over Y - 1, every coefficient 1.
+    phi_poly reads it into X, and logmat._t_rows takes its exponents as the
+    shifts of -Phi_m H_(m-1)."""
+    q = p ** (m - 1)
+    return dict.fromkeys(range(0, p * q, q), 1)
+
+
 @functools.lru_cache(maxsize=None)
 def phi_poly(p: int, n: int) -> IwaPoly:
-    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).
-
-    In T = 1 + X, Phi_n = sum_{i=0}^{p-1} T^(i*p^(n-1)) (the geometric sum
-    of Y = T^(p^(n-1)) over Y - 1), so it is the readout (_from_t) of those
-    p terms.  By binomial rows, the run at n = 1 is the single row
-    C(p, k+1) (the hockey-stick identity), and from n = 2 on the terms are
-    p rows added up.
+    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n): the
+    readout (_from_t) of its p terms in T (_phi_t).  By binomial rows, the
+    run at n = 1 is the single row C(p, k+1) (the hockey-stick identity), and
+    from n = 2 on the terms are p rows added up.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     _require_exact_size(p, n)
-    q = p ** (n - 1)
-    (coeffs,) = _from_t([dict.fromkeys(range(0, p * q, q), 1)])
+    (coeffs,) = _from_t([_phi_t(p, n)])
     return IwaPoly(p, tuple(coeffs))
 
 
@@ -387,8 +391,7 @@ def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:
     e >= 2^n > deg f once n exceeds deg f's bit length, e is formed for the
     reduction test only below that, and for the result only when v >= 1.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     p = f.prime
     if n <= f.degree.bit_length() and f.degree >= totient(p, n):
         f = f % phi_poly(p, n)
@@ -420,8 +423,7 @@ def coprime_to_omega(f: IwaPoly, n: int) -> bool:
     for m = 1..n.  Phi_m has degree phi(p^m), so it cannot divide a nonzero
     f once phi(p^m) > deg f: the loop stops at the first such m, and costs
     nothing more in n.  Below it ord_eps builds Phi_m, as deg f >= phi(p^m)."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    require_level(n, 0)
     if f.coeff(0) == 0:
         return False
     for m in range(1, n + 1):

@@ -13,8 +13,9 @@ Three routes that must agree on finite towers:
   until its finite module is eliminated; no resultant, eps-valuation or
   omega_m is involved.
 
-Each oracle reads its per-level exponent from a cache keyed by (f, m), so a
-caller climbing the tower computes every level once.
+Both oracles are one difference of per-level exponents (_tower_difference),
+each exponent read from a cache keyed by (f, m), so a caller climbing the
+tower computes every level once.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
+from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError, require_level
 from .iwapoly import (
     IwaPoly,
     WeierstrassData,
@@ -105,13 +106,16 @@ def exceeds_digits(t: TowerOfQuotients, n: int, digits: int) -> bool:
     return log_phi >= math.log10(f.degree + 1) + 1 and log_phi + math.log10(v) >= digits + 1
 
 
-def _finite_tower_f(t: TowerOfQuotients, n: int) -> IwaPoly:
-    """The oracles' preamble: f, once n is valid and Lambda/(f, omega_n) finite."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+def _tower_difference(t: TowerOfQuotients, n: int, exponent, method: str) -> NablaResult:
+    """exponent(f, n) - exponent(f, n - 1), the body of both oracles, once n
+    is valid and Lambda/(f, omega_n) is finite (then so is its quotient
+    Lambda/(f, omega_(n-1))).  Level n is read before level n - 1, the order
+    _LEVEL_CACHE_SIZE's bound on each exponent's cache assumes."""
+    require_level(n)
     if not coprime_to_omega(t.f, n):
         raise NotFinite("f shares a factor with omega_n")
-    return t.f
+    e_n = exponent(t.f, n)
+    return NablaResult(n, e_n - exponent(t.f, n - 1), method)
 
 
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
@@ -123,9 +127,7 @@ def _resultant_exponent(f: IwaPoly, m: int) -> int:
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     """ord_p Res(f, omega_n) - ord_p Res(f, omega_(n-1))."""
-    f = _finite_tower_f(t, n)
-    e_n = _resultant_exponent(f, n)
-    return NablaResult(n, e_n - _resultant_exponent(f, n - 1), RESULTANT_ORACLE)
+    return _tower_difference(t, n, _resultant_exponent, RESULTANT_ORACLE)
 
 
 def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int) -> list[int]:
@@ -308,20 +310,15 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
     Z[X]/omega_n.  The e_aug terms cancel, so the value is e_n - e_prev and
     the augmented lattice is never eliminated.
 
-    The coprimality gate makes Lambda/(f, omega_n) finite, and
-    Lambda/(f, omega_(n-1)), a quotient of it, finite too.  Level n and then
-    level n - 1 are read from _size_exponent, which eliminates each level at
-    its own N and caches e_m per (f, m).
+    Both levels are finite by _tower_difference's coprimality gate and read
+    from _size_exponent, which eliminates each level at its own N.
     """
-    f = _finite_tower_f(t, n)
-    e_n = _size_exponent(f, n)
-    return NablaResult(n, e_n - _size_exponent(f, n - 1), SNF_ORACLE)
+    return _tower_difference(t, n, _size_exponent, SNF_ORACLE)
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:
     """phi(p^n) * mu + lambda: the stabilized value of the closed form."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     return totient(p, n) * w.mu + w.lam
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_level
 from .iwapoly import IwaPoly, omega
 from .logmat import LocalCurveData, cross_identity_check, h_entries  # noqa: F401  (re-exported)
 from .padic import DEFAULT_PRECISION, PadicUnit, unit_from_int
@@ -67,8 +67,7 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
     unchanged; a witness image (degree at most p^(n-1) + p^(n-2) - 1) is
     such a total, so omega_n is not built for it.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     p = data.prime
     sharp, flat = h_entries(data, n)
     unit = _unit(u, p)
@@ -84,8 +83,7 @@ def witness(data: LocalCurveData, n: int, u) -> LatticePair:
     """(-X H_flat(n-1), u^(-1) X H_sharp(n-1)), a lattice member mapping to
     omega_(n-1) under the level-n map; its second coordinate is known modulo
     u's modulus."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     p = data.prime
     x_sharp, x_flat = (IwaPoly._of(p, [0, *e.coeffs], None) for e in h_entries(data, n - 1))
     inv = _unit(u, p)

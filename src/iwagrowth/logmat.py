@@ -28,10 +28,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import ValidationError, require_level
 from .iwapoly import (
     IwaPoly,
     _from_t,
+    _phi_t,
     _plus,
     _require_exact_size,
     omega,
@@ -128,8 +129,7 @@ class StructureReport:
 
 def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     """C_(v,n) = [[a_v, 1], [-Phi_n, 0]]."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     p = data.prime
     return LogMatrix2(
         (
@@ -143,9 +143,10 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, i
     """Both rows of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
     coefficient}, by one loop from H_0 = I with H_m = C_(v,m) H_(m-1): the
     first row is a_v*H_(m-1) plus the second row of H_(m-1), and the second
-    row is -Phi_m H_(m-1).  In T, Phi_m = sum_(i<p) T^(i*q) with q = p^(m-1),
-    and the first row of H_(m-1) has degree below q, so that term is p
-    disjoint negated shifted copies of it: no product is formed.  Every dict
+    row is -Phi_m H_(m-1).  In T, Phi_m's p terms (iwapoly._phi_t) are
+    T^(i*q) with q = p^(m-1), and the first row of H_(m-1) has degree below
+    q, so that term is p disjoint negated shifted copies of it, one per
+    exponent of Phi_m: no product is formed.  Every dict
     is made by this call and not cached, so the a_v merge updates it in place.
 
     Phi_n's size bound is checked once, first, so a level past it is refused
@@ -154,8 +155,7 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, i
     _require_exact_size(p, n)
     first, second = ({0: 1}, {}), ({}, {0: 1})
     for m in range(1, n + 1):
-        q = p ** (m - 1)
-        low = tuple({e + shift: -c for shift in range(0, p * q, q) for e, c in terms.items()}
+        low = tuple({e + shift: -c for shift in _phi_t(p, m) for e, c in terms.items()}
                     for terms in first)
         if a_v:
             for last, terms in zip(first, second):
@@ -192,15 +192,13 @@ def _first_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
 
 def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     """(H_sharp, H_flat): the first row of H_(v,n)."""
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    require_level(n, 0)
     return _first_row(data.prime, data.a_v, n)
 
 
 def cross_identity_check(data: LocalCurveData, n: int) -> StructureReport:
     """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     p = data.prime
     s_n, f_n = h_entries(data, n)
     s_prev, f_prev = h_entries(data, n - 1)
@@ -223,8 +221,7 @@ def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     built first: it stands for Phi_n, so a level past the size bound is
     refused before the first row is built.
     """
-    if n < 0:
-        raise ValidationError("n must be >= 0")
+    require_level(n, 0)
     p = data.prime
     second = _second_row(p, data.a_v, n)
     return LogMatrix2((_first_row(p, data.a_v, n), second))
@@ -241,8 +238,7 @@ def _a_power(data: LocalCurveData, n: int) -> tuple[tuple[int, int], tuple[int, 
 
 def m_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     """M_(v,n) = A_v^(n+1) H_(v,n), A_v = p^(-1) [[0, -1], [p, a_v]]."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     h = h_matrix(data, n)  # first, so a level past the size bound is refused at once
     power = _a_power(data, n)
     rows = tuple(
@@ -291,8 +287,7 @@ def det_structure_check(data: LocalCurveData, n: int,
     formed.  Any other h has its second row compared against the recursion's
     and its full determinant against omega_n / X.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     own = h_matrix(data, n)  # first, so a level past the size bound is refused at once
     if h is None or h.entries == own.entries:
         det_ok, shape = cross_identity_check(data, n).passed, []
@@ -313,8 +308,7 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
     have degree < p^(n-1) <= phi(p^n), so they are their own residues mod
     Phi_n and ord_eps never builds Phi_n here.
     """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     entries = h_entries(data, n)  # before totient, which is slow past the size bound
     phi_deg = totient(data.prime, n)
     first = []
@@ -327,8 +321,7 @@ def valuation_matrix(data: LocalCurveData, n: int) -> ValuationMatrix:
 def _carrier(n: int) -> str:
     """The carrier column of the first row at level n: sharp at odd n, flat
     at even n (see parity_tails)."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    require_level(n)
     return SHARP if n % 2 == 1 else FLAT
 
 

@@ -242,6 +242,19 @@ class TestCrossIdentity:
         assert rep.failures[0].startswith("cross identity off by")
 
 
+def test_selfcheck_fails_a_witness_outside_the_lattice(monkeypatch):
+    # A witness refused by in_image is its case's one outcome: the image
+    # comparison it guards is not made.
+    from iwagrowth import selfcheck
+
+    monkeypatch.setattr(selfcheck, "in_image", lambda pair, data: False)
+    monkeypatch.setattr(selfcheck, "h_u_map", None)  # never reached
+    result = selfcheck.check_witness_mapping(p_list=(3,), n_max=2)
+    assert not result.passed and "FAIL" in result.line()
+    assert result.detail == ("18 of 18 cases failed; "
+                             "first: p=3 av=0 n=1: witness outside lattice")
+
+
 @pytest.mark.parametrize("p, av, n", [(3, 0, 3), (3, 3, 4), (3, -3, 2), (5, 0, 2)])
 def test_m_matrix_and_witness_form_no_products_but_the_unit(monkeypatch, p, av, n):
     # M applies the integer matrix p^(n+1) A_v^(n+1) to H's rows by scaling,

@@ -82,6 +82,17 @@ class TestExtendedRational:
         assert ExtendedRational(Fraction(-7, 9)).to_json() == "-7/9"
         assert ExtendedRational(4).to_json() == "4"
 
+    def test_equal_values_hash_equal(self):
+        assert hash(ExtendedRational(2)) == hash(ExtendedRational(Fraction(4, 2)))
+        table = {INF: "inf", ExtendedRational(2): "two"}
+        assert table[ExtendedRational.infinity()] == "inf"
+        assert table[ExtendedRational(Fraction(4, 2))] == "two"
+        assert len({INF, ExtendedRational.infinity(), ExtendedRational(2)}) == 2
+
+    def test_repr(self):
+        assert repr(INF) == "ExtendedRational('inf')"
+        assert repr(ExtendedRational(Fraction(-7, 9))) == "ExtendedRational('-7/9')"
+
 
 class TestPadicUnit:
     def test_residue_is_reduced(self):
