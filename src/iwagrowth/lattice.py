@@ -8,6 +8,10 @@ constructive content of the containment Im >= omega_(n-1) * Lambda_n.
 
 A unit known mod p^N enters as a constant IwaPoly with that modulus, so each
 result is known modulo the least modulus of its operands (IwaPoly._join_prec).
+The map folds u into G_2 and forms its products through logmat's one-entry
+memo _first_row_times, with H's entries, G_1 and u G_2 reduced mod p^k when
+the total is known mod p^k; the cross identity is the witness map at u = 1
+there, so after it the witness map at u = +-1 forms no product of its own.
 """
 
 from __future__ import annotations
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 
 from .errors import ValidationError, require_level
 from .iwapoly import IwaPoly, omega
-from .logmat import LocalCurveData, cross_identity_check, h_entries  # noqa: F401  (re-exported)
+from .logmat import LocalCurveData, _first_row_times, _witness_rows, h_entries
+from .logmat import cross_identity_check  # noqa: F401  (re-exported)
 from .padic import DEFAULT_PRECISION, PadicUnit, unit_from_int
 
 
@@ -60,33 +65,34 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
     """H_sharp G_1 + u H_flat G_2 mod omega_n, modulo the least modulus of
     u, G_1 and G_2; exact when none has one.
 
-    u is an int or a PadicUnit; the int +-1 is exact.  When the total is
-    known only mod p^k, H_sharp and H_flat are reduced mod p^k before the
-    products.  The reduction mod omega_n is skipped when the total has
-    degree below p^n = deg omega_n, where it would return the total
-    unchanged; a witness image (degree at most p^(n-1) + p^(n-2) - 1) is
-    such a total, so omega_n is not built for it.
+    u is an int or a PadicUnit; the int +-1 is exact.  u is folded into G_2
+    first, as H_sharp G_1 + H_flat (u G_2), which is the same total in Z[X]
+    and mod p^k; then logmat._first_row_times forms the products, with all
+    four operands reduced mod p^k when the total is known only mod p^k.  On
+    a witness pair u G_2 = X H_sharp(n-1) for every unit, so the map at
+    u = +-1 and the cross identity share one memo entry, and two units of
+    one precision another.  The reduction mod omega_n is skipped when the
+    total has degree below p^n = deg omega_n, where it would return the
+    total unchanged; a witness image (degree at most p^(n-1) + p^(n-2) - 1)
+    is such a total, so omega_n is not built for it.
     """
     require_level(n)
     p = data.prime
     sharp, flat = h_entries(data, n)
-    unit = _unit(u, p)
-    k = min((g.mod_prec for g in (unit, pair.g1, pair.g2) if g.mod_prec is not None),
-            default=None)
-    if k is not None:
-        sharp, flat = sharp.with_modulus(k), flat.with_modulus(k)
-    total = sharp * pair.g1 + unit * (flat * pair.g2)
+    g2 = _unit(u, p) * pair.g2
+    total = _first_row_times(p, sharp.coeffs, flat.coeffs, pair.g1.coeffs, g2.coeffs,
+                             pair.g1._join_prec(g2))
     return total if total.degree < p**n else total % omega(p, n)
 
 
 def witness(data: LocalCurveData, n: int, u) -> LatticePair:
     """(-X H_flat(n-1), u^(-1) X H_sharp(n-1)), a lattice member mapping to
     omega_(n-1) under the level-n map; its second coordinate is known modulo
-    u's modulus."""
+    u's modulus.  The coordinates at u = 1 are logmat._witness_rows."""
     require_level(n)
     p = data.prime
-    x_sharp, x_flat = (IwaPoly._of(p, [0, *e.coeffs], None) for e in h_entries(data, n - 1))
+    g1, x_sharp = _witness_rows(data, n)
     inv = _unit(u, p)
     if inv.mod_prec is not None:  # +-1 is its own inverse
         inv = IwaPoly.const(p, pow(inv.coeff(0), -1, p**inv.mod_prec), inv.mod_prec)
-    return LatticePair(-x_flat, inv * x_sharp)
+    return LatticePair(g1, inv * x_sharp)

@@ -16,6 +16,12 @@ print-limit bound values the T rows at T = 2, which is X = 1.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
+The cross identity is checked times X, as the level-n map at u = 1 on the
+witness pair (_witness_rows, which lattice.witness reads too); the check and
+lattice.h_u_map form their products through one one-entry memo,
+_first_row_times, which reduces all four operands mod p^k when the total is
+known mod p^k, so a level's products are formed once for the determinant
+check, the cross identity and the map at u = +-1 (u is folded into G2).
 The parity-split closed form of the valuation table is stated once, in
 integers scaled by phi(p^n), by parity_tails; the closed-form table and the
 growth terms read it, and the signature reads only its carrier rule.
@@ -196,17 +202,45 @@ def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return _first_row(data.prime, data.a_v, n)
 
 
+# Entries of _first_row_times' memo.  One entry serves consecutive
+# evaluations of one level's map on one pair up to the unit: u is folded into
+# G2 first, so the cross identity (the witness map at u = 1) and the witness
+# map at u = +-1 read one entry, and two units of one precision another.
+_MAP_CACHE_SIZE = 1
+
+
+@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
+def _first_row_times(p: int, sharp: tuple[int, ...], flat: tuple[int, ...],
+                     g1: tuple[int, ...], g2: tuple[int, ...], k: int | None) -> IwaPoly:
+    """sharp*g1 + flat*g2 for coefficient tuples, known mod p^k (exact when k
+    is None), with all four operands reduced mod p^k before the products.
+    Keyed by the tuples themselves, so a changed row never meets a stale
+    entry."""
+    sharp, flat, g1, g2 = (IwaPoly._of(p, list(e), k) for e in (sharp, flat, g1, g2))
+    return sharp * g1 + flat * g2
+
+
+def _witness_rows(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
+    """(-X H_flat(n-1), X H_sharp(n-1)), exact: the witness pair at u = 1."""
+    x_sharp, x_flat = (IwaPoly._of(data.prime, [0, *e.coeffs], None)
+                       for e in h_entries(data, n - 1))
+    return -x_flat, x_sharp
+
+
 def cross_identity_check(data: LocalCurveData, n: int) -> StructureReport:
-    """-H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, exactly."""
+    """X (H_flat(n) H_sharp(n-1) - H_sharp(n) H_flat(n-1)) = omega_(n-1),
+    exactly: the level-n map at u = 1 on _witness_rows, through
+    _first_row_times.  X is not a zero divisor, so this is the identity
+    -H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, and a
+    failure reports that identity's difference."""
     require_level(n)
     p = data.prime
-    s_n, f_n = h_entries(data, n)
-    s_prev, f_prev = h_entries(data, n - 1)
-    lhs = -(s_n * f_prev) + f_n * s_prev
-    rhs = IwaPoly(p, omega(p, n - 1).coeffs[1:])
-    if lhs == rhs:
+    rows = h_entries(data, n)  # first, so a level past the size bound is refused at once
+    lhs = _first_row_times(p, *(e.coeffs for e in rows + _witness_rows(data, n)), None)
+    off = lhs - omega(p, n - 1)
+    if off.is_zero:
         return StructureReport(True)
-    return StructureReport(False, [f"cross identity off by {(lhs - rhs).coeffs}"])
+    return StructureReport(False, [f"cross identity off by {off.coeffs[1:]}"])
 
 
 def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:

@@ -2,7 +2,7 @@ import pytest
 
 from hypothesis import example, given, settings, strategies as st
 
-from iwagrowth import logmat
+from iwagrowth import iwapoly, logmat
 from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.iwapoly import IwaPoly, omega
 from iwagrowth.lattice import (
@@ -236,10 +236,14 @@ class TestCrossIdentity:
             sharp, flat = own(data, n)
             return (sharp + IwaPoly.const(3, 1), flat) if n == 2 else (sharp, flat)
 
+        # the passing check comes first, so the memo holds level 2's rows:
+        # it is keyed by the rows, not by the level, and the bumped row misses
+        assert cross_identity_check(d, 2).passed
         monkeypatch.setattr(logmat, "h_entries", bumped)
         rep = cross_identity_check(d, 2)
         assert not rep.passed
-        assert rep.failures[0].startswith("cross identity off by")
+        # -(H_sharp(2) + 1) H_flat(1) + H_flat(2) H_sharp(1) is off by -H_flat(1) = -1
+        assert rep.failures == ["cross identity off by (-1,)"]
 
 
 def test_selfcheck_fails_a_witness_outside_the_lattice(monkeypatch):
@@ -273,3 +277,60 @@ def test_m_matrix_and_witness_form_no_products_but_the_unit(monkeypatch, p, av, 
     assert calls == []
     witness(d, n, unit_from_int(2, p, 8))
     assert len(calls) == 1
+
+
+def _counted_mul(monkeypatch, keep):
+    """Wrap iwapoly._mul, through which every polynomial product goes, and
+    record the operand pairs that keep accepts."""
+    product, calls = iwapoly._mul, []
+
+    def counted(a, b):
+        if keep(a, b):
+            calls.append((a, b))
+        return product(a, b)
+
+    monkeypatch.setattr(iwapoly, "_mul", counted)
+    return calls
+
+
+@pytest.mark.parametrize("p, av, n, products", [(3, 0, 5, 2), (5, 0, 3, 2), (3, 3, 4, 4),
+                                                (3, -3, 4, 4)])
+def test_each_level_forms_its_map_products_once(monkeypatch, p, av, n, products):
+    # The cross identity is the witness map at u = 1, and u is folded into
+    # G_2 before the products, so the determinant check, the cross identity
+    # and the witness map at u = +-1 form one pair of products, and two
+    # p-adic units of one precision one more.  At a_v = 0 one entry of H's
+    # first row is 0, so each pair holds one product of two lists.
+    d = LocalCurveData(p, av)
+    units = (1, -1, unit_from_int(2, p, 48), unit_from_int(p + 1, p, 48))
+
+    def level():
+        logmat.det_structure_check(d, n)
+        cross_identity_check(d, n)
+        for u in units:
+            h_u_map(witness(d, n, u), d, n, u)
+
+    level()  # H, omega and the witnesses' inputs warm
+    logmat._first_row_times.cache_clear()
+    calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
+    level()
+    assert len(calls) == products
+    logmat._first_row_times.cache_clear()
+    calls.clear()
+    cross_identity_check(d, n)
+    assert len(calls) == products // 2
+
+
+@pytest.mark.parametrize("p, av, n, k", [(3, 3, 4, 2), (3, -3, 3, 1), (5, 0, 4, 3)])
+def test_modular_operands_are_reduced_before_the_products(monkeypatch, p, av, n, k):
+    # Under a unit known mod p^k, H's row and both coordinates are reduced
+    # mod p^k before any product, G_1 too, though the witness's is exact.
+    d = LocalCurveData(p, av)
+    u = unit_from_int(2, p, k)
+    pair = witness(d, n, u)
+    assert any(not 0 <= c < p**k for c in pair.g1.coeffs)
+    logmat._first_row_times.cache_clear()
+    calls = _counted_mul(monkeypatch, lambda a, b: True)
+    image = h_u_map(pair, d, n, u)
+    assert calls and all(0 <= c < p**k for a, b in calls for c in (*a, *b))
+    assert image == omega(p, n - 1).with_modulus(k)

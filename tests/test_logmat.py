@@ -83,7 +83,7 @@ def test_h_matrix_equals_explicit_product():
 def _clear_h_caches():
     from iwagrowth import logmat
 
-    for cached in (logmat._second_row, logmat._first_row):
+    for cached in (logmat._second_row, logmat._first_row, logmat._first_row_times):
         cached.cache_clear()
 
 
@@ -103,6 +103,17 @@ def test_h_caches_do_not_depend_on_build_order(p, av, top):
         _clear_h_caches()
         built = {n: h_matrix(d, n) for n in order}
         assert [built[n] for n in levels] == ascending, order
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_h_of_minus_a_v_is_h_of_a_v_conjugated_by_diag_1_minus_1(n):
+    # C_(-a_v,m) = -D C_(a_v,m) D with D = diag(1, -1) and D^2 = I, so
+    # H_(-a_v,n) = (-1)^n D H_(a_v,n) D: entry (i, j) changes by the sign
+    # (-1)^(n+i+j).  This ties the series (3, 3) and (3, -3) together.
+    plus, minus = (h_matrix(LocalCurveData(3, av), n) for av in (3, -3))
+    for i in range(2):
+        for j in range(2):
+            assert minus[i, j] == plus[i, j].scale((-1) ** (n + i + j)), (i, j)
 
 
 def test_scribbled_t_rows_do_not_reach_h():
