@@ -35,7 +35,7 @@ from .errors import (
     ZeroPolynomial,
     require_level,
 )
-from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
+from .padic import INF, ExtendedRational, int_valuation, require_odd_prime
 
 
 def _plus(a, b) -> list[int]:
@@ -159,8 +159,7 @@ class IwaPoly:
     def __post_init__(self):
         # The prime and the modulus come from a caller, so they are checked
         # here; results of ring operations are built by _of, which does not.
-        if not is_odd_prime(self.prime):
-            raise ValidationError(f"{self.prime} is not an odd prime")
+        require_odd_prime(self.prime)
         if self.mod_prec is not None and self.mod_prec < 1:
             raise ValidationError("mod_prec must be positive")
         object.__setattr__(self, "coeffs", _reduced(list(self.coeffs), self.prime, self.mod_prec))

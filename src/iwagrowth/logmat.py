@@ -46,7 +46,7 @@ from .iwapoly import (
     phi_poly,
     totient,
 )
-from .padic import INF, ExtendedRational, int_valuation, is_odd_prime
+from .padic import INF, ExtendedRational, int_valuation, require_odd_prime
 
 SHARP = "sharp"
 FLAT = "flat"
@@ -60,8 +60,7 @@ class LocalCurveData:
     a_v: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise ValidationError(f"{self.prime} is not an odd prime")
+        require_odd_prime(self.prime)
         if self.a_v % self.prime != 0:
             raise ValidationError(
                 f"supersingular trace must be divisible by p: a_v={self.a_v}, p={self.prime}"

@@ -47,6 +47,14 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+def require_odd_prime(p: int) -> None:
+    """Refuse a p that is not an odd prime: ValidationError("p is not an odd
+    prime").  Every constructor and entry point that takes a prime checks it
+    here."""
+    if not is_odd_prime(p):
+        raise ValidationError(f"{p} is not an odd prime")
+
+
 def int_valuation(n: int, p: int) -> int:
     """ord_p of a nonzero integer."""
     if n == 0:
@@ -144,8 +152,7 @@ class PadicUnit:
     precision: int
 
     def __post_init__(self):
-        if not is_odd_prime(self.prime):
-            raise ValidationError(f"{self.prime} is not an odd prime")
+        require_odd_prime(self.prime)
         if self.precision < 1:
             raise ValidationError("precision must be positive")
         u = self.residue % self.prime**self.precision

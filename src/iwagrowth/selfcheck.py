@@ -1,17 +1,30 @@
 """End-to-end identity and oracle suites, one per acceptance criterion.
 
-Each check_* function exercises its full default grid, intersected with the
-primes in p_list and capped at n_max, and returns a CriterionResult.  The
-grids are deterministic given the seed; changing the seed changes the random
-fixtures but must not change pass/fail.  Each criterion is a generator that
-yields one outcome per comparison it makes, None or the failure text; a
-failed precondition is its case's one outcome, and the comparisons it guards
-are not made.  The criterion() runner times and counts the outcomes, so the
-case count is what ran, and a criterion that yields nothing (for example
-because none of its primes is in p_list) fails."""
+Each check_* function runs its grid at every prime in p_list, capped at
+n_max, and returns a CriterionResult.  The grids follow from p alone:
+- the curves at p are the traces 0, p and -p that LocalCurveData admits;
+  the Weil bound leaves a_v = +-p only at p = 3;
+- the exact routes share one budget on p^n, EXACT_P_POWER_BUDGET = 7^3.
+  The rank oracles (criterion 4) run the levels n with p^n within it.  The
+  H criteria (1, 2, 3) run one level more, but none that H's size bound
+  (MAX_EXACT_P_POWER) refuses, and criterion 8 compares each curve's
+  convergence gaps below its top H level, so that every gap reads a level
+  criterion 2 built.  Past the budget these five criteria have no level
+  and fail; from p = 19 to 343 criterion 8 has at most one gap and so no
+  pair to compare;
+- the closed-form criteria (5, 6, 7) cap n at 5, 9 and 5 at every p.  Only
+  the worked scenario's delta(3) = 15 is a check at one prime.
+The grids are deterministic given the seed; changing the seed changes the
+random fixtures but must not change pass/fail.  Each criterion is a
+generator that yields one outcome per comparison it makes, None or the
+failure text; a failed precondition is its case's one outcome, and the
+comparisons it guards are not made.  The criterion() runner times and
+counts the outcomes, so the case count is what ran, and a criterion that
+yields nothing fails."""
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import random
 import time
@@ -19,7 +32,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .growth import GrowthScenario, SsPrime, av_zero_closed_form, s_term, sha_delta, sha_table, t_term
-from .iwapoly import IwaPoly, coprime_to_omega, mu_lambda, omega, ord_eps, totient
+from .iwapoly import MAX_EXACT_P_POWER, IwaPoly, coprime_to_omega, mu_lambda, omega, ord_eps, totient
 from .kobayashi import (
     TowerOfQuotients,
     nabla_asymptotic,
@@ -38,9 +51,10 @@ from .logmat import (
     valuation_matrix,
     valuation_matrix_closed_form,
 )
-from .padic import is_odd_prime, unit_from_int
+from .padic import require_odd_prime, unit_from_int
 
 DEFAULT_PRIMES = (3, 5, 7)
+EXACT_P_POWER_BUDGET = 7**3
 
 
 @dataclass
@@ -56,17 +70,27 @@ class CriterionResult:
         return f"criterion {self.number} ({self.name}): {status} [{self.seconds:.1f}s] {self.detail}"
 
 
+def _top_level(p, budget):
+    """The largest n with p^n <= budget, 0 once p is past it."""
+    return max(n for n in range(budget.bit_length()) if p**n <= budget)
+
+
 def _curves(p_list):
-    """(data, cap) for each curve of the valuation-table grid: levels 1..cap."""
-    for p, avs, cap in ((3, (0, 3, -3), 6), (5, (0,), 4), (7, (0,), 4)):
-        if p in p_list:
-            for av in avs:
-                yield LocalCurveData(p, av), cap
+    """(data, top) for each curve of the H criteria: at each p the traces 0,
+    p and -p that LocalCurveData admits, with levels 1..top.  top is one
+    past the rank oracles' top level, 0 at a p where they have none, and
+    never a level that H's size bound refuses."""
+    for p in p_list:
+        top = _top_level(p, EXACT_P_POWER_BUDGET)
+        top = min(top + bool(top), _top_level(p, MAX_EXACT_P_POWER))
+        for av in (0, p, -p):
+            with contextlib.suppress(ValidationError):  # a trace LocalCurveData refuses
+                yield LocalCurveData(p, av), top
 
 
 def _curve_grid(p_list, n_max):
-    """(data, n) pairs of the valuation-table grid."""
-    return [(data, n) for data, cap in _curves(p_list) for n in range(1, min(cap, n_max) + 1)]
+    """(data, n) pairs of the H criteria."""
+    return [(data, n) for data, top in _curves(p_list) for n in range(1, min(top, n_max) + 1)]
 
 
 def criterion(number, name):
@@ -158,9 +182,8 @@ def _structured_rank_polys(p):
 
 @criterion(4, "rank oracle triple agreement")
 def check_rank_oracles(p_list, n_max, seed):
-    for p, cap in ((3, 5), (5, 3), (7, 3)):
-        if p not in p_list:
-            continue
+    for p in p_list:
+        cap = _top_level(p, EXACT_P_POWER_BUDGET)
         rng = random.Random(seed * 1000003 + p)
         fs = [_random_coprime_poly(rng, p, 10, p**6, cap) for _ in range(50)]
         for f in fs + _structured_rank_polys(p):
@@ -174,40 +197,37 @@ def check_rank_oracles(p_list, n_max, seed):
 
 @criterion(5, "asymptotic valuation law")
 def check_asymptotic_law(p_list, n_max, seed):
-    p = 3
-    if p not in p_list:
-        return
-    rng = random.Random(seed * 1000003 + 101)
-    for _ in range(20):
-        mu = rng.randint(0, 3)
-        d_deg = rng.randint(0, 4)
-        # distinguished part: monic, lower coefficients divisible by p
-        d = IwaPoly(p, tuple(p * rng.randint(-9, 9) for _ in range(d_deg)) + (1,))
-        u_deg = rng.randint(0, 4)
-        unit_c0 = rng.choice([c for c in range(-9, 10) if c % p != 0])
-        u = IwaPoly(p, (unit_c0,) + tuple(rng.randint(-9, 9) for _ in range(u_deg)))
-        f = (d * u).scale(p**mu)
-        inv = mu_lambda(f)
-        if (inv.mu, inv.lam) != (mu, d_deg):
-            yield f"mu/lambda read-off failed for {f.coeffs}"
-            continue
-        # stabilization: ord matches once lambda < phi(p^n)
-        start = 1
-        while totient(p, start) <= d_deg:
-            start += 1
-        for n in range(start, min(5, n_max) + 1):
-            o = ord_eps(f, n)
-            expect = nabla_asymptotic(inv, p, n)
-            ok = not o.is_infinite and o.value == expect
-            yield None if ok else f"f={f.coeffs} n={n}: {o} != {expect}"
+    for p in p_list:
+        # 101 at p = 3, as when the criterion ran at p = 3 alone
+        rng = random.Random(seed * 1000003 + 98 + p)
+        for _ in range(20):
+            mu = rng.randint(0, 3)
+            d_deg = rng.randint(0, 4)
+            # distinguished part: monic, lower coefficients divisible by p
+            d = IwaPoly(p, tuple(p * rng.randint(-9, 9) for _ in range(d_deg)) + (1,))
+            u_deg = rng.randint(0, 4)
+            unit_c0 = rng.choice([c for c in range(-9, 10) if c % p != 0])
+            u = IwaPoly(p, (unit_c0,) + tuple(rng.randint(-9, 9) for _ in range(u_deg)))
+            f = (d * u).scale(p**mu)
+            inv = mu_lambda(f)
+            if (inv.mu, inv.lam) != (mu, d_deg):
+                yield f"p={p}: mu/lambda read-off failed for {f.coeffs}"
+                continue
+            # stabilization: ord matches once lambda < phi(p^n)
+            start = 1
+            while totient(p, start) <= d_deg:
+                start += 1
+            for n in range(start, min(5, n_max) + 1):
+                o = ord_eps(f, n)
+                expect = nabla_asymptotic(inv, p, n)
+                ok = not o.is_infinite and o.value == expect
+                yield None if ok else f"p={p} f={f.coeffs} n={n}: {o} != {expect}"
 
 
 @criterion(6, "growth closed forms")
 def check_growth_closed_forms(p_list, n_max, seed):
     rng = random.Random(seed * 1000003 + 211)
-    for p in (3, 5, 7):
-        if p not in p_list:
-            continue
+    for p in p_list:
         for _ in range(5):
             degs = tuple(SsPrime(rng.randint(1, 6), 0)
                          for _ in range(rng.randint(1, 4)))
@@ -219,30 +239,30 @@ def check_growth_closed_forms(p_list, n_max, seed):
 
 @criterion(7, "growth composition")
 def check_growth_composition(p_list, n_max, seed):
-    if 3 not in p_list:
-        return
-    sc = GrowthScenario(3, (SsPrime(2, 0),), mu_sigma=0, lambda_sigma=5,
-                        mu_tau=0, lambda_tau=5, r_inf=2, base_n0=0, base_e0=0)
-    delta = sha_delta(sc, 3)
-    yield None if delta == 15 else f"worked scenario delta(3) = {delta} != 15"
-    rows = sha_table(sc, 5)
-    cum = sc.base_e0
-    sizes = [sc.base_e0]
-    for r in rows:
-        cum += r.delta
-        yield None if r.cumulative == cum else f"row n={r.n} cumulative {r.cumulative} != {cum}"
-        sizes.append(r.cumulative)
-    recovered = [x.value for x in nabla_finite_tower(sizes)]
-    yield (None if recovered == [r.delta for r in rows]
-           else "finite-tower differences do not recover the deltas")
+    for p in p_list:
+        sc = GrowthScenario(p, (SsPrime(2, 0),), mu_sigma=0, lambda_sigma=5,
+                            mu_tau=0, lambda_tau=5, r_inf=2, base_n0=0, base_e0=0)
+        if p == 3:
+            delta = sha_delta(sc, 3)
+            yield None if delta == 15 else f"worked scenario delta(3) = {delta} != 15"
+        rows = sha_table(sc, 5)
+        cum = sc.base_e0
+        sizes = [sc.base_e0]
+        for r in rows:
+            cum += r.delta
+            yield None if r.cumulative == cum else f"p={p} row n={r.n} cumulative {r.cumulative} != {cum}"
+            sizes.append(r.cumulative)
+        recovered = [x.value for x in nabla_finite_tower(sizes)]
+        yield (None if recovered == [r.delta for r in rows]
+               else f"p={p}: finite-tower differences do not recover the deltas")
 
 
 @criterion(8, "convergence gaps")
 def check_convergence_gaps(p_list, n_max, seed):
-    # a gap at n reads level n+1, so n stops below the curve's cap: every
-    # level is one that criterion 2 builds
-    for data, cap in _curves(p_list):
-        gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(cap - 1, n_max) + 1)]
+    # a gap at n reads level n+1, so n stops below the curve's top level:
+    # every level is one that criterion 2 builds
+    for data, top in _curves(p_list):
+        gaps = [m_convergence_gap(data, n, 10) for n in range(1, min(top - 1, n_max) + 1)]
         for a, b in zip(gaps, gaps[1:]):
             if b < a:
                 yield f"p={data.prime} av={data.a_v}: gaps {[str(g) for g in gaps]} not monotone"
@@ -263,16 +283,17 @@ ALL_CHECKS = (
 
 
 def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> bool:
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    """Run every criterion, print its line and return whether all passed.
+    A prime listed twice runs once, in the order first seen."""
+    if n_max < 2:
+        raise ValidationError("n_max must be >= 2")
     if not p_list:
         raise ValidationError("need at least one prime")
     for p in p_list:
-        if not is_odd_prime(p):
-            raise ValidationError(f"{p} is not an odd prime")
+        require_odd_prime(p)
     ok = True
     for check in ALL_CHECKS:
-        result = check(p_list=tuple(p_list), n_max=n_max, seed=seed)
+        result = check(p_list=tuple(dict.fromkeys(p_list)), n_max=n_max, seed=seed)
         ok = ok and result.passed
         print(result.line(), flush=True)  # each criterion's line as it ends
     return ok

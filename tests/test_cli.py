@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -641,6 +642,10 @@ def test_negative_anchor_level_exits_2(capsys, tmp_path, n0, n_max):
     assert err == "error: base_n0 must be nonnegative\n"
 
 
+def _case_counts(out):
+    return [int(c) for c in re.findall(r"\] (\d+) cases", out)]
+
+
 class TestSelfcheck:
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "selfcheck", "--p", "3", "--n-max", "2",
@@ -660,6 +665,12 @@ class TestSelfcheck:
         code, _, _ = run(capsys, "selfcheck", "--n-max", "0")
         assert code == 2
 
+    def test_n_max_one_exits_2_before_any_criterion(self, capsys):
+        # at n_max = 1 criterion 8 has no pair of gaps to compare
+        code, out, err = run(capsys, "selfcheck", "--n-max", "1")
+        assert code == 2 and out == ""
+        assert err == "error: n_max must be >= 2\n"
+
     @pytest.mark.parametrize("primes", ["3,4", "4"])
     def test_non_prime_exits_2_before_any_criterion(self, capsys, primes):
         code, out, err = run(capsys, "selfcheck", "--p", primes, "--n-max", "2")
@@ -667,13 +678,38 @@ class TestSelfcheck:
         assert err == "error: 4 is not an odd prime\n"
 
     def test_no_cases_is_not_a_pass(self, capsys):
-        # no criterion has a grid point at p = 11
-        code, out, _ = run(capsys, "selfcheck", "--p", "11", "--n-max", "3")
+        # 347 > 7^3: the exact-route criteria (1-4 and 8) have no level at
+        # p = 347, and the closed-form ones (5-7) still run
+        code, out, _ = run(capsys, "selfcheck", "--p", "347", "--n-max", "3")
         assert code == 1
         lines = out.strip().splitlines()
         assert len(lines) == 8
-        assert not any("PASS" in line for line in lines)
-        assert all("FAIL" in line and "0 cases" in line for line in lines)
+        empty = [line for line in lines if "] 0 cases" in line]
+        assert [line.split()[1] for line in empty] == ["1", "2", "3", "4", "8"]
+        assert all("FAIL" in line for line in empty)
+        assert all("PASS" in line for line in lines[4:7])
+
+    @pytest.mark.parametrize("p", ["11", "13", "17"])
+    def test_primes_past_7_run_every_criterion(self, capsys, p):
+        code, out, _ = run(capsys, "selfcheck", "--p", p, "--n-max", "9")
+        assert code == 0
+        counts = _case_counts(out)
+        assert len(counts) == 8 and all(c > 0 for c in counts)
+
+    def test_default_grid_case_counts(self, capsys):
+        from iwagrowth.selfcheck import check_asymptotic_law
+
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 0
+        assert _case_counts(out) == [26, 26, 78, 605, 288, 135, 19, 16]
+        assert check_asymptotic_law(p_list=(3,)).detail == "89 cases"
+
+    def test_a_repeated_prime_runs_once(self, capsys):
+        code, once, _ = run(capsys, "selfcheck", "--p", "3", "--n-max", "4")
+        assert code == 0
+        code, twice, _ = run(capsys, "selfcheck", "--p", "3,3", "--n-max", "4")
+        assert code == 0
+        assert _case_counts(twice) == _case_counts(once)
 
     def test_closed_stdout_exits_141_in_silence(self):
         # As `selfcheck ... | head -1` does: the reader takes one line and

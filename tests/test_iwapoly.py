@@ -385,7 +385,7 @@ def test_ring_operations_do_not_revalidate_the_prime(monkeypatch):
     def refuse(_):
         raise AssertionError("is_odd_prime called")
 
-    monkeypatch.setattr("iwagrowth.iwapoly.is_odd_prime", refuse)
+    monkeypatch.setattr("iwagrowth.padic.is_odd_prime", refuse)
     for f, g, monic in operands:
         for r in _ring_results(f, g, monic):
             assert r.prime == f.prime
