@@ -4,7 +4,9 @@ Three routes that must agree on finite towers:
 
 * closed form: ord_eps of f(eps_n), scaled by the coefficient-ring degree;
 * resultant oracle: first differences of ord_p Res(f, omega_n), using that
-  the tower module has size p^(ord_p Res);
+  the tower module has size p^(ord_p Res).  Once p^n is _POWERED_MIN_RATIO
+  times deg f, the first remainder omega_n mod f is 1 + X raised n times to
+  the p-th power mod f, and omega_n is never formed;
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
@@ -37,7 +39,7 @@ from .iwapoly import (
     totient,
 )
 from .padic import int_valuation
-from .polyres import resultant
+from .polyres import omega_resultant, resultant
 
 CLOSED_FORM = "closed_form"
 RESULTANT_ORACLE = "resultant_oracle"
@@ -118,11 +120,32 @@ def _tower_difference(t: TowerOfQuotients, n: int, exponent, method: str) -> Nab
     return NablaResult(n, e_n - exponent(t.f, n - 1), method)
 
 
+# The ratio p^m / deg f from which the resultant oracle forms Res(f, omega_m)
+# by omega_resultant's powers of 1 + X, not by resultant's Horner pass over
+# omega_m.  Measured (CPython 3.11, Horner/powered time ratio of the whole
+# resultant, omega_m already built, five seeded f per degree at lc 1, -1, p,
+# -2p and 3p^2): for deg f = 1 to 10 at p = 3, 5, 7 it is 0.4 to 0.9 below
+# ratio 10, 0.7 to 1.1 from 10 to 15 and 1.1 to 1.2 at 16.  Past 50 it is
+# 0.9 to 2.6 for deg f >= 6, where the rest of the sequence, the same on
+# both, dominates, and 3 to 150 for deg f <= 3.
+_POWERED_MIN_RATIO = 16
+
+
+def _level_resultant(f: IwaPoly, m: int) -> int:
+    """Res(f, omega_m), refused as omega_m is past MAX_EXACT_P_POWER.  While
+    p^m < _POWERED_MIN_RATIO deg f, which covers deg f >= p^m, resultant
+    divides omega_m itself; past it omega_resultant powers 1 + X mod f."""
+    p = f.prime
+    _require_exact_size(p, m)
+    if p**m < _POWERED_MIN_RATIO * f.degree:
+        return resultant(f.coeffs, omega(p, m).coeffs)
+    return omega_resultant(f.coeffs, p, m)
+
+
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _resultant_exponent(f: IwaPoly, m: int) -> int:
     """ord_p Res(f, omega_m), an exact integer."""
-    p = f.prime
-    return int_valuation(resultant(f.coeffs, omega(p, m).coeffs), p)
+    return int_valuation(_level_resultant(f, m), f.prime)
 
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:

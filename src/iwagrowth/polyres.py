@@ -8,8 +8,12 @@ full Sylvester matrix with Bareiss pivoting; it is quadratically slower and is
 kept as a cross-check for the PRS route.
 
 Each pseudo-remainder is computed by Horner and costs
-O((deg a - deg b + 1) * deg b) products, so Res(f, omega_n) for a small f
-costs about p^n * deg f products at its first step.
+O((deg a - deg b + 1) * deg b) products, so resultant(f, omega_n) for a
+small f costs about p^n * deg f products at its first step.
+omega_resultant skips that step: it forms the first remainder
+prem(omega_n, f) from 1 + X raised n times to the p-th power mod f, about
+2 n log2(p) products of degree below deg f, and enters the same
+subresultant loop (_subresultant_tail) with the same sign and state.
 
 Polynomials are plain lists/tuples of ints, index i = coefficient of X^i.
 """
@@ -17,6 +21,8 @@ Polynomials are plain lists/tuples of ints, index i = coefficient of X^i.
 from __future__ import annotations
 
 from typing import Sequence
+
+from .iwapoly import _mul
 
 
 def _trim(c: list[int]) -> list[int]:
@@ -70,15 +76,21 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
         a, b = b, a
     if _deg(b) == 0:
         return s * b[0] ** _deg(a)
+    return _subresultant_tail(_deg(a), b, _prem(a, b), s)
+
+
+def _subresultant_tail(da: int, b: list[int], r: list[int], s: int) -> int:
+    """The subresultant loop from its first pseudo-remainder r = prem(a, b),
+    for deg a = da >= deg b >= 1 and s the sign so far; a itself is read
+    only through its degree, so a caller may form r without a."""
     gg = 1
     hh = 1
     while True:
-        da, db = _deg(a), _deg(b)
+        db = _deg(b)
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             s = -s
-        r = _prem(a, b)
-        a = b
+        a, da = b, db
         divisor = gg * hh**delta
         b = [c // divisor for c in r]
         gg = a[-1]
@@ -88,10 +100,71 @@ def resultant(f: Sequence[int], g: Sequence[int]) -> int:
         if not b:
             return 0
         if _deg(b) == 0:
-            da = _deg(a)
             num = b[0] ** da
             den = hh ** (da - 1) if da >= 1 else 1
             return s * (num // den)
+        r = _prem(a, b)
+
+
+def _omega_prem(f: list[int], p: int, n: int) -> list[int]:
+    """prem(omega_n, f) = L^(N-d+1) (omega_n mod f), for omega_n =
+    (1+X)^N - 1, N = p^n, d = deg f and L = lc f, without forming omega_n.
+
+    P_e = L^k_e ((1+X)^e mod f), k_e = max(e-d+1, 0), is the
+    pseudo-remainder of (1+X)^e, an integer list, kept d long.  P_1 =
+    prem(1 + X, f), and 1 + X is raised n times to the p-th power by
+    square-and-multiply.  Each product P_a P_b, 2d - 1 long, is reduced by
+    _prem to L^(k_a+k_b+d-1) ((1+X)^(a+b) mod f) and divided exactly by the
+    surplus power of L, to P_(a+b): the surplus is zero once a and b reach
+    d - 1.  Last, omega_n's -1 is L^k_N (-1) mod f.  That is about
+    2 n log2(p) products of degree below d, in place of the Horner pass over
+    omega_n's N + 1 coefficients.
+    """
+    d = _deg(f)
+    if d <= 0:
+        return []  # everything vanishes mod a nonzero constant
+    lc = f[-1]
+
+    def k(e):  # the power of L in P_e
+        return max(e - d + 1, 0)
+
+    def times(x, ex, y, ey):  # P_(ex+ey) from P_ex and P_ey, each d long
+        r = _prem(_mul(x, y), f)
+        surplus = k(ex) + k(ey) + d - 1 - k(ex + ey)
+        if surplus:
+            r = [c // lc**surplus for c in r]
+        return r + [0] * (d - len(r))
+
+    col = _prem([1, 1], f)
+    col += [0] * (d - len(col))
+    e = 1
+    for _ in range(n):
+        base, eb = col, e
+        for bit in bin(p)[3:]:
+            col = times(col, e, col, e)
+            e *= 2
+            if bit == "1":
+                col = times(col, e, base, eb)
+                e += eb
+    col[0] -= lc ** k(e)
+    return _trim(col)
+
+
+def omega_resultant(f: Sequence[int], p: int, n: int) -> int:
+    """Res(f, omega_n), omega_n = (1+X)^(p^n) - 1, for deg f < p^n: the
+    subresultant loop of resultant(f, omega_n) entered at its first
+    pseudo-remainder, formed by _omega_prem, with the same sign."""
+    a = _trim(list(f))
+    size = p**n
+    if not a:
+        return 0
+    if _deg(a) >= size:
+        raise ValueError(f"deg f = {_deg(a)} is not below p^n = {size}")
+    # the sign resultant(f, omega_n) takes as it swaps f to the divisor's place
+    s = -1 if _deg(a) % 2 == 1 and size % 2 == 1 else 1
+    if _deg(a) == 0:
+        return a[0] ** size
+    return _subresultant_tail(size, a, _omega_prem(a, p, n), s)
 
 
 def resultant_bareiss(f: Sequence[int], g: Sequence[int]) -> int:

@@ -535,16 +535,19 @@ def test_closed_form_print_bound_refuses_only_what_cannot_print():
 
 def test_kobrank_at_the_largest_exact_level_finishes():
     # p^n = 3^9 is the largest level the size bound admits: the resultant
-    # route divides the degree-19,683 omega_9 by f, which must cost about
-    # deg omega_9 * deg f products, not deg omega_9 squared.
+    # route reduces omega_9 mod f as 1 + X raised nine times to the cube mod
+    # f, about 2 * 9 products below deg f, without forming the degree-19,683
+    # omega_9.  For 1 + 3X + 9X^2 + 27X^3, whose leading coefficient is 3^3,
+    # dividing omega_9 itself took about 12 s.
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "iwagrowth.cli", "kobrank", "--p", "3", "--f", "1,1", "--n", "9"],
-        capture_output=True, text=True, timeout=10, env=env,
-    )
-    assert proc.returncode == 0 and proc.stderr == ""
-    assert json.loads(proc.stdout)["all_agree"] is True
+    for f in ("1,1", "1,3,9,27"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "iwagrowth.cli", "kobrank", "--p", "3", "--f", f, "--n", "9"],
+            capture_output=True, text=True, timeout=10, env=env,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["all_agree"] is True
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -277,6 +277,20 @@ def test_snf_oracle_builds_no_omega_for_p_lead(monkeypatch):
         assert nabla_snf_oracle(t, n).value == nabla_closed_form(t, n).value
 
 
+def test_resultant_oracle_builds_no_omega_above_the_crossover(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError(f"omega({p}, {n}) built")
+
+    _clear_level_caches()
+    monkeypatch.setattr(kobayashi, "omega", refuse)
+    for p, coeffs, n in ((3, (1, 3, 9, 27), 6), (3, (3, 1), 4), (3, (3, 1, 2, 0, 9), 5),
+                         (5, (2, 1, 5), 4)):
+        f = IwaPoly(p, coeffs)
+        assert p ** (n - 1) >= kobayashi._POWERED_MIN_RATIO * f.degree  # both levels
+        t = TowerOfQuotients(f)
+        assert nabla_resultant_oracle(t, n).value == nabla_closed_form(t, n).value
+
+
 @pytest.mark.parametrize("coeffs, n", [
     ((3, 1, 2, 0, 9), 8),
     ((3, 1, 2, 0, 9), 12),  # reversal: 3^12 is past the circulant's size bound
@@ -352,8 +366,10 @@ def test_snf_modulus_grows_past_p128():
 
 def test_climbing_oracles_compute_each_level_once(monkeypatch):
     # Level n's call reads level n - 1 from the call before it, so climbing
-    # n = 1..4 makes one resultant and one elimination per level 0..4.
-    calls = {"resultant": 0, "elementary_divisor_valuations": 0}
+    # n = 1..4 makes one resultant and one elimination per level 0..4.  The
+    # resultant is counted at its per-level entry, whichever route it takes:
+    # this f divides omega_m for m <= 3 and powers 1 + X at m = 4.
+    calls = {"_level_resultant": 0, "elementary_divisor_valuations": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(kobayashi, name)):
             calls[name] += 1
@@ -365,12 +381,12 @@ def test_climbing_oracles_compute_each_level_once(monkeypatch):
     for n in range(1, 5):
         nabla_resultant_oracle(t, n)
         nabla_snf_oracle(t, n)
-    assert calls == {"resultant": 5, "elementary_divisor_valuations": 5}
+    assert calls == {"_level_resultant": 5, "elementary_divisor_valuations": 5}
     # the saving is the caches' own: once cleared, a level costs two again
     _clear_level_caches()
     nabla_resultant_oracle(t, 4)
     nabla_snf_oracle(t, 4)
-    assert calls == {"resultant": 7, "elementary_divisor_valuations": 7}
+    assert calls == {"_level_resultant": 7, "elementary_divisor_valuations": 7}
 
 
 @pytest.mark.parametrize("f, top", [

@@ -4,7 +4,9 @@ from fractions import Fraction
 
 from hypothesis import example, given, settings, strategies as st
 
-from iwagrowth.polyres import _prem, resultant, resultant_bareiss
+from iwagrowth import kobayashi
+from iwagrowth.iwapoly import IwaPoly, omega
+from iwagrowth.polyres import _omega_prem, _prem, omega_resultant, resultant, resultant_bareiss
 
 
 def ref_resultant(f, g):
@@ -143,3 +145,31 @@ def test_prem_is_the_scaled_remainder_on_unbalanced_pairs(a, b):
 def test_prs_equals_bareiss_on_unbalanced_pairs(a, b):
     assert resultant(a, b) == resultant_bareiss(a, b)
     assert resultant(b, a) == resultant_bareiss(b, a)
+
+
+@st.composite
+def f_and_level(draw):
+    """(f, p, n): deg f from 0 to 10, lc +-1, a multiple of p or negative,
+    and p^n at most 729, on both sides of the oracle's crossover."""
+    p = draw(st.sampled_from((3, 5, 7, 11)))
+    n = draw(st.integers(0, {3: 6, 5: 4, 7: 3, 11: 2}[p]))
+    lc = draw(st.sampled_from((1, -1, p, -p, 2 * p, -2)))
+    return draw(st.lists(sparse_coeff, max_size=10)) + [lc], p, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(f_and_level())
+@example(([4, 3], 3, 3))  # d = 1: P_1 = L - f_0 = -1, powered in the oracle
+@example(([5, -3], 3, 1))  # d = 1 below the crossover
+@example(([1, 2, 0, 0, 0, 0, 0, 0, 0, 0, -3], 3, 2))  # d = 10 >= p^n = 9
+@example(([2, 0, 0, 7], 7, 0))  # d = 3 >= p^0 = 1: omega_0 = X
+@example(([0, 5, 1], 5, 3))  # f(0) = 0: Res = 0
+@example(([1, 0, 2, 3], 3, 4))  # lc = p, powered: 81 >= 16 * 3
+def test_powered_remainder_and_resultant_equal_omegas(case):
+    f, p, n = case
+    om = list(omega(p, n).coeffs)
+    assert _omega_prem(f, p, n) == _prem(om, f)
+    expected = resultant(f, om)
+    assert kobayashi._level_resultant(IwaPoly(p, tuple(f)), n) == expected
+    if len(f) - 1 < p**n:
+        assert omega_resultant(f, p, n) == expected
