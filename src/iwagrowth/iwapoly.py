@@ -6,7 +6,9 @@ _PACK_MIN_LEN = 16 coefficients, and otherwise two-point Kronecker
 substitution: two integer products, of the lists' values at 2^s and at
 -2^s, whose sum and difference are read back exactly as the even- and
 odd-index product coefficients at slot width w = 2s, with w a multiple of 8
-and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.
+and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.  x^(p^n), by
+square-and-multiply with a caller's product, is _p_power, the one chain
+both rank oracles raise 1 + X by.
 Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read off binomial rows and refused
 with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t, which
@@ -137,15 +139,33 @@ def _divmod(a, b, pn: int | None = None) -> tuple[list[int], list[int]]:
     return q, (r if pn is None else [x % pn for x in r])
 
 
+def _p_power(x, p: int, n: int, times):
+    """x raised n times to the p-th power, x^(p^n), by square-and-multiply
+    on the bits of p, each product formed by times(a, b): the one such chain
+    of the package, run mod a polynomial by both rank oracles."""
+    for _ in range(n):
+        base = x
+        for bit in bin(p)[3:]:
+            x = times(x, x)
+            if bit == "1":
+                x = times(x, base)
+    return x
+
+
+def _trim(c: list[int]) -> list[int]:
+    """c with its trailing zeros popped, in place."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
 def _reduced(c: list[int], p: int, mod_prec: int | None) -> tuple[int, ...]:
     """The list c reduced mod p^mod_prec (when mod_prec is given) with its
     trailing zeros dropped; c may be consumed."""
     if mod_prec is not None:
         pn = p**mod_prec
         c = [x % pn for x in c]
-    while c and c[-1] == 0:
-        c.pop()
-    return tuple(c)
+    return tuple(_trim(c))
 
 
 @dataclass(frozen=True)

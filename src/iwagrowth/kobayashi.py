@@ -6,14 +6,15 @@ Three routes that must agree on finite towers:
 * resultant oracle: first differences of ord_p Res(f, omega_n), using that
   the tower module has size p^(ord_p Res).  Once p^n is _POWERED_MIN_RATIO
   times deg f, the first remainder omega_n mod f is 1 + X raised n times to
-  the p-th power mod f, and omega_n is never formed;
+  the p-th power mod f by iwapoly._p_power, and omega_n is never formed;
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
   elimination over Z/p^N of the presentation _omega_columns builds in the
-  group-ring coordinate T = 1 + X.  Each level doubles its own N from 16
-  until its finite module is eliminated; no resultant, eps-valuation or
-  omega_m is involved.
+  group-ring coordinate T = 1 + X, whose first column is T raised n times
+  to the p-th power by the same iwapoly._p_power, mod (h, p^N).  Each
+  level doubles its own N from 16 until its finite module is eliminated;
+  no resultant, eps-valuation or omega_m is involved.
 
 Both oracles are one difference of per-level exponents (_tower_difference),
 each exponent read from a cache keyed by (f, m), so a caller climbing the
@@ -32,6 +33,7 @@ from .iwapoly import (
     WeierstrassData,
     _divmod,
     _mul,
+    _p_power,
     _require_exact_size,
     coprime_to_omega,
     omega,
@@ -124,10 +126,12 @@ def _tower_difference(t: TowerOfQuotients, n: int, exponent, method: str) -> Nab
 # by omega_resultant's powers of 1 + X, not by resultant's Horner pass over
 # omega_m.  Measured (CPython 3.11, Horner/powered time ratio of the whole
 # resultant, omega_m already built, five seeded f per degree at lc 1, -1, p,
-# -2p and 3p^2): for deg f = 1 to 10 at p = 3, 5, 7 it is 0.4 to 0.9 below
-# ratio 10, 0.7 to 1.1 from 10 to 15 and 1.1 to 1.2 at 16.  Past 50 it is
-# 0.9 to 2.6 for deg f >= 6, where the rest of the sequence, the same on
-# both, dominates, and 3 to 150 for deg f <= 3.
+# -2p and 3p^2, p^m up to 2187; ranges, then the median): for deg f = 1 to
+# 10 at p = 3, 5, 7 it is 0.3 to 1.5 (0.6) below ratio 10, 0.7 to 1.9 (1.1)
+# from 10 to 15 and 0.8 to 2.0 (1.3) from 16 to 19, each f's first level at
+# or above 16.  Past 50 it is 1.0 to 4.7 (1.6) for deg f >= 6, where the
+# rest of the sequence, the same on both, dominates, and 2.7 to 300 (9) for
+# deg f <= 3.
 _POWERED_MIN_RATIO = 16
 
 
@@ -269,8 +273,9 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
       by T^(p^m) - 1 on (Z/p^prec)[T]/(h), deg f square, with h the one of
       g and g[::-1] with a unit lead, made monic.  Z_p[T]/(h) is free of
       rank deg f.  The first column, T^(p^m) - 1 mod (h, p^prec), is T
-      raised m times to the p-th power, by squaring, less 1: a large p
-      costs O(m log p) products mod h, and this form has no size bound.
+      raised m times to the p-th power by iwapoly._p_power, each product
+      reduced mod (h, p^prec), less 1: a large p costs O(m log p) products
+      mod h, and this form has no size bound.
     * otherwise (mu > 0, or p dividing the leading coefficient and f(-1)):
       the circulant of multiplication by g on the group ring, deg f + 1
       nonzeros per column.  It has p^m columns, so it is refused with
@@ -289,12 +294,7 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
     if not d:
         return []
     col = _divmod([0, 1], h, pn)[1]  # T mod h
-    for _ in range(m):
-        base = col
-        for bit in bin(p)[3:]:
-            col = _divmod(_mul(col, col), h, pn)[1]
-            if bit == "1":
-                col = _divmod(_mul(col, base), h, pn)[1]
+    col = _p_power(col, p, m, lambda x, y: _divmod(_mul(x, y), h, pn)[1])
     col[0] = (col[0] - 1) % pn
     cols = [col]
     for _ in range(d - 1):

@@ -11,9 +11,11 @@ Each pseudo-remainder is computed by Horner and costs
 O((deg a - deg b + 1) * deg b) products, so resultant(f, omega_n) for a
 small f costs about p^n * deg f products at its first step.
 omega_resultant skips that step: it forms the first remainder
-prem(omega_n, f) from 1 + X raised n times to the p-th power mod f, about
-2 n log2(p) products of degree below deg f, and enters the same
-subresultant loop (_subresultant_tail) with the same sign and state.
+prem(omega_n, f) from 1 + X raised n times to the p-th power mod f, by the
+package's one p-th-power chain (iwapoly._p_power) at about 2 n log2(p)
+products of degree below deg f, each divided by one fixed power of lc f,
+and enters the same subresultant loop (_subresultant_tail) with the same
+sign and state.
 
 Polynomials are plain lists/tuples of ints, index i = coefficient of X^i.
 """
@@ -22,13 +24,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .iwapoly import _mul
-
-
-def _trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
+from .iwapoly import _mul, _p_power, _trim
 
 
 def _deg(c: Sequence[int]) -> int:
@@ -110,43 +106,32 @@ def _omega_prem(f: list[int], p: int, n: int) -> list[int]:
     """prem(omega_n, f) = L^(N-d+1) (omega_n mod f), for omega_n =
     (1+X)^N - 1, N = p^n, d = deg f and L = lc f, without forming omega_n.
 
-    P_e = L^k_e ((1+X)^e mod f), k_e = max(e-d+1, 0), is the
-    pseudo-remainder of (1+X)^e, an integer list, kept d long.  P_1 =
-    prem(1 + X, f), and 1 + X is raised n times to the p-th power by
-    square-and-multiply.  Each product P_a P_b, 2d - 1 long, is reduced by
-    _prem to L^(k_a+k_b+d-1) ((1+X)^(a+b) mod f) and divided exactly by the
-    surplus power of L, to P_(a+b): the surplus is zero once a and b reach
-    d - 1.  Last, omega_n's -1 is L^k_N (-1) mod f.  That is about
-    2 n log2(p) products of degree below d, in place of the Horner pass over
-    omega_n's N + 1 coefficients.
+    Q_e = L^e ((1+X)^e mod f) is an integer list, kept d long: the
+    remainder's denominator is at most L^max(e-d+1, 0).  Q_1 = L (1 + X)
+    (L - f_0 when d = 1), raised n times to the p-th power by
+    iwapoly._p_power.  A product Q_a Q_b, 2d - 1 long, is L^(a+b) times a
+    list whose remainder mod f is (1+X)^(a+b) mod f, so _prem takes it to
+    L^(d-1) Q_(a+b), and every step divides exactly by the one constant
+    L^(d-1).  Last, Q_N / L^min(N, d-1) = L^max(N-d+1, 0) ((1+X)^N mod f)
+    is the pseudo-remainder of (1+X)^N, integral, and omega_n's -1 is
+    L^max(N-d+1, 0) (-1) mod f.  That is about 2 n log2(p) products of
+    degree below d, in place of the Horner pass over omega_n's N + 1
+    coefficients.
     """
     d = _deg(f)
     if d <= 0:
         return []  # everything vanishes mod a nonzero constant
-    lc = f[-1]
+    lc, size = f[-1], p**n
+    step = lc ** (d - 1)
 
-    def k(e):  # the power of L in P_e
-        return max(e - d + 1, 0)
-
-    def times(x, ex, y, ey):  # P_(ex+ey) from P_ex and P_ey, each d long
-        r = _prem(_mul(x, y), f)
-        surplus = k(ex) + k(ey) + d - 1 - k(ex + ey)
-        if surplus:
-            r = [c // lc**surplus for c in r]
+    def times(x, y):  # Q_(a+b) from Q_a and Q_b
+        r = [c // step for c in _prem(_mul(x, y), f)]
         return r + [0] * (d - len(r))
 
-    col = _prem([1, 1], f)
-    col += [0] * (d - len(col))
-    e = 1
-    for _ in range(n):
-        base, eb = col, e
-        for bit in bin(p)[3:]:
-            col = times(col, e, col, e)
-            e *= 2
-            if bit == "1":
-                col = times(col, e, base, eb)
-                e += eb
-    col[0] -= lc ** k(e)
+    q = _p_power([lc, lc] + [0] * (d - 2) if d > 1 else [lc - f[0]], p, n, times)
+    top = lc ** min(size, d - 1)
+    col = [c // top for c in q]
+    col[0] -= lc ** max(size - d + 1, 0)
     return _trim(col)
 
 

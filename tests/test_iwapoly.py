@@ -18,6 +18,7 @@ from iwagrowth.iwapoly import (
     _divmod,
     _from_t,
     _mul,
+    _p_power,
     coprime_to_omega,
     mu_lambda,
     omega,
@@ -367,6 +368,21 @@ def test_list_division_by_a_monic_list(a, b_low, pn):
     else:
         assert all(x % pn == 0 for x in gap)
         assert all(0 <= x < pn for x in r)
+
+
+# (x, M) with 0 <= x < M < 2^64
+_residues = st.integers(1, 2**64 - 1).flatmap(
+    lambda m: st.tuples(st.integers(0, m - 1), st.just(m)))
+
+
+@given(st.sampled_from((3, 5, 7, 11, 13)), st.integers(0, 6), _residues)
+@example(3, 0, (5, 7))  # n = 0: x itself
+@example(13, 6, (2**64 - 2, 2**64 - 1))  # x = -1 mod M
+def test_p_power_chain_is_the_p_to_the_n_th_power(p, n, residue):
+    # the bits of p after its lead, 1, 01, 11, 011 and 101, take a square
+    # alone, a square then a product, or both in turn
+    x, modulus = residue
+    assert _p_power(x, p, n, lambda a, b: a * b % modulus) == pow(x, p**n, modulus)
 
 
 def _ring_results(f, g, monic):

@@ -159,12 +159,15 @@ def f_and_level(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(f_and_level())
-@example(([4, 3], 3, 3))  # d = 1: P_1 = L - f_0 = -1, powered in the oracle
+@example(([4, 3], 3, 3))  # d = 1: Q_1 = L - f_0 = -1, powered in the oracle
 @example(([5, -3], 3, 1))  # d = 1 below the crossover
 @example(([1, 2, 0, 0, 0, 0, 0, 0, 0, 0, -3], 3, 2))  # d = 10 >= p^n = 9
 @example(([2, 0, 0, 7], 7, 0))  # d = 3 >= p^0 = 1: omega_0 = X
 @example(([0, 5, 1], 5, 3))  # f(0) = 0: Res = 0
 @example(([1, 0, 2, 3], 3, 4))  # lc = p, powered: 81 >= 16 * 3
+@example(([1, 3, 9, 27], 3, 4))  # lc = p^3 at d = 3, powered: each product divided by 27^2
+@example(([5, 1, 2, 0, 25], 5, 3))  # lc = p^2 at d = 4, powered: 125 >= 16 * 4
+@example(([2, 1, 0, 0, 0, 0, 1, -6], 5, 1))  # d = 7 > p^n + 1, lc = -6: Q_5 / L^5
 def test_powered_remainder_and_resultant_equal_omegas(case):
     f, p, n = case
     om = list(omega(p, n).coeffs)
