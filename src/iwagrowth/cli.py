@@ -28,7 +28,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
 )
-from .growth import GrowthScenario, exceeds_digits, sha_table
+from .growth import TABLE_FIELDS, GrowthScenario, exceeds_digits, sha_table
 from .kobayashi import (
     CLOSED_FORM,
     RESULTANT_ORACLE,
@@ -152,20 +152,19 @@ def cmd_growth(args) -> int:
     if exceeds_digits(sc, args.n_max, sys.get_int_max_str_digits()):
         raise _too_long()  # before the rows are built; _printable stays the final check
     rows = sha_table(sc, args.n_max)
-    fields = ["n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative"]
 
     def render(rows) -> str:
         out = io.StringIO()
         if args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=fields, extrasaction="ignore")
+            writer = csv.DictWriter(out, fieldnames=TABLE_FIELDS, extrasaction="ignore")
             writer.writeheader()
             for r in rows:
                 writer.writerow(r.to_json())
         elif args.pretty:
-            print("  ".join(f"{h:>10}" for h in fields), file=out)
+            print("  ".join(f"{h:>10}" for h in TABLE_FIELDS), file=out)
             for r in rows:
                 d = r.to_json()
-                print("  ".join(f"{str(d[h]):>10}" for h in fields), file=out)
+                print("  ".join(f"{str(d[h]):>10}" for h in TABLE_FIELDS), file=out)
         else:
             for r in rows:
                 print(json.dumps(r.to_json()), file=out)

@@ -204,6 +204,10 @@ def sha_delta(sc: GrowthScenario, n: int) -> int:
     return _level(sc, n)[3]
 
 
+# A table row's columns, in order: its JSON keys and the CSV/pretty header.
+TABLE_FIELDS = ("n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative")
+
+
 @dataclass(frozen=True)
 class TableRow:
     n: int
@@ -217,16 +221,8 @@ class TableRow:
     warning: str | None = None
 
     def to_json(self) -> dict:
-        d = {
-            "n": self.n,
-            "parity": self.parity,
-            "S_or_T": self.s_or_t,
-            "phi_mu": self.phi_mu,
-            "lambda": self.lam,
-            "r_inf": self.r_inf,
-            "delta": self.delta,
-            "cumulative": self.cumulative,
-        }
+        d = dict(zip(TABLE_FIELDS, (self.n, self.parity, self.s_or_t, self.phi_mu,
+                                    self.lam, self.r_inf, self.delta, self.cumulative)))
         if self.warning:
             d["warning"] = self.warning
         return d

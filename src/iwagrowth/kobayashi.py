@@ -4,9 +4,8 @@ Three routes that must agree on finite towers:
 
 * closed form: ord_eps of f(eps_n), scaled by the coefficient-ring degree;
 * resultant oracle: first differences of ord_p Res(f, omega_n), using that
-  the tower module has size p^(ord_p Res).  Once p^n is _POWERED_MIN_RATIO
-  times deg f, the first remainder omega_n mod f is 1 + X raised n times to
-  the p-th power mod f by iwapoly._p_power, and omega_n is never formed;
+  the tower module has size p^(ord_p Res), each read from
+  polyres.omega_resultant, which picks its own route to Res(f, omega_n);
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
@@ -36,12 +35,11 @@ from .iwapoly import (
     _p_power,
     _require_exact_size,
     coprime_to_omega,
-    omega,
     ord_eps,
     totient,
 )
 from .padic import int_valuation
-from .polyres import omega_resultant, resultant
+from .polyres import omega_resultant
 
 CLOSED_FORM = "closed_form"
 RESULTANT_ORACLE = "resultant_oracle"
@@ -122,34 +120,10 @@ def _tower_difference(t: TowerOfQuotients, n: int, exponent, method: str) -> Nab
     return NablaResult(n, e_n - exponent(t.f, n - 1), method)
 
 
-# The ratio p^m / deg f from which the resultant oracle forms Res(f, omega_m)
-# by omega_resultant's powers of 1 + X, not by resultant's Horner pass over
-# omega_m.  Measured (CPython 3.11, Horner/powered time ratio of the whole
-# resultant, omega_m already built, five seeded f per degree at lc 1, -1, p,
-# -2p and 3p^2, p^m up to 2187; ranges, then the median): for deg f = 1 to
-# 10 at p = 3, 5, 7 it is 0.3 to 1.5 (0.6) below ratio 10, 0.7 to 1.9 (1.1)
-# from 10 to 15 and 0.8 to 2.0 (1.3) from 16 to 19, each f's first level at
-# or above 16.  Past 50 it is 1.0 to 4.7 (1.6) for deg f >= 6, where the
-# rest of the sequence, the same on both, dominates, and 2.7 to 300 (9) for
-# deg f <= 3.
-_POWERED_MIN_RATIO = 16
-
-
-def _level_resultant(f: IwaPoly, m: int) -> int:
-    """Res(f, omega_m), refused as omega_m is past MAX_EXACT_P_POWER.  While
-    p^m < _POWERED_MIN_RATIO deg f, which covers deg f >= p^m, resultant
-    divides omega_m itself; past it omega_resultant powers 1 + X mod f."""
-    p = f.prime
-    _require_exact_size(p, m)
-    if p**m < _POWERED_MIN_RATIO * f.degree:
-        return resultant(f.coeffs, omega(p, m).coeffs)
-    return omega_resultant(f.coeffs, p, m)
-
-
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _resultant_exponent(f: IwaPoly, m: int) -> int:
-    """ord_p Res(f, omega_m), an exact integer."""
-    return int_valuation(_level_resultant(f, m), f.prime)
+    """ord_p Res(f, omega_m), an exact integer, refused as omega(p, m) is."""
+    return int_valuation(omega_resultant(f.coeffs, f.prime, m), f.prime)
 
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from iwagrowth import iwapoly, kobayashi
+from iwagrowth import iwapoly, kobayashi, polyres
 from iwagrowth.errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError
 from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, phi_poly, totient
 from iwagrowth.kobayashi import (
@@ -271,7 +271,7 @@ def test_snf_oracle_builds_no_omega_for_p_lead(monkeypatch):
         raise AssertionError(f"omega({p}, {n}) built")
 
     _clear_level_caches()  # levels cached by an earlier test would skip the route
-    monkeypatch.setattr(kobayashi, "omega", refuse)
+    monkeypatch.setattr(polyres, "omega", refuse)
     for coeffs, n in (((3, 1, 2, 0, 9), 4), ((1, 1, 0, 3), 4), ((3, 3, 6, 9), 4)):
         t = TowerOfQuotients(IwaPoly(3, coeffs))
         assert nabla_snf_oracle(t, n).value == nabla_closed_form(t, n).value
@@ -282,11 +282,11 @@ def test_resultant_oracle_builds_no_omega_above_the_crossover(monkeypatch):
         raise AssertionError(f"omega({p}, {n}) built")
 
     _clear_level_caches()
-    monkeypatch.setattr(kobayashi, "omega", refuse)
+    monkeypatch.setattr(polyres, "omega", refuse)
     for p, coeffs, n in ((3, (1, 3, 9, 27), 6), (3, (3, 1), 4), (3, (3, 1, 2, 0, 9), 5),
                          (5, (2, 1, 5), 4)):
         f = IwaPoly(p, coeffs)
-        assert p ** (n - 1) >= kobayashi._POWERED_MIN_RATIO * f.degree  # both levels
+        assert p ** (n - 1) >= polyres._POWERED_MIN_RATIO * f.degree  # both levels
         t = TowerOfQuotients(f)
         assert nabla_resultant_oracle(t, n).value == nabla_closed_form(t, n).value
 
@@ -369,7 +369,7 @@ def test_climbing_oracles_compute_each_level_once(monkeypatch):
     # n = 1..4 makes one resultant and one elimination per level 0..4.  The
     # resultant is counted at its per-level entry, whichever route it takes:
     # this f divides omega_m for m <= 3 and powers 1 + X at m = 4.
-    calls = {"_level_resultant": 0, "elementary_divisor_valuations": 0}
+    calls = {"omega_resultant": 0, "elementary_divisor_valuations": 0}
     for name in calls:
         def counted(*args, name=name, inner=getattr(kobayashi, name)):
             calls[name] += 1
@@ -381,12 +381,12 @@ def test_climbing_oracles_compute_each_level_once(monkeypatch):
     for n in range(1, 5):
         nabla_resultant_oracle(t, n)
         nabla_snf_oracle(t, n)
-    assert calls == {"_level_resultant": 5, "elementary_divisor_valuations": 5}
+    assert calls == {"omega_resultant": 5, "elementary_divisor_valuations": 5}
     # the saving is the caches' own: once cleared, a level costs two again
     _clear_level_caches()
     nabla_resultant_oracle(t, 4)
     nabla_snf_oracle(t, 4)
-    assert calls == {"_level_resultant": 7, "elementary_divisor_valuations": 7}
+    assert calls == {"omega_resultant": 7, "elementary_divisor_valuations": 7}
 
 
 @pytest.mark.parametrize("f, top", [

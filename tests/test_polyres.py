@@ -2,10 +2,11 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from iwagrowth import kobayashi
-from iwagrowth.iwapoly import IwaPoly, omega
+from iwagrowth.errors import ValidationError
+from iwagrowth.iwapoly import omega
 from iwagrowth.polyres import _omega_prem, _prem, omega_resultant, resultant, resultant_bareiss
 
 
@@ -150,7 +151,7 @@ def test_prs_equals_bareiss_on_unbalanced_pairs(a, b):
 @st.composite
 def f_and_level(draw):
     """(f, p, n): deg f from 0 to 10, lc +-1, a multiple of p or negative,
-    and p^n at most 729, on both sides of the oracle's crossover."""
+    and p^n at most 729, on both sides of omega_resultant's crossover."""
     p = draw(st.sampled_from((3, 5, 7, 11)))
     n = draw(st.integers(0, {3: 6, 5: 4, 7: 3, 11: 2}[p]))
     lc = draw(st.sampled_from((1, -1, p, -p, 2 * p, -2)))
@@ -159,7 +160,7 @@ def f_and_level(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(f_and_level())
-@example(([4, 3], 3, 3))  # d = 1: Q_1 = L - f_0 = -1, powered in the oracle
+@example(([4, 3], 3, 3))  # d = 1: Q_1 = L - f_0 = -1, powered
 @example(([5, -3], 3, 1))  # d = 1 below the crossover
 @example(([1, 2, 0, 0, 0, 0, 0, 0, 0, 0, -3], 3, 2))  # d = 10 >= p^n = 9
 @example(([2, 0, 0, 7], 7, 0))  # d = 3 >= p^0 = 1: omega_0 = X
@@ -172,7 +173,11 @@ def test_powered_remainder_and_resultant_equal_omegas(case):
     f, p, n = case
     om = list(omega(p, n).coeffs)
     assert _omega_prem(f, p, n) == _prem(om, f)
-    expected = resultant(f, om)
-    assert kobayashi._level_resultant(IwaPoly(p, tuple(f)), n) == expected
-    if len(f) - 1 < p**n:
-        assert omega_resultant(f, p, n) == expected
+    assert omega_resultant(f, p, n) == resultant(f, om)
+
+
+def test_omega_resultant_refuses_as_omega_does():
+    # 3^10 is past the size bound; the powered route would answer
+    for call in (lambda: omega(3, 10), lambda: omega_resultant([3, 1], 3, 10)):
+        with pytest.raises(ValidationError, match="above 32768"):
+            call()

@@ -8,6 +8,7 @@ from iwagrowth import growth, kobayashi, lattice, logmat
 from iwagrowth.errors import ValidationError
 from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, phi_poly
 from iwagrowth.padic import INF
+from iwagrowth.polyres import omega_resultant
 from iwagrowth.selfcheck import run_selfcheck
 
 ONE = IwaPoly(3, (1,))
@@ -18,6 +19,8 @@ TOWER = kobayashi.TowerOfQuotients(ONE)
 
 REFUSALS = {
     "omega": (lambda: omega(3, -1), ValidationError, "n must be >= 0"),
+    "omega_resultant": (lambda: omega_resultant([3, 1], 3, -1), ValidationError,
+                        "n must be >= 0"),
     "phi_poly": (lambda: phi_poly(3, 0), ValidationError, "n must be >= 1"),
     "ord_eps": (lambda: ord_eps(ONE, 0), ValidationError, "n must be >= 1"),
     "coprime_to_omega": (lambda: coprime_to_omega(ONE, -1), ValidationError, "n must be >= 0"),
