@@ -39,7 +39,7 @@ from .kobayashi import (
     nabla_resultant_oracle,
     nabla_snf_oracle,
 )
-from .iwapoly import IwaPoly
+from .iwapoly import IwaPoly, coprime_to_omega
 from .logmat import (
     LocalCurveData,
     exceeds_digits as matrix_exceeds_digits,
@@ -131,8 +131,10 @@ def cmd_kobrank(args) -> int:
         unknown = [m for m in methods if m not in _METHOD_MAP]
         if unknown:
             raise ValidationError(f"unknown methods {unknown}; choose from {list(_METHOD_MAP)}")
-    if CLOSED_FORM in methods and \
-            closed_form_exceeds_digits(tower, args.n, sys.get_int_max_str_digits()):
+    # snf_oracle's value is the closed form's on a finite tower; on an
+    # infinite one it raises NotFinite and prints nothing
+    if closed_form_exceeds_digits(tower, args.n, sys.get_int_max_str_digits()) and (
+            CLOSED_FORM in methods or SNF_ORACLE in methods and coprime_to_omega(f, args.n)):
         raise _too_long()  # before p^n is formed; _printable stays the final check
     results = [_METHOD_MAP[m](tower, args.n) for m in methods]
     payload = {"results": results}

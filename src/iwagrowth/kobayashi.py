@@ -11,9 +11,12 @@ Three routes that must agree on finite towers:
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
   elimination over Z/p^N of the presentation _omega_columns builds in the
   group-ring coordinate T = 1 + X, whose first column is T raised n times
-  to the p-th power by the same iwapoly._p_power, mod (h, p^N).  Each
-  level doubles its own N from 16 until its finite module is eliminated;
-  no resultant, eps-valuation or omega_m is involved.
+  to the p-th power by the same iwapoly._p_power, mod (h, p^N).  The
+  content p^mu of f is factored out first: on the Z_p-free group ring of
+  rank p^n it adds exactly mu p^n to the size exponent (_size_exponent),
+  and only f / p^mu is presented.  Each level doubles its own N from 16
+  until its finite module is eliminated; no resultant, eps-valuation or
+  omega_m is involved.
 
 Both oracles are one difference of per-level exponents (_tower_difference),
 each exponent read from a cache keyed by (f, m), so a caller climbing the
@@ -254,6 +257,9 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
       the circulant of multiplication by g on the group ring, deg f + 1
       nonzeros per column.  It has p^m columns, so it is refused with
       ValidationError above MAX_EXACT_P_POWER, as omega is.
+
+    _size_exponent presents f / p^mu, never an f with mu > 0, so there the
+    circulant is built only for p dividing both lc f and f(-1).
     """
     p = f.prime
     pn = p**prec
@@ -280,19 +286,31 @@ def _omega_columns(f: IwaPoly, m: int, prec: int) -> list[dict[int, int]]:
 def _size_exponent(f: IwaPoly, m: int) -> int:
     """e_m, with Lambda/(f, omega_m) of size p^e_m, for f coprime to omega_m.
 
-    It is read from _omega_columns' presentation, eliminated over Z/p^N.
-    The columns are reduced mod p^N, so they are rebuilt for each N.  N
-    starts at 16 and doubles until the elimination finishes.  This ends: the
-    module is finite, of size p^e_m, so no elementary divisor has valuation
-    above e_m, and the elimination over Z/p^N fails only when every
-    remaining divisor reaches p^N.  Whatever N finishes it, the valuations
-    it returns are exact, so e_m does not depend on N.
+    The content p^mu of f is factored out first, and f0 = f / p^mu is
+    presented.  Lambda_m = Z_p[T]/(T^(p^m) - 1) is Z_p-free of rank p^m, so
+    p^mu is a nonzerodivisor on it, and so is f0, which is coprime to
+    omega_m as f is.  Then
+        0 -> Lambda_m/(f0) --(p^mu)--> Lambda_m/(p^mu f0) -> Lambda_m/(p^mu) -> 0
+    is exact, and e_m(f) = mu p^m + e_m(f0).  So a mu > 0 f whose f0 has a
+    unit lead or f0(-1) a unit is presented deg f square, past
+    MAX_EXACT_P_POWER, not as a p^m square circulant.
+
+    e_m(f0) is read from _omega_columns' presentation, eliminated over
+    Z/p^N.  The columns are reduced mod p^N, so they are rebuilt for each N.
+    N starts at 16 and doubles until the elimination finishes.  This ends:
+    the module is finite, of size p^e_m(f0), so no elementary divisor has
+    valuation above e_m(f0), and the elimination over Z/p^N fails only when
+    every remaining divisor reaches p^N.  Whatever N finishes it, the
+    valuations it returns are exact, so e_m does not depend on N.
     """
+    p = f.prime
+    mu = int_valuation(math.gcd(*f.coeffs), p)
+    f0 = IwaPoly._of(p, [c // p**mu for c in f.coeffs], None) if mu else f
     prec = 16
     while True:
         try:
-            cols = _omega_columns(f, m, prec)
-            return sum(elementary_divisor_valuations(cols, f.prime, prec))
+            cols = _omega_columns(f0, m, prec)
+            return mu * p**m + sum(elementary_divisor_valuations(cols, p, prec))
         except PrecisionExhausted:
             prec *= 2
 

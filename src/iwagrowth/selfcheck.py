@@ -163,19 +163,22 @@ def _random_coprime_poly(rng, p, deg_cap, coeff_bound, omega_level):
 
 def _structured_rank_polys(p):
     """Fixed f for the elementary-divisor route's branches that a random f
-    almost never takes (kobayashi._omega_columns): p | lead with f(-1) a
-    unit, presented through the reversal of f(T-1); and mu >= 1, or p
-    dividing both the leading coefficient and f(-1), presented as the
-    circulant of f(T-1) on Z_p[T]/(T^(p^m) - 1), also with deg f >= p^m,
-    where its coefficients fold (at m = 0 for the mu >= 1 f, at m = 1 for
-    pX^3 + X + 1 at p = 3).
+    almost never takes.  kobayashi._size_exponent factors out the content
+    p^mu and presents f0 = f / p^mu (kobayashi._omega_columns): through
+    the reversal of f0(T-1) when p | lead f0 and f0(-1) is a unit, and as
+    the circulant of f0(T-1) on Z_p[T]/(T^(p^m) - 1) when p divides both,
+    also with deg f >= p^m, where its coefficients fold (at m = 0, and at
+    m = 1 for pX^3 + X + 1 at p = 3).  The mu >= 1 f check the mu p^m
+    added back against the closed form and the resultant, which read f
+    whole.
     By their Newton polygons none has a root eps_n, so each is coprime to
     every omega_n."""
     return [
-        IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1; circulant
-        IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2; circulant
+        IwaPoly(p, (p**2, p)),  # p(X + p): mu = 1, lambda = 1; f0 monic
+        IwaPoly(p, (p**5, p**3, p**2)),  # p^2 (X^2 + pX + p^3): mu = 2; f0 monic
         IwaPoly(p, (p**2, 1, 0, p)),  # pX^3 + X + p^2: lambda = 1; f(-1) a unit
         IwaPoly(p, (1, 1, 0, p)),  # pX^3 + X + 1: a unit; f(-1) = -p, circulant
+        IwaPoly(p, (p, p, 0, p**2)),  # p(pX^3 + X + 1): mu = 1; f0 a circulant
         IwaPoly(p, (p,) + (0,) * p + (1, p)),  # deg p + 2, lambda = p + 1; f(-1) = 1
     ]
 

@@ -311,6 +311,27 @@ def test_result_too_long_to_print_is_refused(capsys, tmp_path, argv):
                    "-digit limit for printing\n")
 
 
+def test_unprintable_snf_oracle_rank_is_refused_before_it_is_built(capsys, monkeypatch):
+    # The oracle's value is the closed form's, at least phi(3^100000): it is
+    # refused before any level is presented.
+    def refuse(f, m, prec):
+        raise AssertionError(f"level {m} presented")
+
+    monkeypatch.setattr(kobayashi, "_omega_columns", refuse)
+    code, out, err = run(capsys, "kobrank", "--p", "3", "--f", "3,3", "--n", "100000",
+                         "--methods", "snf_oracle")
+    assert code == 2 and out == ""
+    assert err == (f"error: result has an integer over the {sys.get_int_max_str_digits()}"
+                   "-digit limit for printing\n")
+
+
+def test_infinite_tower_past_the_print_limit_stays_not_finite(capsys):
+    # X divides omega_n: the oracle prints nothing, so its NotFinite stands
+    code, out, err = run(capsys, "kobrank", "--p", "3", "--f", "0,3", "--n", "100000",
+                         "--methods", "snf_oracle")
+    assert code == 4 and out == "" and "omega_n" in err
+
+
 GROWTH_P3 = {"p": 3, "ss_primes": [{"degree": 2, "a_v": 0}]}
 
 
@@ -704,7 +725,7 @@ class TestSelfcheck:
 
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
-        assert _case_counts(out) == [26, 26, 78, 605, 288, 135, 19, 16]
+        assert _case_counts(out) == [26, 26, 78, 616, 288, 135, 19, 16]
         assert check_asymptotic_law(p_list=(3,)).detail == "89 cases"
 
     def test_a_repeated_prime_runs_once(self, capsys):

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -252,7 +253,7 @@ def _p_lead_towers(draw):
 @given(_p_lead_towers())
 @example((IwaPoly(3, (3, 1, 2, 0, 9)), 5))  # f(-1) = 13 a unit: reversal
 @example((IwaPoly(3, (1, 1, 0, 3)), 5))  # f(-1) = -3 with mu = 0: circulant
-@example((IwaPoly(3, (3, 3, 6, 9)), 5))  # mu = 1: circulant
+@example((IwaPoly(3, (3, 3, 6, 9)), 5))  # mu = 1, f / 3 has f(-1) = -1: reversal
 def test_p_lead_snf_oracle_matches_other_routes(case):
     f, n = case
     t = TowerOfQuotients(f)
@@ -294,7 +295,7 @@ def test_resultant_oracle_builds_no_omega_above_the_crossover(monkeypatch):
 @pytest.mark.parametrize("coeffs, n", [
     ((3, 1, 2, 0, 9), 8),
     ((3, 1, 2, 0, 9), 12),  # reversal: 3^12 is past the circulant's size bound
-    ((3, 3, 6, 9), 9),  # a 3^9 square circulant
+    ((1, 1, 0, 3), 9),  # a 3^9 square circulant
 ])
 def test_p_lead_snf_oracle_past_the_dense_matrix(coeffs, n):
     t = TowerOfQuotients(IwaPoly(3, coeffs))
@@ -302,9 +303,66 @@ def test_p_lead_snf_oracle_past_the_dense_matrix(coeffs, n):
 
 
 def test_circulant_refuses_above_the_size_bound():
-    t = TowerOfQuotients(IwaPoly(3, (3, 3, 6, 9)))
+    t = TowerOfQuotients(IwaPoly(3, (1, 1, 0, 3)))  # mu = 0, f(-1) = -3
     with pytest.raises(ValidationError, match="3\\^10 is above 32768"):
         nabla_snf_oracle(t, 10)
+
+
+def _eliminated(columns, p):
+    """The size exponent of a presentation columns(prec), eliminated over
+    Z/p^prec with prec doubled from 16 until it finishes, as
+    kobayashi._size_exponent does."""
+    prec = 16
+    while True:
+        try:
+            return _size(columns(prec), p, prec)
+        except PrecisionExhausted:
+            prec *= 2
+
+
+@st.composite
+def _content_levels(draw):
+    """(f, mu, m) with f = p^mu f0, mu in {1, 2}, f0 of unit content and
+    either lead, p^m <= 243 and f coprime to omega_m."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    m = draw(st.integers(0, {3: 5, 5: 3, 7: 2}[p]))
+    deg = draw(st.integers(0, 6))
+    low = draw(st.lists(st.integers(-p**3, p**3), min_size=deg, max_size=deg))
+    unit = draw(st.sampled_from([u for u in range(-p + 1, p) if u]))
+    lead = p ** draw(st.integers(0, 1)) * unit
+    f0 = low + [lead]
+    assume(math.gcd(*f0) % p)
+    mu = draw(st.integers(1, 2))
+    f = IwaPoly(p, tuple(p**mu * c for c in f0))
+    assume(coprime_to_omega(f, m))
+    return f, mu, m
+
+
+@settings(max_examples=60, deadline=None)
+@given(_content_levels())
+@example((IwaPoly(3, (3, 3, 0, 9)), 1, 3))  # f / 3 = 1 + X + 3X^3, f(-1) = -3: circulant
+@example((IwaPoly(5, (25, 50)), 2, 0))  # f / 25 = 1 + 2X at m = 0: Lambda_0 = Z_p
+def test_content_adds_mu_p_m_to_the_size(case):
+    # Lambda_m is Z_p-free of rank p^m, so p^mu adds mu p^m to the size
+    # exponent of f / p^mu; the p^m square circulant of f itself, the route
+    # the content took before it was factored out, stays the oracle.
+    f, mu, m = case
+    p = f.prime
+    f0 = IwaPoly(p, tuple(c // p**mu for c in f.coeffs))
+    e = kobayashi._size_exponent.__wrapped__(f, m)
+    assert e == mu * p**m + _eliminated(lambda prec: _omega_columns(f0, m, prec), p)
+    g = _shift(f.coeffs)
+    assert e == _eliminated(lambda prec: _circulant_columns(g, p**m, p**prec), p)
+
+
+def test_mu_1_tower_past_the_circulant_size_bound(monkeypatch):
+    def refuse(g, size, pn):
+        raise AssertionError(f"a {size} square circulant built")
+
+    _clear_level_caches()
+    monkeypatch.setattr(kobayashi, "_circulant_columns", refuse)
+    t = TowerOfQuotients(IwaPoly(3, (3, 3, 6, 9)))
+    assert nabla_snf_oracle(t, 12).value == nabla_closed_form(t, 12).value == 354294
 
 
 def test_constant_p_all_methods():
