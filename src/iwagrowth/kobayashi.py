@@ -34,6 +34,7 @@ from .iwapoly import (
     IwaPoly,
     WeierstrassData,
     _divmod,
+    _mu_lambda,
     _mul,
     _p_power,
     _require_exact_size,
@@ -104,7 +105,7 @@ def exceeds_digits(t: TowerOfQuotients, n: int, digits: int) -> bool:
     if n < 1 or not digits:
         return False
     p, f = t.prime, t.f
-    v = int_valuation(math.gcd(*f.coeffs), p)
+    v = _mu_lambda(f)[0]
     if not v:
         return False
     log_phi = math.log10(p - 1) + (n - 1) * math.log10(p)
@@ -304,7 +305,7 @@ def _size_exponent(f: IwaPoly, m: int) -> int:
     valuations it returns are exact, so e_m does not depend on N.
     """
     p = f.prime
-    mu = int_valuation(math.gcd(*f.coeffs), p)
+    mu = _mu_lambda(f)[0]
     f0 = IwaPoly._of(p, [c // p**mu for c in f.coeffs], None) if mu else f
     prec = 16
     while True:

@@ -10,9 +10,11 @@ copies of H(n-1), with small integer coefficients, and no polynomial product
 is formed.  The T rows are built by one loop per call (_t_rows), which
 checks the size bound once and is not cached: rebuilding them costs far less
 than the X readouts.  Each level's second row is read into X once, by a
-Taylor shift from binomial rows (iwapoly._from_t), and the first row follows
-in X by the same step; these two readouts are H's only caches.  The
-print-limit bound values the T rows at T = 2, which is X = 1.
+Taylor shift (iwapoly._from_t) that streams each binomial coefficient into
+one output list per entry, so the readout's peak memory is about that of
+the row it returns; the first row follows in X by the same step, and these
+two readouts are H's only caches.  The print-limit bound values the T rows
+at T = 2, which is X = 1, run by run (iwapoly._runs).
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -41,6 +43,7 @@ from .iwapoly import (
     _phi_t,
     _plus,
     _require_exact_size,
+    _runs,
     omega,
     ord_eps,
     phi_poly,
@@ -287,15 +290,17 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
 
     First refuses, as h_matrix would, a level past the size bound.  The
     entries are valued at X = 1, which is T = 2, over the integers: each
-    entry of _t_rows is sum c_e 2^e.  M's rows are p^(n+1) A_v^(n+1) times
-    H's.  Every entry has degree below p^n, so at most p^n coefficients, and
-    its largest coefficient is at least |E(1)|/p^n.  So an entry with
-    |E(1)| >= p^n 10^digits has a coefficient of more than digits digits.
+    entry of _t_rows is sum c_e 2^e, summed run by run from the readout's
+    own decomposition (iwapoly._runs), a run a..b-1 of c as c (2^b - 2^a).
+    M's rows are p^(n+1) A_v^(n+1) times H's.  Every entry has degree below
+    p^n, so at most p^n coefficients, and its largest coefficient is at
+    least |E(1)|/p^n.  So an entry with |E(1)| >= p^n 10^digits has a
+    coefficient of more than digits digits.
     """
     if n < 1 or not digits:
         return False
     p = data.prime
-    h00, h01, h10, h11 = (sum(c << e for e, c in terms.items())
+    h00, h01, h10, h11 = (sum(w << m for m, w, _ in _runs(terms))
                           for row in _t_rows(p, data.a_v, n) for terms in row)
     if m:
         (a, b), (c, d) = _a_power(data, n)

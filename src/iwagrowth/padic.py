@@ -55,14 +55,42 @@ def require_odd_prime(p: int) -> None:
         raise ValidationError(f"{p} is not an odd prime")
 
 
+# The valuation up to which int_valuation divides by p once a step.
+_PLAIN_STEPS = 16
+
+
 def int_valuation(n: int, p: int) -> int:
-    """ord_p of a nonzero integer."""
+    """ord_p of a nonzero integer.
+
+    Up to _PLAIN_STEPS it divides by p once a step.  Past that it divides by
+    p^(2^j) for j = 0, 1, ... while that divides, which takes out
+    p^(2^j - 1) and leaves a valuation below 2^j, and then by the same
+    powers going back down, one bit of the rest each: O(log v) divisions
+    for a valuation v.
+    """
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     v = 0
     while n % p == 0:
         n //= p
         v += 1
+        if v == _PLAIN_STEPS:
+            break
+    else:
+        return v
+    powers = [p]
+    while True:
+        q, r = divmod(n, powers[-1])
+        if r:
+            break
+        n = q
+        v += 1 << (len(powers) - 1)
+        powers.append(powers[-1] * powers[-1])
+    for j in range(len(powers) - 2, -1, -1):
+        q, r = divmod(n, powers[j])
+        if not r:
+            n = q
+            v += 1 << j
     return v
 
 

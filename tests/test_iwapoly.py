@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb
@@ -189,6 +190,17 @@ def test_mu_lambda():
         mu_lambda(IwaPoly(3, ()))
     with pytest.raises(PrecisionExhausted):
         mu_lambda(IwaPoly(3, (9,), mod_prec=1))
+
+
+@given(st.sampled_from((3, 5, 7)),
+       st.lists(st.tuples(st.integers(0, 6), st.integers(-50, 50)), min_size=1, max_size=8))
+def test_mu_lambda_is_the_least_term_valuation(p, terms):
+    """The gcd reading of (mu, lambda) is the least (ord_p c_i, i) over the
+    nonzero coefficients."""
+    f = IwaPoly(p, tuple(p**v * c for v, c in terms))
+    assume(not f.is_zero)
+    w = mu_lambda(f)
+    assert (w.mu, w.lam) == min((int_valuation(c, p), i) for i, c in enumerate(f.coeffs) if c)
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,22 +514,50 @@ def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
 
 
 def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
-    """A run from exponent 0 is one binomial row and a run from a > 0 two,
-    whatever its length (valmat --p 32749 --av 0 --n 2 reads Phi_1, a run
-    of 32,749 terms, as one row); over the benchmark's tower series, H
-    takes at most 515 rows."""
-    built = []
-    row = iwapoly._binomial_row
-    monkeypatch.setattr(iwapoly, "_binomial_row", lambda m: built.append(m) or row(m))
-    assert _from_t([dict.fromkeys(range(40), 7)]) == [[7 * c for c in row(40)[1:]]]
-    assert built == [40]
-    built.clear()
+    """A run from exponent 0 streams one binomial recurrence and a run from
+    a > 0 two, whatever its length (valmat --p 32749 --av 0 --n 2 reads
+    Phi_1, a run of 32,749 terms, as one); each distinct exponent is
+    streamed once per call for both entries, so over the benchmark's tower
+    series H streams at most 515 (630 if it were once per entry)."""
+    streamed = []
+    stream = iwapoly._add_binomials
+    monkeypatch.setattr(iwapoly, "_add_binomials",
+                        lambda m, uses: streamed.append(m) or stream(m, uses))
+    assert _from_t([dict.fromkeys(range(40), 7)]) == [[7 * comb(40, k) for k in range(1, 41)]]
+    assert streamed == [40]
+    streamed.clear()
     _from_t([dict.fromkeys(range(5, 40), 7)])
-    assert built == [5, 40]
-    built.clear()
+    assert streamed == [5, 40]
+    streamed.clear()
     for cached in (logmat._second_row, logmat._first_row):
         cached.cache_clear()
     for p, a_v, top in ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4)):
         for n in range(top + 1):
             logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
-    assert len(built) <= 515
+    assert len(streamed) <= 515
+
+
+@pytest.mark.parametrize("p, a_v, n", [(3, 3, 7), (3, -3, 7), (5, 0, 5), (3, 0, 7)])
+def test_t_readout_peak_is_its_result(p, a_v, n):
+    """The streamed readout holds one output list per entry and no row or
+    partial sum, so reading a second row of H into X peaks at no more than
+    1.25 times the memory it keeps (the binomial-row readout took 4.6-9.1
+    times at these levels)."""
+    logmat._second_row.cache_clear()
+    tracemalloc.start()
+    try:
+        logmat._second_row(p, a_v, n)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * kept
+
+
+@given(t_blocks)
+@example([(0, [5] * 4, True)])  # a run from exponent 0
+@example([(2, [1, 1, 2, 2, -3], False), (0, [4, 4, 4], True)])
+def test_runs_value_at_t_2_is_the_term_sum(blocks):
+    """The endpoints of _runs, summed as w 2^m, give sum c_e 2^e, the value
+    logmat.exceeds_digits reads at T = 2: a run a..b-1 of c is c (2^b - 2^a)."""
+    terms = _t_terms(blocks)
+    assert sum(w << m for m, w, _ in iwapoly._runs(terms)) == sum(c << e for e, c in terms.items())

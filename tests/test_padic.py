@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from iwagrowth.errors import NonUnit, ValidationError
 from iwagrowth.padic import (
@@ -52,6 +53,23 @@ def test_int_valuation():
     assert int_valuation(7, 3) == 0
     with pytest.raises(ValueError):
         int_valuation(0, 3)
+
+
+@given(st.sampled_from((3, 5, 7, 11)), st.integers(0, 700),
+       st.integers(-10**6, 10**6).filter(bool))
+@example(3, 16, 2)  # the last valuation of one division a step
+@example(3, 17, -2)
+@example(7, 343, 38)  # v = 343, as in ord_7 Res(7 (3 + 5X), omega_3)
+def test_int_valuation_by_powers_matches_one_division_a_step(p, v, unit):
+    """Past a small valuation int_valuation divides by p^(2^j): it agrees
+    with dividing by p once a step, also when the drawn unit is itself a
+    multiple of p."""
+    n = rest = p**v * unit
+    plain = 0
+    while rest % p == 0:
+        rest //= p
+        plain += 1
+    assert int_valuation(n, p) == plain
 
 
 class TestExtendedRational:
