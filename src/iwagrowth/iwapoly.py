@@ -13,9 +13,12 @@ Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1, read off a
 binomial row, and Phi_n = omega_n / omega_(n-1), read from T = 1 + X, both
 refused with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
 which reads polynomials in the group-ring coordinate T = 1 + X into X (a
-Taylor shift; Phi_n and H_(v,n) are sparse in T) run by run (_runs), each
-binomial coefficient streamed into one output list per entry, so that its
-peak memory is about that of its result; ord_eps(f, n),
+Taylor shift; Phi_n and H_(v,n) are sparse in T).  Its one input format is
+run endpoints {(m, s): w}, w T^m when s = 0 and w (T^m - 1)/(T - 1) when
+s = 1, with the s = 1 weights of each entry summing to 0; _phi_t and
+logmat._t_rows build exactly that.  Each binomial coefficient is streamed
+into one output list per entry, so that the readout's peak memory is about
+that of its result; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction, one
@@ -31,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -308,42 +310,24 @@ def _binomial_row(m: int) -> list[int]:
     return row
 
 
-def _runs(terms: dict[int, int]) -> Iterator[tuple[int, int, int]]:
-    """The sum c_e T^e, given as {e: nonzero c_e}, as endpoints (m, w, s):
-    w T^m when s = 0, and w (T^m - 1)/(T - 1) when s = 1.
+def _from_t(entries: list[dict[tuple[int, int], int]]) -> list[list[int]]:
+    """The X-coefficients of each polynomial in T = 1 + X, given as run
+    endpoints {(m, s): w}: a sparse Taylor shift, streamed.
 
-    The exponents fall into runs of consecutive exponents with one
-    coefficient.  A lone exponent e is (e, c, 0).  A run a..b-1 of c is
-    c (T^b - T^a)/(T - 1), the geometric sum, so it is (a, -c, 1) and
-    (b, c, 1), whatever its length; the two -1s cancel, so at T = 2 the run
-    is c (2^b - 2^a).
-    """
-    for e, c in terms.items():
-        starts, ends = terms.get(e - 1) != c, terms.get(e + 1) != c
-        if starts and ends:
-            yield e, c, 0
-            continue
-        if starts:
-            yield e, -c, 1
-        if ends:
-            yield e + 1, c, 1
-
-
-def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
-    """The X-coefficients of each sum c_e T^e, T = 1 + X, given as
-    {e: nonzero c_e}: a sparse Taylor shift, streamed.
-
-    In X, an endpoint (m, w, 0) of _runs is w (1+X)^m, and (m, w, 1) is
+    An endpoint (m, 0) is w T^m and (m, 1) is w (T^m - 1)/(T - 1), so a run
+    a..b-1 of c, c (T^b - T^a)/(T - 1), is (a, 1): -c and (b, 1): c, however
+    long.  The s = 1 weights of an entry sum to 0 (logmat._t_rows), which
+    this readout does not need.  In X, (m, 0) is w (1+X)^m and (m, 1) is
     w ((1+X)^m - 1)/X by the hockey-stick identity, zero at m = 0.  Each
-    entry has one output list, sized from its top exponent, and each
+    entry has one output list of max(m + 1 - s) coefficients, and each
     distinct m is streamed once (_add_binomials) into every entry that uses
     it.  No binomial row, per-weight sum or slice is built, so the
     readout's peak memory is about that of its result.
     """
-    outs = [[0] * (max(terms, default=-1) + 1) for terms in entries]
+    outs = [[0] * max((m + 1 - s for m, s in terms), default=0) for terms in entries]
     uses: dict[int, list[tuple[list[int], int, int]]] = {}
     for out, terms in zip(outs, entries):
-        for m, w, s in _runs(terms):
+        for (m, s), w in terms.items():
             if m or not s:
                 uses.setdefault(m, []).append((out, w, s))
     for m, at in uses.items():
@@ -421,21 +405,25 @@ def omega(p: int, n: int) -> IwaPoly:
     return IwaPoly(p, tuple(coeffs))
 
 
-def _phi_t(p: int, m: int) -> dict[int, int]:
-    """Phi_m in T = 1 + X, as {exponent: coefficient}: sum_(i<p) T^(i*p^(m-1)),
-    the geometric sum of Y = T^(p^(m-1)) over Y - 1, every coefficient 1.
-    phi_poly reads it into X, and logmat._t_rows takes its exponents as the
-    shifts of -Phi_m H_(m-1)."""
+def _phi_t(p: int, m: int) -> dict[tuple[int, int], int]:
+    """Phi_m in T = 1 + X, sum_(i<p) T^(i*p^(m-1)), as run endpoints
+    {(m, s): w} (_from_t): at m = 1 the one run (T^p - 1)/(T - 1), so
+    {(0, 1): -1, (p, 1): 1}; from m = 2 on the p lone terms (i*p^(m-1), 0)
+    of weight 1.  phi_poly reads it into X, and logmat._t_rows multiplies
+    H_(m-1)'s first row by it endpoint by endpoint."""
+    if m == 1:
+        return {(0, 1): -1, (p, 1): 1}
     q = p ** (m - 1)
-    return dict.fromkeys(range(0, p * q, q), 1)
+    return dict.fromkeys(((e, 0) for e in range(0, p * q, q)), 1)
 
 
 @functools.lru_cache(maxsize=None)
 def phi_poly(p: int, n: int) -> IwaPoly:
     """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n): the
-    readout (_from_t) of its p terms in T (_phi_t).  At n = 1 they are one
-    run, so one streamed recurrence, C(p, k+1) (the hockey-stick identity);
-    from n = 2 on they are p lone terms, p recurrences added into one list.
+    readout (_from_t) of its endpoints in T (_phi_t).  At n = 1 they are
+    one run from 0, so one streamed recurrence, C(p, k+1) (the hockey-stick
+    identity); from n = 2 on they are p lone terms, p recurrences added
+    into one list.
     """
     require_level(n)
     _require_exact_size(p, n)

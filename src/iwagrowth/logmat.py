@@ -7,14 +7,18 @@ direct product of the C_(v,m) is kept as an oracle in selfcheck and the
 tests.  The recursion runs in the group-ring coordinate T = 1 + X, where
 Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms, so -Phi_n H(n-1) is p shifted
 copies of H(n-1), with small integer coefficients, and no polynomial product
-is formed.  The T rows are built by one loop per call (_t_rows), which
+is formed.  Every T entry is kept as run endpoints {(m, s): w}, w T^m when
+s = 0 and w (T^m - 1)/(T - 1) when s = 1, whose s = 1 weights sum to 0:
+Phi_1 is the one run (T^p - 1)/(T - 1), so a row costs its number of runs,
+not of terms.  The T rows are built by one loop per call (_t_rows), which
 checks the size bound once and is not cached: rebuilding them costs far less
 than the X readouts.  Each level's second row is read into X once, by a
 Taylor shift (iwapoly._from_t) that streams each binomial coefficient into
 one output list per entry, so the readout's peak memory is about that of
 the row it returns; the first row follows in X by the same step, and these
-two readouts are H's only caches.  The print-limit bound values the T rows
-at T = 2, which is X = 1, run by run (iwapoly._runs).
+two readouts are H's only caches.  The print-limit bound values the same
+endpoints at T = 2, which is X = 1, as sum w 2^m: the zero sum of the s = 1
+weights makes that exact.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -43,7 +47,6 @@ from .iwapoly import (
     _phi_t,
     _plus,
     _require_exact_size,
-    _runs,
     omega,
     ord_eps,
     phi_poly,
@@ -147,24 +150,33 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     )
 
 
-def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], dict[int, int]], ...]:
-    """Both rows of H_(v,n) in T = 1 + X, each entry as {exponent: nonzero
-    coefficient}, by one loop from H_0 = I with H_m = C_(v,m) H_(m-1): the
-    first row is a_v*H_(m-1) plus the second row of H_(m-1), and the second
-    row is -Phi_m H_(m-1).  In T, Phi_m's p terms (iwapoly._phi_t) are
-    T^(i*q) with q = p^(m-1), and the first row of H_(m-1) has degree below
-    q, so that term is p disjoint negated shifted copies of it, one per
-    exponent of Phi_m: no product is formed.  Every dict
-    is made by this call and not cached, so the a_v merge updates it in place.
+def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[tuple[int, int], int], ...], ...]:
+    """Both rows of H_(v,n) in T = 1 + X, each entry as the run endpoints
+    {(e, s): nonzero w} that iwapoly._from_t reads (w T^e when s = 0,
+    w (T^e - 1)/(T - 1) when s = 1, the s = 1 weights summing to 0), by one
+    loop from H_0 = I with H_m = C_(v,m) H_(m-1): the first row is
+    a_v*H_(m-1) plus the second row of H_(m-1), and the second row is
+    -Phi_m H_(m-1), formed endpoint by endpoint from Phi_m's (iwapoly._phi_t).
+
+    A lone term T^k times an entry's endpoints is each endpoint shifted by k:
+    T^k (T^e - 1)/(T - 1) is (T^(e+k) - 1)/(T - 1) less (T^k - 1)/(T - 1),
+    and the second terms cancel because the s = 1 weights sum to 0.  So the
+    product of two endpoints is the endpoint (e + k, s + t) when one of them
+    is a lone term, as at every m: at m = 1 H_0's first row is constant, and
+    from m = 2 on Phi_m is p lone terms T^(i*q), q = p^(m-1).  No two keys
+    collide: the first row of H_(m-1) has degree below p^(m-2), so its
+    endpoints lie below q and the p shifts are disjoint.  The sums stay 0,
+    and no polynomial product is formed.  Every dict is made by this call
+    and not cached, so the a_v merge updates it in place.
 
     Phi_n's size bound is checked once, first, so a level past it is refused
     before any work; it bounds every lower level too.
     """
     _require_exact_size(p, n)
-    first, second = ({0: 1}, {}), ({}, {0: 1})
+    first, second = ({(0, 0): 1}, {}), ({}, {(0, 0): 1})
     for m in range(1, n + 1):
-        low = tuple({e + shift: -c for shift in _phi_t(p, m) for e, c in terms.items()}
-                    for terms in first)
+        low = tuple({(e + k, s + t): -c * w for (k, t), c in _phi_t(p, m).items()
+                     for (e, s), w in terms.items()} for terms in first)
         if a_v:
             for last, terms in zip(first, second):
                 for e, c in last.items():
@@ -290,8 +302,8 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
 
     First refuses, as h_matrix would, a level past the size bound.  The
     entries are valued at X = 1, which is T = 2, over the integers: each
-    entry of _t_rows is sum c_e 2^e, summed run by run from the readout's
-    own decomposition (iwapoly._runs), a run a..b-1 of c as c (2^b - 2^a).
+    entry of _t_rows is sum w 2^m over its endpoints (m, s), exact because
+    an endpoint (m, 1) is w (2^m - 1) and the s = 1 weights sum to 0.
     M's rows are p^(n+1) A_v^(n+1) times H's.  Every entry has degree below
     p^n, so at most p^n coefficients, and its largest coefficient is at
     least |E(1)|/p^n.  So an entry with |E(1)| >= p^n 10^digits has a
@@ -300,7 +312,7 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     if n < 1 or not digits:
         return False
     p = data.prime
-    h00, h01, h10, h11 = (sum(w << m for m, w, _ in _runs(terms))
+    h00, h01, h10, h11 = (sum(w << m for (m, _), w in terms.items())
                           for row in _t_rows(p, data.a_v, n) for terms in row)
     if m:
         (a, b), (c, d) = _a_power(data, n)

@@ -462,9 +462,9 @@ def test_ord_eps_reads_the_minimum_term_valuation(p, n, data, mod_prec):
     assert ord_eps(f, n) == ExtendedRational(_ord_eps_as_minimum(f, n))
 
 
-# A polynomial in T = 1 + X as {exponent: nonzero coefficient}: blocks of
-# consecutive exponents, each a run of one coefficient or drawn term by term,
-# after gaps of 0 to 6 (a gap of 0 joins two blocks, exponent 0 may be used).
+# A polynomial in T = 1 + X as blocks of consecutive exponents, each a run of
+# one coefficient or drawn term by term, after gaps of 0 to 6 (a gap of 0
+# joins two blocks, exponent 0 may be used).
 t_blocks = st.lists(
     st.tuples(st.integers(0, 6), st.lists(st.integers(-4, 4).filter(bool), min_size=1, max_size=6),
               st.booleans()),
@@ -472,25 +472,42 @@ t_blocks = st.lists(
 
 
 def _t_terms(blocks):
+    """The blocks as the run endpoints {(m, s): w} that _from_t reads: a lone
+    term c T^e is (e, 0): c and a run a..b-1 of c is (a, 1): -c and
+    (b, 1): c.  Weights that meet at one key are summed, and zeros dropped."""
     terms, e = {}, 0
     for gap, coeffs, run in blocks:
         e += gap
-        for c in coeffs[:1] * len(coeffs) if run else coeffs:
-            terms[e] = c
-            e += 1
-    return terms
+        if run:
+            ends = (((e, 1), -coeffs[0]), ((e + len(coeffs), 1), coeffs[0]))
+        else:
+            ends = (((e + i, 0), c) for i, c in enumerate(coeffs))
+        for key, w in ends:
+            terms[key] = terms.get(key, 0) + w
+        e += len(coeffs)
+    return {key: w for key, w in terms.items() if w}
 
 
 def _expand_in_x(terms):
-    """sum c_e (1+X)^e by repeated products with 1 + X."""
+    """The endpoints {(m, s): w} summed as w T^m (s = 0) or
+    w (1 + T + ... + T^(m-1)) (s = 1), then expanded in X by repeated
+    products with 1 + X."""
+    dense = {}
+    for (m, s), w in terms.items():
+        for e in range(m) if s else (m,):
+            dense[e] = dense.get(e, 0) + w
     out, power = [], [1]
-    for e in range(max(terms, default=-1) + 1):
-        if e in terms:
-            out = [a + terms[e] * b for a, b in zip_longest(out, power, fillvalue=0)]
+    for e in range(max(dense, default=-1) + 1):
+        if dense.get(e):
+            out = [a + dense[e] * b for a, b in zip_longest(out, power, fillvalue=0)]
         power = _mul(power, [1, 1])
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+# The benchmark's tower series: (p, a_v, top level).
+TOWER_SERIES = ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4))
 
 
 @given(t_blocks, t_blocks)
@@ -518,23 +535,23 @@ def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
     a > 0 two, whatever its length (valmat --p 32749 --av 0 --n 2 reads
     Phi_1, a run of 32,749 terms, as one); each distinct exponent is
     streamed once per call for both entries, so over the benchmark's tower
-    series H streams at most 515 (630 if it were once per entry)."""
+    series H streams at most 437."""
     streamed = []
     stream = iwapoly._add_binomials
     monkeypatch.setattr(iwapoly, "_add_binomials",
                         lambda m, uses: streamed.append(m) or stream(m, uses))
-    assert _from_t([dict.fromkeys(range(40), 7)]) == [[7 * comb(40, k) for k in range(1, 41)]]
+    assert _from_t([{(0, 1): -7, (40, 1): 7}]) == [[7 * comb(40, k) for k in range(1, 41)]]
     assert streamed == [40]
     streamed.clear()
-    _from_t([dict.fromkeys(range(5, 40), 7)])
+    _from_t([{(5, 1): -7, (40, 1): 7}])
     assert streamed == [5, 40]
     streamed.clear()
     for cached in (logmat._second_row, logmat._first_row):
         cached.cache_clear()
-    for p, a_v, top in ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4)):
+    for p, a_v, top in TOWER_SERIES:
         for n in range(top + 1):
             logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
-    assert len(streamed) <= 515
+    assert len(streamed) <= 437
 
 
 @pytest.mark.parametrize("p, a_v, n", [(3, 3, 7), (3, -3, 7), (5, 0, 5), (3, 0, 7)])
@@ -553,11 +570,16 @@ def test_t_readout_peak_is_its_result(p, a_v, n):
     assert peak <= 1.25 * kept
 
 
-@given(t_blocks)
-@example([(0, [5] * 4, True)])  # a run from exponent 0
-@example([(2, [1, 1, 2, 2, -3], False), (0, [4, 4, 4], True)])
-def test_runs_value_at_t_2_is_the_term_sum(blocks):
-    """The endpoints of _runs, summed as w 2^m, give sum c_e 2^e, the value
-    logmat.exceeds_digits reads at T = 2: a run a..b-1 of c is c (2^b - 2^a)."""
-    terms = _t_terms(blocks)
-    assert sum(w << m for m, w, _ in iwapoly._runs(terms)) == sum(c << e for e, c in terms.items())
+def test_runs_value_at_t_2_is_the_term_sum():
+    """Every entry of the T rows, at every level of the tower series, has
+    s = 1 weights summing to 0, so sum w 2^m over its endpoints is its value
+    at T = 2, which is X = 1: the sum of the coefficients of the matching
+    h_matrix entry, the value logmat.exceeds_digits reads."""
+    for p, a_v, top in TOWER_SERIES:
+        for n in range(top + 1):
+            h = logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
+            for i, row in enumerate(logmat._t_rows(p, a_v, n)):
+                for j, terms in enumerate(row):
+                    at = (p, a_v, n, i, j)
+                    assert sum(w for (_, s), w in terms.items() if s) == 0, at
+                    assert sum(w << m for (m, _), w in terms.items()) == sum(h[i, j].coeffs), at

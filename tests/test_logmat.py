@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 
 from iwagrowth import logmat
 from iwagrowth.errors import ValidationError
-from iwagrowth.iwapoly import IwaPoly, omega, ord_eps, phi_poly, totient
+from iwagrowth.iwapoly import IwaPoly, _phi_t, omega, ord_eps, phi_poly, totient
 from iwagrowth.logmat import (
     FLAT,
     SHARP,
@@ -124,7 +125,7 @@ def test_scribbled_t_rows_do_not_reach_h():
     earlier = [exceeds_digits(d, *ask) for ask in asks]
     _clear_h_caches()
     (sharp, _), (_, flat) = logmat._t_rows(3, 3, 4)
-    sharp[1] = 10**60
+    sharp[(1, 0)] = 10**60
     flat.clear()
     prod = c_matrix(d, 1)
     for n in range(1, 5):
@@ -132,6 +133,43 @@ def test_scribbled_t_rows_do_not_reach_h():
             prod = c_matrix(d, n) * prod
         assert h_matrix(d, n).entries == prod.entries, n
     assert [exceeds_digits(d, *ask) for ask in asks] == earlier
+
+
+@pytest.mark.parametrize("p, av, top", [(3, 0, 9), (3, 3, 9), (3, -3, 9), (5, 0, 6), (7, 0, 5)])
+def test_t_rows_write_every_endpoint_once(p, av, top):
+    # -Phi_m H_(m-1) is formed endpoint by endpoint, so no two products may
+    # meet at one key: each second-row entry holds exactly as many endpoints
+    # as Phi_m times the matching first-row entry of the level below.
+    for m in range(1, top + 1):
+        (low, _), (_, second) = logmat._t_rows(p, av, m - 1), logmat._t_rows(p, av, m)
+        for j in range(2):
+            assert len(second[j]) == len(_phi_t(p, m)) * len(low[j]), (m, j)
+
+
+def test_t_rows_keep_phi_1_as_one_run():
+    # At p = 32749, Phi_1 has 32,749 terms in T but is one run, two endpoints.
+    assert [len(e) for row in logmat._t_rows(32749, 0, 1) for e in row] == [0, 1, 2, 0]
+
+
+# SHA-256 of the second row of H_(v,n), each entry's coefficients in hex,
+# comma-separated and closed by ";", recorded from a build that kept the T
+# rows term by term.  No exact oracle reaches these levels in the tests; hex,
+# because a coefficient at (7, 0, 5) is past str()'s digit limit.
+SECOND_ROW_DIGESTS = {
+    (3, 3, 7): "f6a77194ace2c1f878a276952d81fb9613580fc7be1e247a6488ccfd53fa5090",
+    (3, -3, 7): "2b27f8ff337dd2e5d422afba09d65a64a91c0b9ce8ba7fecbd515c83d8098d1d",
+    (3, 0, 8): "3e205bcb2bc9338302354edf49ed20ef25e0a2d3323b0e590fa506398115a827",
+    (5, 0, 5): "35f511b9775263057a31c861c82b0292cf679298a627fee00bac6b3290bfe4e8",
+    (7, 0, 4): "a97ccc0ef696d508364a2152396b2a490342b59cd0b2c047bfa8411077ff78f9",
+}
+
+
+@pytest.mark.parametrize("p, av, n", sorted(SECOND_ROW_DIGESTS))
+def test_second_row_matches_its_pinned_digest(p, av, n):
+    digest = hashlib.sha256()
+    for entry in logmat._second_row(p, av, n):
+        digest.update(",".join(format(c, "x") for c in entry.coeffs).encode() + b";")
+    assert digest.hexdigest() == SECOND_ROW_DIGESTS[p, av, n]
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
