@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all modules, and the one tower-level check."""
+"""Exception hierarchy shared by all modules, the one integer check and the
+one tower-level check."""
 
 
 class IwagrowthError(Exception):
@@ -9,10 +10,19 @@ class ValidationError(IwagrowthError):
     """Malformed or inconsistent input data."""
 
 
+def require_int(value, name: str) -> int:
+    """value when it is an integer; bool, float and str are refused.  Every
+    integer a caller passes the library is checked here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def require_level(n: int, floor: int = 1) -> None:
-    """Refuse a tower level n below floor: ValidationError("n must be >= floor").
-    Every public entry point with a plain level floor checks it here."""
-    if n < floor:
+    """Refuse a tower level n that is not an integer or is below floor:
+    ValidationError("n must be >= floor").  Every public entry point with a
+    plain level floor checks it here."""
+    if require_int(n, "n") < floor:
         raise ValidationError(f"n must be >= {floor}")
 
 

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import InfiniteTerm, NotAvZero, ValidationError, require_level
+from .errors import InfiniteTerm, NotAvZero, ValidationError, require_int, require_level
 from .iwapoly import totient
 from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
 
@@ -24,13 +24,6 @@ def _require_json(value, kind: type, name: str):
     if not isinstance(value, kind):
         label = "object" if kind is dict else "array"
         raise ValidationError(f"{name} must be a JSON {label}, got {type(value).__name__}")
-    return value
-
-
-def _require_int(value, name: str) -> int:
-    """value when it is an integer; bool, float and str are refused."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
 
 
@@ -52,8 +45,9 @@ class SsPrime:
     a_v: int
 
     def __post_init__(self):
-        if self.degree < 1:
+        if require_int(self.degree, "degree") < 1:
             raise ValidationError("degree must be >= 1")
+        require_int(self.a_v, "a_v")
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "a_v": self.a_v}
@@ -61,7 +55,7 @@ class SsPrime:
     @classmethod
     def from_json(cls, d: dict) -> "SsPrime":
         _require_json(d, dict, "ss_primes entry")
-        return cls(_require_int(d["degree"], "degree"), _require_int(d["a_v"], "a_v"))
+        return cls(d["degree"], d["a_v"])
 
 
 @dataclass(frozen=True)
@@ -91,6 +85,7 @@ class GrowthScenario:
     base_e0: int = 0
 
     def __post_init__(self):
+        require_int(self.prime, "prime")
         object.__setattr__(self, "ss_primes", tuple(self.ss_primes))
         for name in ("sigma", "tau"):
             vec = getattr(self, name)
@@ -103,7 +98,7 @@ class GrowthScenario:
                 raise ValidationError(f"{name} entries must be 'sharp' or 'flat'")
             object.__setattr__(self, name, vec)
         for name in (*_INVARIANTS, "base_n0", "base_e0"):
-            if getattr(self, name) < 0:
+            if require_int(getattr(self, name), name) < 0:
                 raise ValidationError(f"{name} must be nonnegative")
 
     @cached_property
@@ -140,14 +135,14 @@ class GrowthScenario:
         _require_json(d, dict, "scenario")
         base = d.get("base", {"n0": 0, "e0": 0})
         return cls(
-            prime=_require_int(d["p"], "p"),
+            prime=require_int(d["p"], "p"),
             ss_primes=tuple(SsPrime.from_json(w)
                             for w in _require_json(d["ss_primes"], list, "ss_primes")),
             sigma=_optional_array(d, "sigma"),
             tau=_optional_array(d, "tau"),
-            **{name: _require_int(d.get(name, 0), name) for name in _INVARIANTS},
-            base_n0=_require_int(_require_json(base, dict, "base")["n0"], "base.n0"),
-            base_e0=_require_int(base["e0"], "base.e0"),
+            **{name: require_int(d.get(name, 0), name) for name in _INVARIANTS},
+            base_n0=require_int(_require_json(base, dict, "base")["n0"], "base.n0"),
+            base_e0=require_int(base["e0"], "base.e0"),
         )
 
 
@@ -231,7 +226,7 @@ class TableRow:
 def _require_anchor(sc: GrowthScenario, n_max: int) -> None:
     """Refuse an n_max below the anchor, then an invalid scenario, even when
     the table would be empty."""
-    if n_max < sc.base_n0:
+    if require_int(n_max, "n_max") < sc.base_n0:
         raise ValidationError(f"n_max {n_max} is below the anchor n0 {sc.base_n0}")
     sc.places
 

@@ -9,9 +9,9 @@ odd-index product coefficients at slot width w = 2s, with w a multiple of 8
 and 2^(w-1) above min(len a, len b) max|a_i| max|b_j|.  x^(p^n), by
 square-and-multiply with a caller's product, is _p_power, the one chain
 both rank oracles raise 1 + X by.
-Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1, read off a
-binomial row, and Phi_n = omega_n / omega_(n-1), read from T = 1 + X, both
-refused with ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
+Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
+Phi_n = omega_n / omega_(n-1), both read from T = 1 + X and refused with
+ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
 which reads polynomials in the group-ring coordinate T = 1 + X into X (a
 Taylor shift; Phi_n and H_(v,n) are sparse in T).  Its one input format is
 run endpoints {(m, s): w}, w T^m when s = 0 and w (T^m - 1)/(T - 1) when
@@ -41,6 +41,7 @@ from .errors import (
     PrecisionExhausted,
     ValidationError,
     ZeroPolynomial,
+    require_int,
     require_level,
 )
 from .padic import INF, ExtendedRational, int_valuation, require_odd_prime
@@ -183,20 +184,24 @@ class IwaPoly:
     mod_prec: int | None = None
 
     def __post_init__(self):
-        # The prime and the modulus come from a caller, so they are checked
-        # here; results of ring operations are built by _of, which does not.
+        # The prime, the coefficients and the modulus come from a caller, so
+        # they are checked here; results of ring operations are built by _of,
+        # which does not.
         require_odd_prime(self.prime)
-        if self.mod_prec is not None and self.mod_prec < 1:
+        if self.mod_prec is not None and require_int(self.mod_prec, "mod_prec") < 1:
             raise ValidationError("mod_prec must be positive")
-        object.__setattr__(self, "coeffs", _reduced(list(self.coeffs), self.prime, self.mod_prec))
+        coeffs = [require_int(c, "coefficient") for c in self.coeffs]
+        object.__setattr__(self, "coeffs", _reduced(coeffs, self.prime, self.mod_prec))
 
     @classmethod
     def _of(cls, prime: int, coeffs: list[int], mod_prec: int | None) -> "IwaPoly":
         """A ring operation's result: the fresh list coeffs reduced mod
         p^mod_prec and trimmed, as the public constructor would leave it.
-        prime and mod_prec are an operand's, validated when it was built, so
-        they are not checked again.  The fields are written to the instance
-        dict, as object.__setattr__ would, at half its cost."""
+        prime and mod_prec are an operand's, validated when it was built, or
+        the caller's, validated by it (omega, phi_poly), so they are not
+        checked again; nor are the coefficients, which the library computed.
+        The fields are written to the instance dict, as object.__setattr__
+        would, at half its cost."""
         obj = object.__new__(cls)
         d = obj.__dict__
         d["prime"], d["coeffs"], d["mod_prec"] = prime, _reduced(coeffs, prime, mod_prec), mod_prec
@@ -299,17 +304,6 @@ def totient(p: int, n: int) -> int:
     return p**n - p ** (n - 1) if n >= 1 else 1
 
 
-def _binomial_row(m: int) -> list[int]:
-    """[C(m, 0), ..., C(m, m)] by C(m, k+1) = C(m, k) * (m - k) / (k + 1),
-    each quotient exact; the row is symmetric, so half of it is computed."""
-    row = [1] * (m + 1)
-    c = 1
-    for k in range(m // 2):
-        c = c * (m - k) // (k + 1)
-        row[k + 1] = row[m - k - 1] = c
-    return row
-
-
 def _from_t(entries: list[dict[tuple[int, int], int]]) -> list[list[int]]:
     """The X-coefficients of each polynomial in T = 1 + X, given as run
     endpoints {(m, s): w}: a sparse Taylor shift, streamed.
@@ -384,8 +378,7 @@ def _add_binomials(m: int, uses: list[tuple[list[int], int, int]]) -> None:
 # It admits 3^9, 5^6 and 7^5.  With the streamed readout (_from_t) one
 # process building h_matrix at its top levels peaks at 67 MiB RSS at
 # (p, a_v, n) = (3, 3, 9), 41 MiB at (3, 0, 9), 36 MiB at (5, 0, 6) and
-# 40 MiB at (7, 0, 5) (CPython 3.11, Linux x86-64; the binomial-row readout
-# took 619, 110, 67 and 109 MiB).
+# 40 MiB at (7, 0, 5) (CPython 3.11, Linux x86-64).
 MAX_EXACT_P_POWER = 2**15
 
 
@@ -395,14 +388,17 @@ def _require_exact_size(p: int, n: int) -> None:
         raise ValidationError(f"p^n = {p}^{n} is above {MAX_EXACT_P_POWER}, too large to build")
 
 
-@functools.lru_cache(maxsize=None)
+# typed: omega(3.0, 2) and omega(3, True) would otherwise hit the entries of
+# omega(3, 2) and omega(3, 1) and never be refused; phi_poly's cache likewise
+@functools.lru_cache(maxsize=None, typed=True)
 def omega(p: int, n: int) -> IwaPoly:
-    """omega_n = (1+X)^(p^n) - 1; omega_0 = X."""
+    """omega_n = (1+X)^(p^n) - 1; omega_0 = X: the readout (_from_t) of
+    T^(p^n) - 1."""
     require_level(n, 0)
+    require_odd_prime(p)
     _require_exact_size(p, n)
-    coeffs = _binomial_row(p**n)
-    coeffs[0] = 0
-    return IwaPoly(p, tuple(coeffs))
+    (coeffs,) = _from_t([{(0, 0): -1, (p**n, 0): 1}])
+    return IwaPoly._of(p, coeffs, None)
 
 
 def _phi_t(p: int, m: int) -> dict[tuple[int, int], int]:
@@ -417,7 +413,7 @@ def _phi_t(p: int, m: int) -> dict[tuple[int, int], int]:
     return dict.fromkeys(((e, 0) for e in range(0, p * q, q)), 1)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def phi_poly(p: int, n: int) -> IwaPoly:
     """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n): the
     readout (_from_t) of its endpoints in T (_phi_t).  At n = 1 they are
@@ -426,9 +422,10 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     into one list.
     """
     require_level(n)
+    require_odd_prime(p)
     _require_exact_size(p, n)
     (coeffs,) = _from_t([_phi_t(p, n)])
-    return IwaPoly(p, tuple(coeffs))
+    return IwaPoly._of(p, coeffs, None)
 
 
 def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:

@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ValidationError, require_level
+from .errors import ValidationError, require_int, require_level
 from .iwapoly import (
     IwaPoly,
     _from_t,
@@ -67,7 +67,7 @@ class LocalCurveData:
 
     def __post_init__(self):
         require_odd_prime(self.prime)
-        if self.a_v % self.prime != 0:
+        if require_int(self.a_v, "a_v") % self.prime != 0:
             raise ValidationError(
                 f"supersingular trace must be divisible by p: a_v={self.a_v}, p={self.prime}"
             )
@@ -425,7 +425,7 @@ def m_convergence_gap(data: LocalCurveData, n: int, deg_cap: int) -> ExtendedRat
     the least ord_p of that row's first deg_cap + 1 coefficients.  Level n+1
     comes first, so a level past the size bound is refused before level n.
     """
-    if n < 1 or deg_cap < 0:
+    if require_int(n, "n") < 1 or require_int(deg_cap, "deg_cap") < 0:
         raise ValidationError("need n >= 1 and deg_cap >= 0")
     p, a_v = data.prime, data.a_v
     low = _second_row(p, a_v, n + 1)

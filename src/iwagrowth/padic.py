@@ -11,7 +11,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NonUnit, ValidationError
+from .errors import NonUnit, ValidationError, require_int
 
 DEFAULT_PRECISION = 64
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -22,7 +22,10 @@ def is_odd_prime(p: int) -> bool:
     """Trial division by _SMALL_PRIMES, then strong probable-prime tests to
     those bases.  That is exact below PRIMALITY_BOUND, the least strong
     pseudoprime to all of them (Sorenson and Webster, 2015); from the bound
-    on, p raises ValidationError."""
+    on, p raises ValidationError.  Anything but an int (a bool, a float) is
+    not an odd prime."""
+    if isinstance(p, bool) or not isinstance(p, int):
+        return False
     if p >= PRIMALITY_BOUND:
         raise ValidationError(
             f"p = {p} is not below {PRIMALITY_BOUND}, the bound of the primality test"
@@ -181,9 +184,9 @@ class PadicUnit:
 
     def __post_init__(self):
         require_odd_prime(self.prime)
-        if self.precision < 1:
+        if require_int(self.precision, "precision") < 1:
             raise ValidationError("precision must be positive")
-        u = self.residue % self.prime**self.precision
+        u = require_int(self.residue, "residue") % self.prime**self.precision
         if u % self.prime == 0:
             raise ValidationError("unit part must be invertible mod p")
         object.__setattr__(self, "residue", u)
@@ -192,6 +195,7 @@ class PadicUnit:
 def unit_from_int(u: int, p: int, precision: int = DEFAULT_PRECISION) -> PadicUnit:
     """Build a p-adic unit from an integer.  A bad p or precision raises
     ValidationError (from PadicUnit); a multiple of a good p raises NonUnit."""
-    if is_odd_prime(p) and precision >= 1 and u % p == 0:
+    if (is_odd_prime(p) and require_int(precision, "precision") >= 1
+            and require_int(u, "residue") % p == 0):
         raise NonUnit(f"{u} is divisible by {p}")
     return PadicUnit(p, u, precision)

@@ -30,7 +30,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, require_int
 from .growth import GrowthScenario, SsPrime, av_zero_closed_form, s_term, sha_delta, sha_table, t_term
 from .iwapoly import MAX_EXACT_P_POWER, IwaPoly, coprime_to_omega, mu_lambda, omega, ord_eps, totient
 from .kobayashi import (
@@ -288,8 +288,9 @@ ALL_CHECKS = (
 def run_selfcheck(p_list=DEFAULT_PRIMES, n_max=9, seed=0) -> bool:
     """Run every criterion, print its line and return whether all passed.
     A prime listed twice runs once, in the order first seen."""
-    if n_max < 2:
+    if require_int(n_max, "n_max") < 2:
         raise ValidationError("n_max must be >= 2")
+    require_int(seed, "seed")
     if not p_list:
         raise ValidationError("need at least one prime")
     for p in p_list:

@@ -3,8 +3,9 @@
 Every call must end with a documented exit code (0, 2, 3, 4 or 5; an
 argparse refusal counts as 2) and must print neither a traceback nor an
 ``internal error`` line.  Primes and levels are kept small because a large p
-or n is the open cost-guard item of ROADMAP.md (item 4): nothing yet refuses
-such a request up front, and it would run for minutes rather than fail.
+or n is the open item of ROADMAP.md on cost estimates in place of
+MAX_EXACT_P_POWER: nothing yet refuses every such request up front, and it
+would run for minutes rather than fail.
 That guard is out of scope here, so the bounds keep the test to a few
 seconds.
 """

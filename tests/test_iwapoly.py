@@ -1,3 +1,4 @@
+import hashlib
 import time
 import tracemalloc
 from fractions import Fraction
@@ -113,6 +114,25 @@ def test_exact_omega_and_phi_refuse_p_n_above_the_bound(build, n):
     # p = 2^61 - 1: built without the bound, this would fail at once
     with pytest.raises(ValidationError, match="above 32768"):
         build(2**61 - 1, n)
+
+
+# SHA-256 of omega(p, n)'s coefficients in hex, comma-separated, at the top
+# p^n under MAX_EXACT_P_POWER for p = 3, 5 and 7, recorded from a build that
+# read omega off a binomial row of its own; hex, because the middle
+# coefficients are past str()'s digit limit.
+OMEGA_DIGESTS = {
+    (3, 9): "19ee4b9e01177f4574dc212eac533047ec62a36193ef507951566629642c8767",
+    (5, 6): "afaa9e40098bf52989ebc0c2b21037330dd21ba8e8c8cdc0039045e5034047a1",
+    (7, 5): "cd57e5a6032168dcf3c2b3a1191b64d6d0be7ed60480160c8e9abc4cbbd9971e",
+}
+
+
+@pytest.mark.parametrize("p, n", sorted(OMEGA_DIGESTS))
+def test_omega_matches_its_pinned_digest(p, n):
+    coeffs = omega(p, n).coeffs
+    assert len(coeffs) == p**n + 1
+    digest = hashlib.sha256(",".join(format(c, "x") for c in coeffs).encode())
+    assert digest.hexdigest() == OMEGA_DIGESTS[p, n]
 
 
 def test_ord_eps_uniformizer():

@@ -18,6 +18,8 @@ from iwagrowth.padic import (
 
 def test_is_odd_prime():
     assert [q for q in range(20) if is_odd_prime(q)] == [3, 5, 7, 11, 13, 17, 19]
+    # only an int is a prime: 3.0 == 3, and a float past the bound is no prime either
+    assert not any(map(is_odd_prime, (3.0, 5.0, True, "3", 1e30)))
 
 
 def test_is_odd_prime_matches_sympy_below_10_5():

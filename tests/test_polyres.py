@@ -26,6 +26,7 @@ def test_constants():
     assert resultant([5], [0, 0, 1]) == 25
     assert resultant([0, 1], [3]) == 3
     assert resultant([], [1, 1]) == 0
+    assert omega_resultant([], 3, 2) == 0  # the zero f, on the powered route
 
 
 def test_common_root_gives_zero():

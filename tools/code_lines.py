@@ -1,11 +1,13 @@
-"""Count the code lines of the Python files in a directory.
+"""Count the code lines of a Python file, or of the Python files in a directory.
 
 A code line holds at least one token that is not a comment, a docstring or
 layout (newlines and indentation); blank lines, comment lines and docstring
 lines are not counted.  A docstring is a string literal that is a statement
 of its own.
 
-    python3 tools/code_lines.py [directory]    # default: src/iwagrowth
+    python3 tools/code_lines.py [path]    # default: src/iwagrowth
+
+A path that does not exist exits 2 with a message on stderr.
 """
 
 import io
@@ -33,4 +35,8 @@ def code_lines(source: bytes) -> int:
 
 if __name__ == "__main__":
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/iwagrowth")
-    print(sum(code_lines(path.read_bytes()) for path in sorted(root.glob("*.py"))))
+    if not root.exists():
+        print(f"code_lines.py: {root}: no such file or directory", file=sys.stderr)
+        sys.exit(2)
+    paths = [root] if root.is_file() else sorted(root.glob("*.py"))
+    print(sum(code_lines(path.read_bytes()) for path in paths))
