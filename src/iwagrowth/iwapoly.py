@@ -15,10 +15,10 @@ ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
 which reads polynomials in the group-ring coordinate T = 1 + X into X (a
 Taylor shift; Phi_n and H_(v,n) are sparse in T).  Its one input format is
 run endpoints {(m, s): w}, w T^m when s = 0 and w (T^m - 1)/(T - 1) when
-s = 1, with the s = 1 weights of each entry summing to 0; _phi_t and
-logmat._t_rows build exactly that.  Each binomial coefficient is streamed
-into one output list per entry, so that the readout's peak memory is about
-that of its result; ord_eps(f, n),
+s = 1, with the s = 1 weights of each entry summing to 0; _phi_t,
+logmat._t_rows and logmat._second_row build exactly that.  Each binomial
+coefficient is streamed into one output list per entry, so that the
+readout's peak memory is about that of its result; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction, one
@@ -310,13 +310,15 @@ def _from_t(entries: list[dict[tuple[int, int], int]]) -> list[list[int]]:
 
     An endpoint (m, 0) is w T^m and (m, 1) is w (T^m - 1)/(T - 1), so a run
     a..b-1 of c, c (T^b - T^a)/(T - 1), is (a, 1): -c and (b, 1): c, however
-    long.  The s = 1 weights of an entry sum to 0 (logmat._t_rows), which
-    this readout does not need.  In X, (m, 0) is w (1+X)^m and (m, 1) is
-    w ((1+X)^m - 1)/X by the hockey-stick identity, zero at m = 0.  Each
+    long.  The s = 1 weights of an entry sum to 0 (logmat._second_row),
+    which this readout does not need.  In X, (m, 0) is w (1+X)^m and (m, 1)
+    is w ((1+X)^m - 1)/X by the hockey-stick identity, zero at m = 0.  Each
     entry has one output list of max(m + 1 - s) coefficients, and each
     distinct m is streamed once (_add_binomials) into every entry that uses
-    it.  No binomial row, per-weight sum or slice is built, so the
-    readout's peak memory is about that of its result.
+    it.  The first stream finds every list zero, so when it has one use it
+    stores its values rather than adding them.  No binomial row, per-weight
+    sum or slice is built, so the readout's peak memory is about that of
+    its result.
     """
     outs = [[0] * max((m + 1 - s for m, s in terms), default=0) for terms in entries]
     uses: dict[int, list[tuple[list[int], int, int]]] = {}
@@ -324,12 +326,12 @@ def _from_t(entries: list[dict[tuple[int, int], int]]) -> list[list[int]]:
         for (m, s), w in terms.items():
             if m or not s:
                 uses.setdefault(m, []).append((out, w, s))
-    for m, at in uses.items():
-        _add_binomials(m, at)
+    for i, (m, at) in enumerate(uses.items()):
+        _add_binomials(m, at, not i and len(at) == 1)
     return outs
 
 
-def _add_binomials(m: int, uses: list[tuple[list[int], int, int]]) -> None:
+def _add_binomials(m: int, uses: list[tuple[list[int], int, int]], store: bool = False) -> None:
     """Add w C(m, k) into out[k - s], for k = s..m, for each use (out, w, s).
 
     C(m, k) is streamed by C(m, k+1) = C(m, k)(m - k)/(k + 1), and each value
@@ -338,7 +340,11 @@ def _add_binomials(m: int, uses: list[tuple[list[int], int, int]]) -> None:
     g C(m, k)(m - k)/(k + 1) = g C(m, k+1) is exact, so a use of weight g
     (every use, when m has one) adds the streamed value itself.  An m with
     one use, as every m of an a_v = 0 level of H, takes a loop without the
-    inner loop over uses: 8-30% faster at those levels.
+    inner loop over uses: 8-30% faster at those levels.  With store set,
+    that one use's list is still all zeros, so the loop stores each value
+    in both places instead: a mirrored pair then holds one integer, not two
+    equal copies, and no 0 + c is formed (omega(3, 9) keeps 18.4 MiB of
+    coefficients instead of 36.9).
     """
     if len(uses) == 1:
         ((out, c, s),) = uses
@@ -355,10 +361,15 @@ def _add_binomials(m: int, uses: list[tuple[list[int], int, int]]) -> None:
     half = (m - 1) // 2  # the k with 0 < k < m - k
     if len(targets) == 1:
         ((out, _, s, top),) = targets
-        for k in range(1, half + 1):
-            c = c * (m + 1 - k) // k
-            out[k - s] += c
-            out[top - k] += c
+        if store:
+            for k in range(1, half + 1):
+                c = c * (m + 1 - k) // k
+                out[k - s] = out[top - k] = c
+        else:
+            for k in range(1, half + 1):
+                c = c * (m + 1 - k) // k
+                out[k - s] += c
+                out[top - k] += c
     else:
         for k in range(1, half + 1):
             c = c * (m + 1 - k) // k
@@ -375,9 +386,10 @@ def _add_binomials(m: int, uses: list[tuple[list[int], int, int]]) -> None:
 # The largest p^n for which omega(p, n), phi_poly(p, n) and the second row
 # of H_(v,n) are built: they hold about p^n coefficients of up to p^n bits,
 # 300 MiB for omega(3, 10).
-# It admits 3^9, 5^6 and 7^5.  With the streamed readout (_from_t) one
-# process building h_matrix at its top levels peaks at 67 MiB RSS at
-# (p, a_v, n) = (3, 3, 9), 41 MiB at (3, 0, 9), 36 MiB at (5, 0, 6) and
+# It admits 3^9, 5^6 and 7^5.  With the streamed readout (_from_t) and
+# Phi_1 applied in X a window at a time (_times_phi_1), one process
+# building h_matrix at its top levels peaks at 68 MiB RSS at
+# (p, a_v, n) = (3, +-3, 9), 41 MiB at (3, 0, 9), 36 MiB at (5, 0, 6) and
 # 40 MiB at (7, 0, 5) (CPython 3.11, Linux x86-64).
 MAX_EXACT_P_POWER = 2**15
 
@@ -393,11 +405,12 @@ def _require_exact_size(p: int, n: int) -> None:
 @functools.lru_cache(maxsize=None, typed=True)
 def omega(p: int, n: int) -> IwaPoly:
     """omega_n = (1+X)^(p^n) - 1; omega_0 = X: the readout (_from_t) of
-    T^(p^n) - 1."""
+    T^(p^n) - 1, its long stream first, so that it stores C(p^n, k) once
+    for k and p^n - k."""
     require_level(n, 0)
     require_odd_prime(p)
     _require_exact_size(p, n)
-    (coeffs,) = _from_t([{(0, 0): -1, (p**n, 0): 1}])
+    (coeffs,) = _from_t([{(p**n, 0): 1, (0, 0): -1}])
     return IwaPoly._of(p, coeffs, None)
 
 
@@ -405,8 +418,8 @@ def _phi_t(p: int, m: int) -> dict[tuple[int, int], int]:
     """Phi_m in T = 1 + X, sum_(i<p) T^(i*p^(m-1)), as run endpoints
     {(m, s): w} (_from_t): at m = 1 the one run (T^p - 1)/(T - 1), so
     {(0, 1): -1, (p, 1): 1}; from m = 2 on the p lone terms (i*p^(m-1), 0)
-    of weight 1.  phi_poly reads it into X, and logmat._t_rows multiplies
-    H_(m-1)'s first row by it endpoint by endpoint."""
+    of weight 1.  phi_poly reads it into X, and logmat._t_rows shifts the
+    lone terms of K_(m-1)'s first row by its lone terms, for m >= 2."""
     if m == 1:
         return {(0, 1): -1, (p, 1): 1}
     q = p ** (m - 1)
@@ -426,6 +439,44 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     _require_exact_size(p, n)
     (coeffs,) = _from_t([_phi_t(p, n)])
     return IwaPoly._of(p, coeffs, None)
+
+
+# The window of _times_phi_1, in coefficients: each window is copied, so at
+# most this many of a list's integers are held twice at once.  Measured on
+# the benchmark's tower series (CPython 3.11, x86-64): windows of 64 read
+# 2-4% faster at its X-pass levels, but a round of the series then peaked
+# 0.15 MiB higher in RSS than with every entry streamed from T; with
+# windows of 16 it peaks no higher.
+_PHI_1_WINDOW = 16
+
+
+def _times_phi_1(a: list[int], p: int, c: int = 0, b=()) -> None:
+    """a becomes Phi_1 a + c b in place, with Phi_1 = ((1+X)^p - 1)/X: as
+    many coefficients as _mul(phi_poly(p, 1).coeffs, a) has, or as b when c
+    is nonzero and b is longer.
+
+    Coefficient k of Phi_1 a is sum_(j=1..p) C(p, j) a[k+1-j], p Pascal
+    passes (times 1 + X) less the j = 0 term.  The passes run on windows of
+    _PHI_1_WINDOW coefficients, top down, so each window reads only
+    coefficients below it, which still hold a: a copy of a[lo+1-p:hi] and a
+    zero in place of a[hi], each pass one map that drops its lowest slot,
+    and then c b[lo:hi] added, so no whole-list sum is formed.
+    """
+    size = max(len(a) + p - 1, len(b) if c else 0)
+    a.extend([0] * (size - len(a)))
+    for hi in range(size, 0, -_PHI_1_WINDOW):
+        lo = max(hi - _PHI_1_WINDOW, 0)
+        start = lo + 1 - p
+        buf = [0] * -start + a[:hi] if start < 0 else a[start:hi]
+        buf.append(0)
+        base = buf[p:]  # the j = 0 terms
+        for _ in range(p):
+            buf = list(map(operator.add, buf[1:], buf))
+        row = list(map(operator.sub, buf, base))
+        if c:
+            part = b[lo:hi]
+            row[:len(part)] = map(operator.add, row, map(c.__mul__, part))
+        a[lo:hi] = row
 
 
 def ord_eps(f: IwaPoly, n: int) -> ExtendedRational:

@@ -5,7 +5,8 @@ Three routes that must agree on finite towers:
 * closed form: ord_eps of f(eps_n), scaled by the coefficient-ring degree;
 * resultant oracle: first differences of ord_p Res(f, omega_n), using that
   the tower module has size p^(ord_p Res), each read from
-  polyres.omega_resultant, which picks its own route to Res(f, omega_n);
+  polyres._omega_resultant (omega_resultant without its input checks, which
+  f's IwaPoly has passed), which picks its own route to Res(f, omega_n);
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
@@ -43,7 +44,7 @@ from .iwapoly import (
     totient,
 )
 from .padic import int_valuation
-from .polyres import omega_resultant
+from .polyres import _omega_resultant
 
 CLOSED_FORM = "closed_form"
 RESULTANT_ORACLE = "resultant_oracle"
@@ -127,7 +128,7 @@ def _tower_difference(t: TowerOfQuotients, n: int, exponent, method: str) -> Nab
 @lru_cache(maxsize=_LEVEL_CACHE_SIZE)
 def _resultant_exponent(f: IwaPoly, m: int) -> int:
     """ord_p Res(f, omega_m), an exact integer, refused as omega(p, m) is."""
-    return int_valuation(omega_resultant(f.coeffs, f.prime, m), f.prime)
+    return int_valuation(_omega_resultant(f.coeffs, f.prime, m), f.prime)
 
 
 def nabla_resultant_oracle(t: TowerOfQuotients, n: int) -> NablaResult:

@@ -4,21 +4,23 @@ H_(v,n) = C_(v,n)...C_(v,1) is built by one recursion from H_0 = I,
 H_n = C_(v,n) H_(n-1): the first row is a_v H(n-1) plus the second row of
 H(n-1), and the second row is -Phi_n times the first row of H(n-1).  The
 direct product of the C_(v,m) is kept as an oracle in selfcheck and the
-tests.  The recursion runs in the group-ring coordinate T = 1 + X, where
-Phi_m = sum_(i<p) T^(i*p^(m-1)) has p terms, so -Phi_n H(n-1) is p shifted
-copies of H(n-1), with small integer coefficients, and no polynomial product
-is formed.  Every T entry is kept as run endpoints {(m, s): w}, w T^m when
-s = 0 and w (T^m - 1)/(T - 1) when s = 1, whose s = 1 weights sum to 0:
-Phi_1 is the one run (T^p - 1)/(T - 1), so a row costs its number of runs,
-not of terms.  The T rows are built by one loop per call (_t_rows), which
-checks the size bound once and is not cached: rebuilding them costs far less
-than the X readouts.  Each level's second row is read into X once, by a
-Taylor shift (iwapoly._from_t) that streams each binomial coefficient into
-one output list per entry, so the readout's peak memory is about that of
-the row it returns; the first row follows in X by the same step, and these
-two readouts are H's only caches.  The print-limit bound values the same
-endpoints at T = 2, which is X = 1, as sum w 2^m: the zero sum of the s = 1
-weights makes that exact.
+tests.  The second row is read as H_n = K_n C_(v,1), K_n = C_(v,n)...C_(v,2)
+built by the same recursion from K_1 = I in the group-ring coordinate
+T = 1 + X (_t_rows), where every Phi_m with m >= 2 is p lone terms
+T^(i*p^(m-1)): -Phi_m K(m-1) is p shifted copies of K(m-1), with small
+integer coefficients, and no polynomial product is formed, so K's entries
+are lone terms {(e, 0): w}.  C_(v,1) is applied last: row i of H_n is
+(a_v K_i0 - Phi_1 K_i1, K_i0).  The T rows are built by one loop per call,
+which checks the size bound once and is not cached: rebuilding them costs
+far less than the X readouts.  Each level's second row is read into X once
+(_second_row): K's entries by a Taylor shift (iwapoly._from_t) that streams
+each binomial coefficient into one output list per entry, and Phi_1 by p
+Pascal passes over windows of that list (iwapoly._times_phi_1), or, while
+K_11 has at most p terms, folded into T as the runs (T^p - 1)/(T - 1) and
+read by the same shift.  So the readout's peak memory is about that of the
+row it returns; the first row follows in X by the same step, and these two
+readouts are H's only caches.  The print-limit bound values K at T = 2,
+which is X = 1, as sum w 2^e, times C_(v,1) at T = 2.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -47,6 +49,7 @@ from .iwapoly import (
     _phi_t,
     _plus,
     _require_exact_size,
+    _times_phi_1,
     omega,
     ord_eps,
     phi_poly,
@@ -151,32 +154,29 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
 
 
 def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[tuple[int, int], int], ...], ...]:
-    """Both rows of H_(v,n) in T = 1 + X, each entry as the run endpoints
-    {(e, s): nonzero w} that iwapoly._from_t reads (w T^e when s = 0,
-    w (T^e - 1)/(T - 1) when s = 1, the s = 1 weights summing to 0), by one
-    loop from H_0 = I with H_m = C_(v,m) H_(m-1): the first row is
-    a_v*H_(m-1) plus the second row of H_(m-1), and the second row is
-    -Phi_m H_(m-1), formed endpoint by endpoint from Phi_m's (iwapoly._phi_t).
+    """Both rows of K_n = C_(v,n)...C_(v,2) (the identity at n <= 1) in
+    T = 1 + X, each entry as the endpoints iwapoly._from_t reads, here lone
+    terms only, {(e, 0): nonzero w} for w T^e, so that H_(v,n) = K_n C_(v,1)
+    for n >= 1.  One loop from K_1 = I with
+    K_m = C_(v,m) K_(m-1): the first row is a_v*K_(m-1) plus the second row
+    of K_(m-1), and the second row is -Phi_m K_(m-1), Phi_m the p lone
+    terms T^(i*q), q = p^(m-1), for every m >= 2 (iwapoly._phi_t).
 
-    A lone term T^k times an entry's endpoints is each endpoint shifted by k:
-    T^k (T^e - 1)/(T - 1) is (T^(e+k) - 1)/(T - 1) less (T^k - 1)/(T - 1),
-    and the second terms cancel because the s = 1 weights sum to 0.  So the
-    product of two endpoints is the endpoint (e + k, s + t) when one of them
-    is a lone term, as at every m: at m = 1 H_0's first row is constant, and
-    from m = 2 on Phi_m is p lone terms T^(i*q), q = p^(m-1).  No two keys
-    collide: the first row of H_(m-1) has degree below p^(m-2), so its
-    endpoints lie below q and the p shifts are disjoint.  The sums stay 0,
-    and no polynomial product is formed.  Every dict is made by this call
-    and not cached, so the a_v merge updates it in place.
+    So every product is a shift, and no two keys collide: the first row of
+    K_(m-1) has degree below p^(m-2), so its exponents lie below q and the
+    p shifts are disjoint.  K has no runs: Phi_1, the one factor that is a
+    run in T, is applied last, by _second_row.  No polynomial product is
+    formed.  Every dict is made by this call and not cached, so the a_v
+    merge updates it in place.
 
     Phi_n's size bound is checked once, first, so a level past it is refused
     before any work; it bounds every lower level too.
     """
     _require_exact_size(p, n)
     first, second = ({(0, 0): 1}, {}), ({}, {(0, 0): 1})
-    for m in range(1, n + 1):
-        low = tuple({(e + k, s + t): -c * w for (k, t), c in _phi_t(p, m).items()
-                     for (e, s), w in terms.items()} for terms in first)
+    for m in range(2, n + 1):
+        low = tuple({(e + k, 0): -w for k, _ in _phi_t(p, m) for (e, _), w in terms.items()}
+                    for terms in first)
         if a_v:
             for last, terms in zip(first, second):
                 for e, c in last.items():
@@ -187,11 +187,45 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[tuple[int, int], int],
     return first, second
 
 
+# _second_row folds Phi_1 into T while K_11 has at most this many terms per
+# unit of p, and applies it in X (iwapoly._times_phi_1) past that.  Measured
+# at every level of the benchmark's tower series (CPython 3.11, x86-64,
+# in-process medians of 21 rounds, X pass over fold): 1.34-1.77 where K_11
+# is one term; 1.04-1.31 where it is p terms (335 against 249 us at
+# (7, 0, 3)), but for 0.91-0.93 at (3, +-3, 4); and 0.56-0.89 from 9 terms
+# on.
+_FOLD_MAX_RATIO = 1
+
+
 @functools.lru_cache(maxsize=None)
 def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
-    """Second row of H_(v,n): -Phi_n times the first row of H_(v,n-1), read
-    into X from _t_rows by one Taylor shift (_from_t) for both entries."""
-    return tuple(IwaPoly._of(p, c, None) for c in _from_t(_t_rows(p, a_v, n)[1]))
+    """Second row of H_(v,n), (a_v K_10 - Phi_1 K_11, K_10) for the second
+    row (K_10, K_11) of K_n (_t_rows), read into X; (0, 1) at n = 0.
+
+    When K_11 has more than p terms (_FOLD_MAX_RATIO), K_10 and -K_11 are
+    read into X by one Taylor shift (_from_t), and Phi_1 is applied there
+    with a_v K_10 added, window by window (_times_phi_1): p Pascal passes
+    cost less than streaming each term of K_11 as two runs.  Otherwise
+    -Phi_1 K_11 is folded into T as run endpoints, each term w T^e giving
+    (e, 1): w and (e + p, 1): -w (collisions summed, as K's exponents are
+    multiples of p), and both entries are read by one Taylor shift.
+    """
+    if n == 0:
+        return IwaPoly._of(p, [], None), IwaPoly._of(p, [1], None)
+    k0, k1 = _t_rows(p, a_v, n)[1]
+    if len(k1) > _FOLD_MAX_RATIO * p:
+        rows = _from_t([k0, {key: -w for key, w in k1.items()}])
+        _times_phi_1(rows[1], p, a_v, rows[0])
+        rows.reverse()
+    else:
+        first = {key: a_v * w for key, w in k0.items()} if a_v else {}
+        for (e, _), w in k1.items():
+            for key, v in (((e, 1), w), ((e + p, 1), -w)):
+                v += first.pop(key, 0)
+                if v:
+                    first[key] = v
+        rows = _from_t([first, k0])
+    return tuple(IwaPoly._of(p, c, None) for c in rows)
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,9 +335,10 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     than digits decimal digits (0: no limit), decided without building it.
 
     First refuses, as h_matrix would, a level past the size bound.  The
-    entries are valued at X = 1, which is T = 2, over the integers: each
-    entry of _t_rows is sum w 2^m over its endpoints (m, s), exact because
-    an endpoint (m, 1) is w (2^m - 1) and the s = 1 weights sum to 0.
+    entries are valued at X = 1, which is T = 2, over the integers: H(2) is
+    K(2) C_(v,1)(2), with each entry of K (_t_rows) valued as sum w 2^e over
+    its lone terms and C_(v,1)(2) = [[a_v, 1], [-(2^p - 1), 0]], as Phi_1 is
+    (T^p - 1)/(T - 1).
     M's rows are p^(n+1) A_v^(n+1) times H's.  Every entry has degree below
     p^n, so at most p^n coefficients, and its largest coefficient is at
     least |E(1)|/p^n.  So an entry with |E(1)| >= p^n 10^digits has a
@@ -311,9 +346,11 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     """
     if n < 1 or not digits:
         return False
-    p = data.prime
-    h00, h01, h10, h11 = (sum(w << m for (m, _), w in terms.items())
-                          for row in _t_rows(p, data.a_v, n) for terms in row)
+    p, a_v = data.prime, data.a_v
+    (k00, k01), (k10, k11) = ([sum(w << e for (e, _), w in terms.items()) for terms in row]
+                              for row in _t_rows(p, a_v, n))
+    phi_1 = (1 << p) - 1
+    h00, h01, h10, h11 = a_v * k00 - phi_1 * k01, k00, a_v * k10 - phi_1 * k11, k10
     if m:
         (a, b), (c, d) = _a_power(data, n)
         h00, h01, h10, h11 = (a * h00 + b * h10, a * h01 + b * h11,

@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import require_level
+from .errors import require_int, require_level
 from .iwapoly import _mul, _p_power, _require_exact_size, _trim, omega
+from .padic import require_odd_prime
 
 
 def _deg(c: Sequence[int]) -> int:
@@ -152,11 +153,22 @@ _POWERED_MIN_RATIO = 16
 
 def omega_resultant(f: Sequence[int], p: int, n: int) -> int:
     """Res(f, omega_n) = resultant(f, omega(p, n).coeffs) for an odd prime
-    p, refused first as omega(p, n) refuses n.  While p^n <
-    _POWERED_MIN_RATIO deg f, which covers deg f >= p^n, that is the call
-    made; past it, the subresultant loop is entered at its first
-    pseudo-remainder, formed by _omega_prem, with the sign resultant takes
-    as it swaps f to the divisor's place."""
+    p and integer coefficients f, refused first as omega(p, n) refuses n
+    and p, then at a coefficient that is not an integer, before any work.
+    The oracle in kobayashi calls _omega_resultant, with a built IwaPoly's
+    prime and coefficients."""
+    require_level(n, 0)
+    require_odd_prime(p)
+    return _omega_resultant([require_int(c, "coefficient") for c in f], p, n)
+
+
+def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
+    """omega_resultant for a prime p and integer f the caller has checked,
+    refused as omega(p, n) refuses n.  While p^n < _POWERED_MIN_RATIO deg f,
+    which covers deg f >= p^n, that is the call made; past it, the
+    subresultant loop is entered at its first pseudo-remainder, formed by
+    _omega_prem, with the sign resultant takes as it swaps f to the
+    divisor's place."""
     require_level(n, 0)
     _require_exact_size(p, n)
     a = _trim(list(f))

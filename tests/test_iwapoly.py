@@ -21,6 +21,7 @@ from iwagrowth.iwapoly import (
     _from_t,
     _mul,
     _p_power,
+    _times_phi_1,
     coprime_to_omega,
     mu_lambda,
     omega,
@@ -555,11 +556,12 @@ def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
     a > 0 two, whatever its length (valmat --p 32749 --av 0 --n 2 reads
     Phi_1, a run of 32,749 terms, as one); each distinct exponent is
     streamed once per call for both entries, so over the benchmark's tower
-    series H streams at most 437."""
+    series H streams at most 350 (437 when every entry of H, Phi_1
+    included, was streamed from T)."""
     streamed = []
     stream = iwapoly._add_binomials
     monkeypatch.setattr(iwapoly, "_add_binomials",
-                        lambda m, uses: streamed.append(m) or stream(m, uses))
+                        lambda m, *args: streamed.append(m) or stream(m, *args))
     assert _from_t([{(0, 1): -7, (40, 1): 7}]) == [[7 * comb(40, k) for k in range(1, 41)]]
     assert streamed == [40]
     streamed.clear()
@@ -571,15 +573,16 @@ def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
     for p, a_v, top in TOWER_SERIES:
         for n in range(top + 1):
             logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
-    assert len(streamed) <= 437
+    assert len(streamed) <= 350
 
 
-@pytest.mark.parametrize("p, a_v, n", [(3, 3, 7), (3, -3, 7), (5, 0, 5), (3, 0, 7)])
+@pytest.mark.parametrize("p, a_v, n", [(3, 3, 7), (3, -3, 7), (5, 0, 5), (3, 0, 7), (7, 0, 5)])
 def test_t_readout_peak_is_its_result(p, a_v, n):
     """The streamed readout holds one output list per entry and no row or
-    partial sum, so reading a second row of H into X peaks at no more than
-    1.25 times the memory it keeps (the binomial-row readout took 4.6-9.1
-    times at these levels)."""
+    partial sum, and Phi_1 is applied in X one window at a time, so reading
+    a second row of H into X peaks at no more than 1.25 times the memory it
+    keeps (the binomial-row readout took 4.6-9.1 times at the first four
+    levels)."""
     logmat._second_row.cache_clear()
     tracemalloc.start()
     try:
@@ -591,15 +594,57 @@ def test_t_readout_peak_is_its_result(p, a_v, n):
 
 
 def test_runs_value_at_t_2_is_the_term_sum():
-    """Every entry of the T rows, at every level of the tower series, has
-    s = 1 weights summing to 0, so sum w 2^m over its endpoints is its value
-    at T = 2, which is X = 1: the sum of the coefficients of the matching
-    h_matrix entry, the value logmat.exceeds_digits reads."""
+    """Every entry of K's T rows, at every level n >= 1 of the tower series,
+    is lone terms, so sum w 2^e over them is its value at T = 2, which is
+    X = 1; times C_(v,1)(2) = [[a_v, 1], [-(2^p - 1), 0]] that is the sum of
+    the coefficients of the matching h_matrix entry, the value
+    logmat.exceeds_digits reads."""
     for p, a_v, top in TOWER_SERIES:
-        for n in range(top + 1):
+        for n in range(1, top + 1):
             h = logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
             for i, row in enumerate(logmat._t_rows(p, a_v, n)):
-                for j, terms in enumerate(row):
-                    at = (p, a_v, n, i, j)
-                    assert sum(w for (_, s), w in terms.items() if s) == 0, at
-                    assert sum(w << m for (m, _), w in terms.items()) == sum(h[i, j].coeffs), at
+                k0, k1 = (sum(w << e for (e, _), w in terms.items()) for terms in row)
+                at = (p, a_v, n, i)
+                assert all(s == 0 for terms in row for _, s in terms), at
+                assert a_v * k0 - ((1 << p) - 1) * k1 == sum(h[i, 0].coeffs), at
+                assert k0 == sum(h[i, 1].coeffs), at
+
+
+# Coefficient lists for the Phi_1 kernel: zeros, signs and sizes from one
+# to 2^200, at lengths up to two windows plus 12, so around one window
+# +- p; the examples add lengths around 64, several windows.
+phi_1_lists = st.lists(st.one_of(st.just(0), st.integers(-(2**200), 2**200)),
+                       max_size=2 * iwapoly._PHI_1_WINDOW + 12)
+
+
+@given(st.sampled_from([3, 5, 7, 11]), phi_1_lists, st.sampled_from([0, 3, -3, 7]), phi_1_lists)
+@example(3, [], 0, [])
+@example(3, [1], 0, [])
+@example(3, [1] * 13, 0, [])
+@example(7, [-3] * 23, 0, [])
+@example(11, [2**64] * 5, 0, [])
+@example(5, [1, -1] * 8, 3, [1] * 21)
+@example(5, [-1] * 64, 0, [])
+@example(7, [2**100] * 57, 0, [])
+@example(11, [5, 0, -5] * 25, 0, [])
+@example(3, [1] * 61, 3, [-1] * 70)
+@example(7, [0] * 65, -3, [9] * 128)
+@example(11, [-2] * 53, 7, [1] * 20)
+def test_phi_1_kernel_is_the_product(p, a, c, b):
+    """_times_phi_1 turns a into Phi_1 a + c b in place: the product
+    _mul(phi_poly(p, 1).coeffs, a), trailing zeros kept, plus c b."""
+    out = list(a)
+    _times_phi_1(out, p, c, b)
+    expected = _mul(phi_poly(p, 1).coeffs, a)
+    if c:
+        expected = [x + c * y for x, y in zip_longest(expected, b, fillvalue=0)]
+    assert out == expected
+
+
+@pytest.mark.parametrize("p, n", [(3, 6), (3, 9), (5, 4), (7, 3)])
+def test_omega_stores_one_integer_per_mirrored_pair(p, n):
+    """The first stream into a fresh readout list stores its values, so
+    C(p^n, k) and its mirror C(p^n, p^n - k) are one integer, not two
+    equal copies."""
+    coeffs, top = omega.__wrapped__(p, n).coeffs, p**n
+    assert all(coeffs[k] is coeffs[top - k] for k in range(1, top // 2 + 1))

@@ -137,25 +137,54 @@ def test_scribbled_t_rows_do_not_reach_h():
 
 @pytest.mark.parametrize("p, av, top", [(3, 0, 9), (3, 3, 9), (3, -3, 9), (5, 0, 6), (7, 0, 5)])
 def test_t_rows_write_every_endpoint_once(p, av, top):
-    # -Phi_m H_(m-1) is formed endpoint by endpoint, so no two products may
-    # meet at one key: each second-row entry holds exactly as many endpoints
-    # as Phi_m times the matching first-row entry of the level below.
-    for m in range(1, top + 1):
+    # -Phi_m K_(m-1) is formed term by term from Phi_m's p lone terms, so no
+    # two products may meet at one key: each second-row entry of K_m holds
+    # exactly as many terms as Phi_m times the matching first-row entry of
+    # K_(m-1).
+    for m in range(2, top + 1):
         (low, _), (_, second) = logmat._t_rows(p, av, m - 1), logmat._t_rows(p, av, m)
         for j in range(2):
             assert len(second[j]) == len(_phi_t(p, m)) * len(low[j]), (m, j)
 
 
-def test_t_rows_keep_phi_1_as_one_run():
-    # At p = 32749, Phi_1 has 32,749 terms in T but is one run, two endpoints.
-    assert [len(e) for row in logmat._t_rows(32749, 0, 1) for e in row] == [0, 1, 2, 0]
+def test_t_rows_keep_phi_1_as_one_run(monkeypatch):
+    # At p = 32749, Phi_1 has 32,749 terms in T.  K_1 is the identity, and
+    # the second row of H_1 = K_1 C_(v,1) folds -Phi_1 into T as one run,
+    # two endpoints, for the one Taylor shift of both entries.
+    assert [len(e) for row in logmat._t_rows(32749, 0, 1) for e in row] == [1, 0, 0, 1]
+    read = []
+    monkeypatch.setattr(logmat, "_from_t", lambda entries: read.append(entries) or [[], []])
+    logmat._second_row.__wrapped__(32749, 0, 1)
+    assert read == [[{(0, 1): 1, (32749, 1): -1}, {}]]
+
+
+# The benchmark's tower series: (p, a_v, top level).
+TOWER_SERIES = ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4))
+
+
+@pytest.mark.parametrize("p, av, top", TOWER_SERIES)
+def test_both_sides_of_the_phi_1_crossover_give_the_same_rows(p, av, top, monkeypatch):
+    # _second_row applies Phi_1 in X past the crossover and folds it into T
+    # below it; forced to either side at every level, both read the same
+    # second rows.
+    rows = {}
+    for ratio in (0, 10**9):  # always the X pass; always the fold
+        monkeypatch.setattr(logmat, "_FOLD_MAX_RATIO", ratio)
+        logmat._second_row.cache_clear()
+        rows[ratio] = [logmat._second_row(p, av, n) for n in range(top + 1)]
+    logmat._second_row.cache_clear()
+    assert rows[0] == rows[10**9]
 
 
 # SHA-256 of the second row of H_(v,n), each entry's coefficients in hex,
 # comma-separated and closed by ";", recorded from a build that kept the T
-# rows term by term.  No exact oracle reaches these levels in the tests; hex,
-# because a coefficient at (7, 0, 5) is past str()'s digit limit.
+# rows term by term, and at (3, 0, 9) and (7, 0, 5) from one that read every
+# entry of H from its T endpoints (no Phi_1 pass in X).  No exact oracle
+# reaches these levels in the tests; hex, because a coefficient at
+# (7, 0, 5) is past str()'s digit limit.
 SECOND_ROW_DIGESTS = {
+    (3, 0, 9): "31db9bc8f58e8c723cb44f13d115ebb96d507068b82083d9a98006b8b28991bf",
+    (7, 0, 5): "2e99d70cd3408144f0e9ce92e31ee4d1ed34d8624dcc83aef4a64693328e69b7",
     (3, 3, 7): "f6a77194ace2c1f878a276952d81fb9613580fc7be1e247a6488ccfd53fa5090",
     (3, -3, 7): "2b27f8ff337dd2e5d422afba09d65a64a91c0b9ce8ba7fecbd515c83d8098d1d",
     (3, 0, 8): "3e205bcb2bc9338302354edf49ed20ef25e0a2d3323b0e590fa506398115a827",

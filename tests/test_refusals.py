@@ -65,6 +65,10 @@ REFUSALS |= {
     "omega_float_p": (lambda: omega(3.0, 2), ValidationError, "3.0 is not an odd prime"),
     "omega_bool_n": (lambda: omega(3, True), ValidationError, f"n {NOT_INT} True"),
     "phi_poly_float_p": (lambda: phi_poly(5.0, 1), ValidationError, "5.0 is not an odd prime"),
+    "omega_resultant_composite_p": (lambda: omega_resultant([1, 1], 9, 2), ValidationError,
+                                    "9 is not an odd prime"),
+    "omega_resultant_float_coefficient": (lambda: omega_resultant([1.5, 1], 3, 2),
+                                          ValidationError, f"coefficient {NOT_INT} 1.5"),
     "phi_poly_bool_n": (lambda: phi_poly(3, True), ValidationError, f"n {NOT_INT} True"),
     "iwapoly_float_coefficient": (lambda: IwaPoly(3, (1, 2.5)), ValidationError,
                                   f"coefficient {NOT_INT} 2.5"),
