@@ -13,12 +13,11 @@ Provides the cyclotomic family omega_n = (1+X)^(p^n) - 1 and
 Phi_n = omega_n / omega_(n-1), both read from T = 1 + X and refused with
 ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
 which reads polynomials in the group-ring coordinate T = 1 + X into X (a
-Taylor shift; Phi_n and H_(v,n) are sparse in T).  Its one input format is
-run endpoints {(m, s): w}, w T^m when s = 0 and w (T^m - 1)/(T - 1) when
-s = 1, with the s = 1 weights of each entry summing to 0; _phi_t,
-logmat._t_rows and logmat._second_row build exactly that.  Each binomial
-coefficient is streamed into one output list per entry, so that the
-readout's peak memory is about that of its result; ord_eps(f, n),
+Taylor shift; Phi_n and H_(v,n) are sparse in T).  A polynomial in T has
+one format, its terms {e: w} for w T^e; _phi_t, logmat._t_rows and
+logmat._second_row build exactly that.  Each binomial coefficient is
+streamed into one output list per entry, so that the readout's peak
+memory is about that of its result; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction, one
@@ -298,89 +297,92 @@ class WeierstrassData:
     mu: int
     lam: int
 
+    def __post_init__(self):
+        require_int(self.mu, "mu")
+        require_int(self.lam, "lam")
+
 
 def totient(p: int, n: int) -> int:
-    """phi(p^n) = p^n - p^(n-1) for n >= 1; 1 for n = 0."""
+    """phi(p^n) = p^n - p^(n-1) for n >= 1; 1 for n = 0.  A p or n that is
+    not an integer, or an n below 0, is refused."""
+    require_int(p, "p")
+    require_level(n, 0)
     return p**n - p ** (n - 1) if n >= 1 else 1
 
 
-def _from_t(entries: list[dict[tuple[int, int], int]]) -> list[list[int]]:
-    """The X-coefficients of each polynomial in T = 1 + X, given as run
-    endpoints {(m, s): w}: a sparse Taylor shift, streamed.
+def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
+    """The X-coefficients of each polynomial in T = 1 + X, given as its
+    terms {e: w}, w T^e: a sparse Taylor shift, streamed.
 
-    An endpoint (m, 0) is w T^m and (m, 1) is w (T^m - 1)/(T - 1), so a run
-    a..b-1 of c, c (T^b - T^a)/(T - 1), is (a, 1): -c and (b, 1): c, however
-    long.  The s = 1 weights of an entry sum to 0 (logmat._second_row),
-    which this readout does not need.  In X, (m, 0) is w (1+X)^m and (m, 1)
-    is w ((1+X)^m - 1)/X by the hockey-stick identity, zero at m = 0.  Each
-    entry has one output list of max(m + 1 - s) coefficients, and each
-    distinct m is streamed once (_add_binomials) into every entry that uses
-    it.  The first stream finds every list zero, so when it has one use it
-    stores its values rather than adding them.  No binomial row, per-weight
-    sum or slice is built, so the readout's peak memory is about that of
-    its result.
+    w T^e is w (1+X)^e.  Each entry has one output list of max(e) + 1
+    coefficients.  A constant term (e = 0) is added into its list's X^0
+    coefficient at once, and each distinct e > 0 is streamed once
+    (_add_binomials) into every entry that uses it.  The first stream finds
+    every list zero past X^0, so when it has one use it stores its values
+    rather than adding them.  No binomial row, per-weight sum or slice is
+    built, so the readout's peak memory is about that of its result.
     """
-    outs = [[0] * max((m + 1 - s for m, s in terms), default=0) for terms in entries]
-    uses: dict[int, list[tuple[list[int], int, int]]] = {}
+    outs = [[0] * (max(terms, default=-1) + 1) for terms in entries]
+    uses: dict[int, list[tuple[list[int], int]]] = {}
     for out, terms in zip(outs, entries):
-        for (m, s), w in terms.items():
-            if m or not s:
-                uses.setdefault(m, []).append((out, w, s))
+        for e, w in terms.items():
+            if e:
+                uses.setdefault(e, []).append((out, w))
+            else:
+                out[0] += w
     for i, (m, at) in enumerate(uses.items()):
         _add_binomials(m, at, not i and len(at) == 1)
     return outs
 
 
-def _add_binomials(m: int, uses: list[tuple[list[int], int, int]], store: bool = False) -> None:
-    """Add w C(m, k) into out[k - s], for k = s..m, for each use (out, w, s).
+def _add_binomials(m: int, uses: list[tuple[list[int], int]], store: bool = False) -> None:
+    """Add w C(m, k) into out[k], for k = 0..m, for each use (out, w); m >= 1.
 
     C(m, k) is streamed by C(m, k+1) = C(m, k)(m - k)/(k + 1), and each value
-    is added at once into out[k - s] and its mirror out[m - k - s].  The
+    is added at once into out[k] and its mirror out[m - k].  The
     recurrence is seeded with the gcd g of the weights, signed as the first:
     g C(m, k)(m - k)/(k + 1) = g C(m, k+1) is exact, so a use of weight g
     (every use, when m has one) adds the streamed value itself.  An m with
     one use, as every m of an a_v = 0 level of H, takes a loop without the
     inner loop over uses: 8-30% faster at those levels.  With store set,
-    that one use's list is still all zeros, so the loop stores each value
-    in both places instead: a mirrored pair then holds one integer, not two
-    equal copies, and no 0 + c is formed (omega(3, 9) keeps 18.4 MiB of
-    coefficients instead of 36.9).
+    that one use's list is still all zeros past out[0], so the loop stores
+    each value in both places instead: a mirrored pair then holds one
+    integer, not two equal copies, and no 0 + c is formed (omega(3, 9) keeps
+    18.4 MiB of coefficients instead of 36.9).
     """
     if len(uses) == 1:
-        ((out, c, s),) = uses
-        targets = [(out, 1, s, m - s)]
+        ((out, c),) = uses
+        targets = [(out, 1)]
     else:
-        g = math.gcd(*(w for _, w, _ in uses))
+        g = math.gcd(*(w for _, w in uses))
         c = g if uses[0][1] > 0 else -g
-        targets = [(out, w // c, s, m - s) for out, w, s in uses]
-    for out, u, s, top in targets:  # k = 0 and its mirror k = m
-        if not s:
-            out[0] += u * c
-        if m:
-            out[top] += u * c
+        targets = [(out, w // c) for out, w in uses]
+    for out, u in targets:  # k = 0 and its mirror k = m
+        out[0] += u * c
+        out[m] += u * c
     half = (m - 1) // 2  # the k with 0 < k < m - k
     if len(targets) == 1:
-        ((out, _, s, top),) = targets
+        ((out, _),) = targets
         if store:
             for k in range(1, half + 1):
                 c = c * (m + 1 - k) // k
-                out[k - s] = out[top - k] = c
+                out[k] = out[m - k] = c
         else:
             for k in range(1, half + 1):
                 c = c * (m + 1 - k) // k
-                out[k - s] += c
-                out[top - k] += c
+                out[k] += c
+                out[m - k] += c
     else:
         for k in range(1, half + 1):
             c = c * (m + 1 - k) // k
-            for out, u, s, top in targets:
+            for out, u in targets:
                 v = c if u == 1 else u * c
-                out[k - s] += v
-                out[top - k] += v
+                out[k] += v
+                out[m - k] += v
     if m > 1 and m % 2 == 0:  # the middle k = m/2, its own mirror
         c = c * (half + 2) // (half + 1)
-        for out, u, s, _ in targets:
-            out[half + 1 - s] += u * c
+        for out, u in targets:
+            out[half + 1] += u * c
 
 
 # The largest p^n for which omega(p, n), phi_poly(p, n) and the second row
@@ -405,38 +407,37 @@ def _require_exact_size(p: int, n: int) -> None:
 @functools.lru_cache(maxsize=None, typed=True)
 def omega(p: int, n: int) -> IwaPoly:
     """omega_n = (1+X)^(p^n) - 1; omega_0 = X: the readout (_from_t) of
-    T^(p^n) - 1, its long stream first, so that it stores C(p^n, k) once
-    for k and p^n - k."""
+    T^(p^n) - 1, one stream, which stores C(p^n, k) once for k and p^n - k."""
     require_level(n, 0)
     require_odd_prime(p)
     _require_exact_size(p, n)
-    (coeffs,) = _from_t([{(p**n, 0): 1, (0, 0): -1}])
+    (coeffs,) = _from_t([{p**n: 1, 0: -1}])
     return IwaPoly._of(p, coeffs, None)
 
 
-def _phi_t(p: int, m: int) -> dict[tuple[int, int], int]:
-    """Phi_m in T = 1 + X, sum_(i<p) T^(i*p^(m-1)), as run endpoints
-    {(m, s): w} (_from_t): at m = 1 the one run (T^p - 1)/(T - 1), so
-    {(0, 1): -1, (p, 1): 1}; from m = 2 on the p lone terms (i*p^(m-1), 0)
-    of weight 1.  phi_poly reads it into X, and logmat._t_rows shifts the
-    lone terms of K_(m-1)'s first row by its lone terms, for m >= 2."""
-    if m == 1:
-        return {(0, 1): -1, (p, 1): 1}
+def _phi_t(p: int, m: int) -> dict[int, int]:
+    """Phi_m in T = 1 + X, sum_(i<p) T^(i*p^(m-1)), as the terms {e: w}
+    that _from_t reads: the p exponents i*p^(m-1), each of weight 1.
+    phi_poly reads it into X from m = 2 on, and logmat._t_rows shifts the
+    terms of K_(m-1)'s first row by its exponents, for m >= 2."""
     q = p ** (m - 1)
-    return dict.fromkeys(((e, 0) for e in range(0, p * q, q)), 1)
+    return dict.fromkeys(range(0, p * q, q), 1)
 
 
 @functools.lru_cache(maxsize=None, typed=True)
 def phi_poly(p: int, n: int) -> IwaPoly:
-    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n): the
-    readout (_from_t) of its endpoints in T (_phi_t).  At n = 1 they are
-    one run from 0, so one streamed recurrence, C(p, k+1) (the hockey-stick
-    identity); from n = 2 on they are p lone terms, p recurrences added
-    into one list.
+    """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).  At
+    n = 1 it is omega_1 / X, the coefficients of omega(p, 1) from X^1 on,
+    the same integers: one streamed recurrence, where reading its p terms
+    in T would stream p, O(p^2) work.  From n = 2 on it is the readout
+    (_from_t) of its p terms in T (_phi_t), p recurrences added into one
+    list.
     """
     require_level(n)
     require_odd_prime(p)
     _require_exact_size(p, n)
+    if n == 1:
+        return IwaPoly._of(p, list(omega(p, 1).coeffs[1:]), None)
     (coeffs,) = _from_t([_phi_t(p, n)])
     return IwaPoly._of(p, coeffs, None)
 

@@ -30,7 +30,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import NotFinite, PhiDividesF, PrecisionExhausted, ValidationError, require_level
+from .errors import (NotFinite, PhiDividesF, PrecisionExhausted, ValidationError, require_int,
+                     require_level)
 from .iwapoly import (
     IwaPoly,
     WeierstrassData,
@@ -43,7 +44,7 @@ from .iwapoly import (
     ord_eps,
     totient,
 )
-from .padic import int_valuation
+from .padic import int_valuation, require_odd_prime
 from .polyres import _omega_resultant
 
 CLOSED_FORM = "closed_form"
@@ -334,13 +335,17 @@ def nabla_snf_oracle(t: TowerOfQuotients, n: int) -> NablaResult:
 
 
 def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:
-    """phi(p^n) * mu + lambda: the stabilized value of the closed form."""
+    """phi(p^n) * mu + lambda: the stabilized value of the closed form, for
+    an odd prime p."""
     require_level(n)
+    require_odd_prime(p)
     return totient(p, n) * w.mu + w.lam
 
 
 def nabla_finite_tower(sizes: list[int]) -> list[NablaResult]:
-    """First differences of the size exponents e(M_n) of a finite tower."""
+    """First differences of the size exponents e(M_n) of a finite tower,
+    each an integer: any other is refused before any work."""
+    sizes = [require_int(e, "size") for e in sizes]
     return [
         NablaResult(i + 1, b - a, FINITE_TOWER)
         for i, (a, b) in enumerate(zip(sizes, sizes[1:]))

@@ -8,16 +8,16 @@ tests.  The second row is read as H_n = K_n C_(v,1), K_n = C_(v,n)...C_(v,2)
 built by the same recursion from K_1 = I in the group-ring coordinate
 T = 1 + X (_t_rows), where every Phi_m with m >= 2 is p lone terms
 T^(i*p^(m-1)): -Phi_m K(m-1) is p shifted copies of K(m-1), with small
-integer coefficients, and no polynomial product is formed, so K's entries
-are lone terms {(e, 0): w}.  C_(v,1) is applied last: row i of H_n is
+integer coefficients, and no polynomial product is formed; K's entries
+are terms {e: w}, w T^e.  C_(v,1) is applied last: row i of H_n is
 (a_v K_i0 - Phi_1 K_i1, K_i0).  The T rows are built by one loop per call,
 which checks the size bound once and is not cached: rebuilding them costs
 far less than the X readouts.  Each level's second row is read into X once
 (_second_row): K's entries by a Taylor shift (iwapoly._from_t) that streams
 each binomial coefficient into one output list per entry, and Phi_1 by p
 Pascal passes over windows of that list (iwapoly._times_phi_1), or, while
-K_11 has at most p terms, folded into T as the runs (T^p - 1)/(T - 1) and
-read by the same shift.  So the readout's peak memory is about that of the
+K_11 has at most p terms, as (1 - T^p) K_11 read by the same shift and
+divided by X.  So the readout's peak memory is about that of the
 row it returns; the first row follows in X by the same step, and these two
 readouts are H's only caches.  The print-limit bound values K at T = 2,
 which is X = 1, as sum w 2^e, times C_(v,1) at T = 2.
@@ -153,29 +153,28 @@ def c_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
     )
 
 
-def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[tuple[int, int], int], ...], ...]:
+def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], ...], ...]:
     """Both rows of K_n = C_(v,n)...C_(v,2) (the identity at n <= 1) in
-    T = 1 + X, each entry as the endpoints iwapoly._from_t reads, here lone
-    terms only, {(e, 0): nonzero w} for w T^e, so that H_(v,n) = K_n C_(v,1)
-    for n >= 1.  One loop from K_1 = I with
-    K_m = C_(v,m) K_(m-1): the first row is a_v*K_(m-1) plus the second row
-    of K_(m-1), and the second row is -Phi_m K_(m-1), Phi_m the p lone
-    terms T^(i*q), q = p^(m-1), for every m >= 2 (iwapoly._phi_t).
+    T = 1 + X, each entry as the terms {e: nonzero w}, w T^e, that
+    iwapoly._from_t reads, so that H_(v,n) = K_n C_(v,1) for n >= 1.  One
+    loop from K_1 = I with K_m = C_(v,m) K_(m-1): the first row is
+    a_v*K_(m-1) plus the second row of K_(m-1), and the second row is
+    -Phi_m K_(m-1), Phi_m the p terms T^(i*q), q = p^(m-1), for every
+    m >= 2 (iwapoly._phi_t).
 
     So every product is a shift, and no two keys collide: the first row of
     K_(m-1) has degree below p^(m-2), so its exponents lie below q and the
-    p shifts are disjoint.  K has no runs: Phi_1, the one factor that is a
-    run in T, is applied last, by _second_row.  No polynomial product is
-    formed.  Every dict is made by this call and not cached, so the a_v
-    merge updates it in place.
+    p shifts are disjoint.  Phi_1 is applied last, by _second_row.  No
+    polynomial product is formed.  Every dict is made by this call and not
+    cached, so the a_v merge updates it in place.
 
     Phi_n's size bound is checked once, first, so a level past it is refused
     before any work; it bounds every lower level too.
     """
     _require_exact_size(p, n)
-    first, second = ({(0, 0): 1}, {}), ({}, {(0, 0): 1})
+    first, second = ({0: 1}, {}), ({}, {0: 1})
     for m in range(2, n + 1):
-        low = tuple({(e + k, 0): -w for k, _ in _phi_t(p, m) for (e, _), w in terms.items()}
+        low = tuple({e + k: -w for k in _phi_t(p, m) for e, w in terms.items()}
                     for terms in first)
         if a_v:
             for last, terms in zip(first, second):
@@ -190,10 +189,10 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[tuple[int, int], int],
 # _second_row folds Phi_1 into T while K_11 has at most this many terms per
 # unit of p, and applies it in X (iwapoly._times_phi_1) past that.  Measured
 # at every level of the benchmark's tower series (CPython 3.11, x86-64,
-# in-process medians of 21 rounds, X pass over fold): 1.34-1.77 where K_11
-# is one term; 1.04-1.31 where it is p terms (335 against 249 us at
-# (7, 0, 3)), but for 0.91-0.93 at (3, +-3, 4); and 0.56-0.89 from 9 terms
-# on.
+# in-process medians of 21 rounds, three runs, X pass over fold): 1.12-1.84
+# where K_11 is one term; 1.14-1.44 where it is p terms (334-346 against
+# 239-244 us at (7, 0, 3), 1.20-1.22 at (3, +-3, 4)); and 0.50-0.96 from 9
+# terms on.
 _FOLD_MAX_RATIO = 1
 
 
@@ -205,26 +204,26 @@ def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     When K_11 has more than p terms (_FOLD_MAX_RATIO), K_10 and -K_11 are
     read into X by one Taylor shift (_from_t), and Phi_1 is applied there
     with a_v K_10 added, window by window (_times_phi_1): p Pascal passes
-    cost less than streaming each term of K_11 as two runs.  Otherwise
-    -Phi_1 K_11 is folded into T as run endpoints, each term w T^e giving
-    (e, 1): w and (e + p, 1): -w (collisions summed, as K's exponents are
-    multiples of p), and both entries are read by one Taylor shift.
+    cost less than streaming each term of K_11 twice.  Otherwise -Phi_1 K_11
+    is folded into T as (1 - T^p) K_11 / (T - 1): each term w T^e gives the
+    terms e: w and e + p: -w, and (1 - T^p) K_11 is read by the same Taylor
+    shift as K_10.  Its X^0 coefficient, its value at T = 1, is 0 and is
+    dropped, which divides by X, and a_v K_10 is added in X.  The two sets
+    of exponents never meet: K_11 is (C_(v,n)...C_(v,3))_10, a polynomial
+    in T^(p^2), so its exponents are multiples of p^2, and the shifted ones
+    are p mod p^2.
     """
     if n == 0:
         return IwaPoly._of(p, [], None), IwaPoly._of(p, [1], None)
     k0, k1 = _t_rows(p, a_v, n)[1]
     if len(k1) > _FOLD_MAX_RATIO * p:
-        rows = _from_t([k0, {key: -w for key, w in k1.items()}])
+        rows = _from_t([k0, {e: -w for e, w in k1.items()}])
         _times_phi_1(rows[1], p, a_v, rows[0])
         rows.reverse()
     else:
-        first = {key: a_v * w for key, w in k0.items()} if a_v else {}
-        for (e, _), w in k1.items():
-            for key, v in (((e, 1), w), ((e + p, 1), -w)):
-                v += first.pop(key, 0)
-                if v:
-                    first[key] = v
-        rows = _from_t([first, k0])
+        first, second = _from_t([{**k1, **{e + p: -w for e, w in k1.items()}}, k0])
+        del first[:1]  # 0, the value at T = 1: what is left is divided by X
+        rows = _plus(first, [a_v * x for x in second]) if a_v else first, second
     return tuple(IwaPoly._of(p, c, None) for c in rows)
 
 
@@ -337,7 +336,7 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     First refuses, as h_matrix would, a level past the size bound.  The
     entries are valued at X = 1, which is T = 2, over the integers: H(2) is
     K(2) C_(v,1)(2), with each entry of K (_t_rows) valued as sum w 2^e over
-    its lone terms and C_(v,1)(2) = [[a_v, 1], [-(2^p - 1), 0]], as Phi_1 is
+    its terms and C_(v,1)(2) = [[a_v, 1], [-(2^p - 1), 0]], as Phi_1 is
     (T^p - 1)/(T - 1).
     M's rows are p^(n+1) A_v^(n+1) times H's.  Every entry has degree below
     p^n, so at most p^n coefficients, and its largest coefficient is at
@@ -347,7 +346,7 @@ def exceeds_digits(data: LocalCurveData, n: int, digits: int, m: bool = False) -
     if n < 1 or not digits:
         return False
     p, a_v = data.prime, data.a_v
-    (k00, k01), (k10, k11) = ([sum(w << e for (e, _), w in terms.items()) for terms in row]
+    (k00, k01), (k10, k11) = ([sum(w << e for e, w in terms.items()) for terms in row]
                               for row in _t_rows(p, a_v, n))
     phi_1 = (1 << p) - 1
     h00, h01, h10, h11 = a_v * k00 - phi_1 * k01, k00, a_v * k10 - phi_1 * k11, k10

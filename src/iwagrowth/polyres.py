@@ -64,7 +64,14 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 
 
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) via the subresultant polynomial remainder sequence."""
+    """Res(f, g) via the subresultant polynomial remainder sequence, for
+    integer coefficients: any other is refused before any work."""
+    return _resultant([require_int(c, "coefficient") for c in f],
+                      [require_int(c, "coefficient") for c in g])
+
+
+def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
+    """resultant for integer coefficients the caller has checked."""
     a = _trim(list(f))
     b = _trim(list(g))
     if not a or not b:
@@ -165,7 +172,8 @@ def omega_resultant(f: Sequence[int], p: int, n: int) -> int:
 def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
     """omega_resultant for a prime p and integer f the caller has checked,
     refused as omega(p, n) refuses n.  While p^n < _POWERED_MIN_RATIO deg f,
-    which covers deg f >= p^n, that is the call made; past it, the
+    which covers deg f >= p^n, that is the call made, to resultant's
+    unchecked body, so omega_n's coefficients are not checked; past it, the
     subresultant loop is entered at its first pseudo-remainder, formed by
     _omega_prem, with the sign resultant takes as it swaps f to the
     divisor's place."""
@@ -174,7 +182,7 @@ def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
     a = _trim(list(f))
     size = p**n
     if size < _POWERED_MIN_RATIO * _deg(a):
-        return resultant(a, omega(p, n).coeffs)
+        return _resultant(a, omega(p, n).coeffs)
     if not a:
         return 0
     s = -1 if _deg(a) % 2 == 1 and size % 2 == 1 else 1
@@ -184,9 +192,10 @@ def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
 
 
 def resultant_bareiss(f: Sequence[int], g: Sequence[int]) -> int:
-    """Res(f, g) as the Bareiss determinant of the Sylvester matrix."""
-    a = _trim(list(f))
-    b = _trim(list(g))
+    """Res(f, g) as the Bareiss determinant of the Sylvester matrix, for
+    integer coefficients: any other is refused before any work."""
+    a = _trim([require_int(c, "coefficient") for c in f])
+    b = _trim([require_int(c, "coefficient") for c in g])
     if not a or not b:
         return 0
     da, db = _deg(a), _deg(b)

@@ -493,34 +493,26 @@ t_blocks = st.lists(
 
 
 def _t_terms(blocks):
-    """The blocks as the run endpoints {(m, s): w} that _from_t reads: a lone
-    term c T^e is (e, 0): c and a run a..b-1 of c is (a, 1): -c and
-    (b, 1): c.  Weights that meet at one key are summed, and zeros dropped."""
+    """The blocks as the terms {e: w}, w T^e, that _from_t reads: a block's
+    coefficients one term each, a run's first coefficient repeated over its
+    length.  Weights that meet at one exponent are summed, and zeros
+    dropped."""
     terms, e = {}, 0
     for gap, coeffs, run in blocks:
         e += gap
-        if run:
-            ends = (((e, 1), -coeffs[0]), ((e + len(coeffs), 1), coeffs[0]))
-        else:
-            ends = (((e + i, 0), c) for i, c in enumerate(coeffs))
-        for key, w in ends:
-            terms[key] = terms.get(key, 0) + w
-        e += len(coeffs)
-    return {key: w for key, w in terms.items() if w}
+        for c in ([coeffs[0]] * len(coeffs) if run else coeffs):
+            terms[e] = terms.get(e, 0) + c
+            e += 1
+    return {e: w for e, w in terms.items() if w}
 
 
 def _expand_in_x(terms):
-    """The endpoints {(m, s): w} summed as w T^m (s = 0) or
-    w (1 + T + ... + T^(m-1)) (s = 1), then expanded in X by repeated
+    """The terms {e: w} summed as w T^e, then expanded in X by repeated
     products with 1 + X."""
-    dense = {}
-    for (m, s), w in terms.items():
-        for e in range(m) if s else (m,):
-            dense[e] = dense.get(e, 0) + w
     out, power = [], [1]
-    for e in range(max(dense, default=-1) + 1):
-        if dense.get(e):
-            out = [a + dense[e] * b for a, b in zip_longest(out, power, fillvalue=0)]
+    for e in range(max(terms, default=-1) + 1):
+        if terms.get(e):
+            out = [a + terms[e] * b for a, b in zip_longest(out, power, fillvalue=0)]
         power = _mul(power, [1, 1])
     while out and out[-1] == 0:
         out.pop()
@@ -552,20 +544,19 @@ def test_t_readout_matches_the_powers_of_one_plus_x(a, b):
 
 
 def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
-    """A run from exponent 0 streams one binomial recurrence and a run from
-    a > 0 two, whatever its length (valmat --p 32749 --av 0 --n 2 reads
-    Phi_1, a run of 32,749 terms, as one); each distinct exponent is
+    """A constant term streams no binomial recurrence and every other term
+    one, so 7 (T^40 - 1) streams one and 7 (T^40 - T^5) two (valmat --p
+    32749 --av 0 --n 2 reads 1 - T^32749 as one); each distinct exponent is
     streamed once per call for both entries, so over the benchmark's tower
-    series H streams at most 350 (437 when every entry of H, Phi_1
-    included, was streamed from T)."""
+    series H streams at most 330, the count it reads."""
     streamed = []
     stream = iwapoly._add_binomials
     monkeypatch.setattr(iwapoly, "_add_binomials",
                         lambda m, *args: streamed.append(m) or stream(m, *args))
-    assert _from_t([{(0, 1): -7, (40, 1): 7}]) == [[7 * comb(40, k) for k in range(1, 41)]]
+    assert _from_t([{0: -7, 40: 7}]) == [[0] + [7 * comb(40, k) for k in range(1, 41)]]
     assert streamed == [40]
     streamed.clear()
-    _from_t([{(5, 1): -7, (40, 1): 7}])
+    _from_t([{5: -7, 40: 7}])
     assert streamed == [5, 40]
     streamed.clear()
     for cached in (logmat._second_row, logmat._first_row):
@@ -573,7 +564,7 @@ def test_t_readout_builds_one_or_two_rows_per_run(monkeypatch):
     for p, a_v, top in TOWER_SERIES:
         for n in range(top + 1):
             logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
-    assert len(streamed) <= 350
+    assert len(streamed) <= 330
 
 
 @pytest.mark.parametrize("p, a_v, n", [(3, 3, 7), (3, -3, 7), (5, 0, 5), (3, 0, 7), (7, 0, 5)])
@@ -595,7 +586,7 @@ def test_t_readout_peak_is_its_result(p, a_v, n):
 
 def test_runs_value_at_t_2_is_the_term_sum():
     """Every entry of K's T rows, at every level n >= 1 of the tower series,
-    is lone terms, so sum w 2^e over them is its value at T = 2, which is
+    is terms {e: w}, so sum w 2^e over them is its value at T = 2, which is
     X = 1; times C_(v,1)(2) = [[a_v, 1], [-(2^p - 1), 0]] that is the sum of
     the coefficients of the matching h_matrix entry, the value
     logmat.exceeds_digits reads."""
@@ -603,9 +594,8 @@ def test_runs_value_at_t_2_is_the_term_sum():
         for n in range(1, top + 1):
             h = logmat.h_matrix(logmat.LocalCurveData(p, a_v), n)
             for i, row in enumerate(logmat._t_rows(p, a_v, n)):
-                k0, k1 = (sum(w << e for (e, _), w in terms.items()) for terms in row)
+                k0, k1 = (sum(w << e for e, w in terms.items()) for terms in row)
                 at = (p, a_v, n, i)
-                assert all(s == 0 for terms in row for _, s in terms), at
                 assert a_v * k0 - ((1 << p) - 1) * k1 == sum(h[i, 0].coeffs), at
                 assert k0 == sum(h[i, 1].coeffs), at
 
@@ -648,3 +638,13 @@ def test_omega_stores_one_integer_per_mirrored_pair(p, n):
     equal copies."""
     coeffs, top = omega.__wrapped__(p, n).coeffs, p**n
     assert all(coeffs[k] is coeffs[top - k] for k in range(1, top // 2 + 1))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 101])
+def test_phi_1_is_omega_1_over_x_sharing_its_integers(p):
+    """Phi_1 is omega_1 / X, read off omega(p, 1)'s cached coefficients
+    from X^1 on: the same integer objects, not copies (p = 101 takes the
+    check past the interpreter's cache of small integers)."""
+    phi, om = phi_poly(p, 1).coeffs, omega(p, 1).coeffs
+    assert len(phi) == p
+    assert all(phi[k] is om[k + 1] for k in range(p))

@@ -125,7 +125,7 @@ def test_scribbled_t_rows_do_not_reach_h():
     earlier = [exceeds_digits(d, *ask) for ask in asks]
     _clear_h_caches()
     (sharp, _), (_, flat) = logmat._t_rows(3, 3, 4)
-    sharp[(1, 0)] = 10**60
+    sharp[1] = 10**60
     flat.clear()
     prod = c_matrix(d, 1)
     for n in range(1, 5):
@@ -149,17 +149,38 @@ def test_t_rows_write_every_endpoint_once(p, av, top):
 
 def test_t_rows_keep_phi_1_as_one_run(monkeypatch):
     # At p = 32749, Phi_1 has 32,749 terms in T.  K_1 is the identity, and
-    # the second row of H_1 = K_1 C_(v,1) folds -Phi_1 into T as one run,
-    # two endpoints, for the one Taylor shift of both entries.
+    # the second row of H_1 = K_1 C_(v,1) folds -Phi_1 into T as
+    # (1 - T^p)/(T - 1): two terms for the one Taylor shift of both
+    # entries, and one division by X.
     assert [len(e) for row in logmat._t_rows(32749, 0, 1) for e in row] == [1, 0, 0, 1]
     read = []
     monkeypatch.setattr(logmat, "_from_t", lambda entries: read.append(entries) or [[], []])
     logmat._second_row.__wrapped__(32749, 0, 1)
-    assert read == [[{(0, 1): 1, (32749, 1): -1}, {}]]
+    assert read == [[{0: 1, 32749: -1}, {}]]
 
 
 # The benchmark's tower series: (p, a_v, top level).
 TOWER_SERIES = ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4))
+
+
+@pytest.mark.parametrize("p, av, top", TOWER_SERIES + ((3, 3, 9), (3, -3, 9)))
+def test_k_11_is_a_polynomial_in_t_to_the_p_squared(p, av, top):
+    # K_11 = (C_(v,n)...C_(v,3))_10 has no Phi_2 factor, so every exponent
+    # is a multiple of p^2; _second_row's fold adds the shifts e + p, which
+    # are p mod p^2 and so never meet one of them.
+    for n in range(top + 1):
+        k11 = logmat._t_rows(p, av, n)[1][1]
+        assert all(e % (p * p) == 0 for e in k11), n
+
+
+def test_phi_1_fold_stores_one_integer_per_mirrored_pair():
+    # H_1's second row at p = 32749 is the one stream of (1 - T^p) into a
+    # fresh list, divided by X: -Phi_1, whose coefficients C(p, j + 1) and
+    # C(p, p - 1 - j) are one integer, not two equal copies.
+    p = 32749
+    row = logmat._second_row.__wrapped__(p, 0, 1)[0].coeffs
+    assert len(row) == p
+    assert all(row[j] is row[p - 2 - j] for j in range((p - 1) // 2))
 
 
 @pytest.mark.parametrize("p, av, top", TOWER_SERIES)

@@ -7,9 +7,10 @@ import pytest
 
 from iwagrowth import growth, iwapoly, kobayashi, lattice, logmat
 from iwagrowth.errors import ValidationError
-from iwagrowth.iwapoly import IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, phi_poly
+from iwagrowth.iwapoly import (IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, phi_poly,
+                               totient)
 from iwagrowth.padic import INF, PadicUnit, require_odd_prime, unit_from_int
-from iwagrowth.polyres import omega_resultant
+from iwagrowth.polyres import omega_resultant, resultant, resultant_bareiss
 from iwagrowth.selfcheck import run_selfcheck
 
 ONE = IwaPoly(3, (1,))
@@ -136,6 +137,20 @@ REFUSALS |= {
                              f"seed {NOT_INT} 0.5"),
     "selfcheck_bool_seed": (lambda: run_selfcheck((3,), 2, False), ValidationError,
                             f"seed {NOT_INT} False"),
+    "resultant_float_coefficient": (lambda: resultant([1.5, 1], [1, 1]), ValidationError,
+                                    f"coefficient {NOT_INT} 1.5"),
+    "resultant_bareiss_float_coefficient": (lambda: resultant_bareiss([1.5, 1], [1, 1]),
+                                            ValidationError, f"coefficient {NOT_INT} 1.5"),
+    "nabla_finite_tower_float_size": (lambda: kobayashi.nabla_finite_tower([1.5, 2.5]),
+                                      ValidationError, f"size {NOT_INT} 1.5"),
+    "nabla_finite_tower_str_size": (lambda: kobayashi.nabla_finite_tower(["a", "b"]),
+                                    ValidationError, f"size {NOT_INT} 'a'"),
+    "nabla_asymptotic_float_mu": (lambda: kobayashi.nabla_asymptotic(WeierstrassData(1.5, 2), 3, 2),
+                                  ValidationError, f"mu {NOT_INT} 1.5"),
+    "nabla_asymptotic_composite_p": (lambda: kobayashi.nabla_asymptotic(WeierstrassData(1, 2), 4, 2),
+                                     ValidationError, "4 is not an odd prime"),
+    "totient_float_p": (lambda: totient(3.0, 2), ValidationError, f"p {NOT_INT} 3.0"),
+    "totient_bool_n": (lambda: totient(3, True), ValidationError, f"n {NOT_INT} True"),
 }
 
 
