@@ -15,9 +15,10 @@ ValidationError when p^n exceeds MAX_EXACT_P_POWER; _from_t,
 which reads polynomials in the group-ring coordinate T = 1 + X into X (a
 Taylor shift; Phi_n and H_(v,n) are sparse in T).  A polynomial in T has
 one format, its terms {e: w} for w T^e; _phi_t, logmat._t_rows and
-logmat._second_row build exactly that.  Each binomial coefficient is
-streamed into one output list per entry, so that the readout's peak
-memory is about that of its result; ord_eps(f, n),
+logmat._second_row build exactly that.  Each polynomial is read on its
+own, into one output list, and each of its terms streams its binomial
+coefficients into that list, so that the readout's peak memory is about
+that of its result; ord_eps(f, n),
 the valuation of f at eps_n = zeta_(p^n) - 1 in the totally ramified
 quotient Z_p[X]/Phi_n (read off the coefficients of f, reduced mod Phi_n
 only when its degree reaches phi(p^n)); and mu/lambda extraction, one
@@ -310,79 +311,54 @@ def totient(p: int, n: int) -> int:
     return p**n - p ** (n - 1) if n >= 1 else 1
 
 
-def _from_t(entries: list[dict[int, int]]) -> list[list[int]]:
-    """The X-coefficients of each polynomial in T = 1 + X, given as its
-    terms {e: w}, w T^e: a sparse Taylor shift, streamed.
+def _from_t(terms: dict[int, int]) -> list[int]:
+    """The X-coefficients of one polynomial in T = 1 + X, given as its terms
+    {e: w}, w T^e: a sparse Taylor shift, streamed.
 
-    w T^e is w (1+X)^e.  Each entry has one output list of max(e) + 1
-    coefficients.  A constant term (e = 0) is added into its list's X^0
-    coefficient at once, and each distinct e > 0 is streamed once
-    (_add_binomials) into every entry that uses it.  The first stream finds
-    every list zero past X^0, so when it has one use it stores its values
-    rather than adding them.  No binomial row, per-weight sum or slice is
-    built, so the readout's peak memory is about that of its result.
+    w T^e is w (1+X)^e.  The output is one list of max(e) + 1 coefficients.
+    A constant term (e = 0) is added into its X^0 coefficient at once, and
+    every other term is streamed on its own (_add_binomials).  The first
+    stream finds the list zero past X^0, so it stores its values rather
+    than adding them.  No binomial row, per-weight sum or slice is built,
+    so the readout's peak memory is about that of its result.  A caller
+    with several polynomials reads each by its own call.
     """
-    outs = [[0] * (max(terms, default=-1) + 1) for terms in entries]
-    uses: dict[int, list[tuple[list[int], int]]] = {}
-    for out, terms in zip(outs, entries):
-        for e, w in terms.items():
-            if e:
-                uses.setdefault(e, []).append((out, w))
-            else:
-                out[0] += w
-    for i, (m, at) in enumerate(uses.items()):
-        _add_binomials(m, at, not i and len(at) == 1)
-    return outs
-
-
-def _add_binomials(m: int, uses: list[tuple[list[int], int]], store: bool = False) -> None:
-    """Add w C(m, k) into out[k], for k = 0..m, for each use (out, w); m >= 1.
-
-    C(m, k) is streamed by C(m, k+1) = C(m, k)(m - k)/(k + 1), and each value
-    is added at once into out[k] and its mirror out[m - k].  The
-    recurrence is seeded with the gcd g of the weights, signed as the first:
-    g C(m, k)(m - k)/(k + 1) = g C(m, k+1) is exact, so a use of weight g
-    (every use, when m has one) adds the streamed value itself.  An m with
-    one use, as every m of an a_v = 0 level of H, takes a loop without the
-    inner loop over uses: 8-30% faster at those levels.  With store set,
-    that one use's list is still all zeros past out[0], so the loop stores
-    each value in both places instead: a mirrored pair then holds one
-    integer, not two equal copies, and no 0 + c is formed (omega(3, 9) keeps
-    18.4 MiB of coefficients instead of 36.9).
-    """
-    if len(uses) == 1:
-        ((out, c),) = uses
-        targets = [(out, 1)]
-    else:
-        g = math.gcd(*(w for _, w in uses))
-        c = g if uses[0][1] > 0 else -g
-        targets = [(out, w // c) for out, w in uses]
-    for out, u in targets:  # k = 0 and its mirror k = m
-        out[0] += u * c
-        out[m] += u * c
-    half = (m - 1) // 2  # the k with 0 < k < m - k
-    if len(targets) == 1:
-        ((out, _),) = targets
-        if store:
-            for k in range(1, half + 1):
-                c = c * (m + 1 - k) // k
-                out[k] = out[m - k] = c
+    out = [0] * (max(terms, default=-1) + 1)
+    store = True
+    for e, w in terms.items():
+        if e:
+            _add_binomials(out, e, w, store)
+            store = False
         else:
-            for k in range(1, half + 1):
-                c = c * (m + 1 - k) // k
-                out[k] += c
-                out[m - k] += c
+            out[0] += w
+    return out
+
+
+def _add_binomials(out: list[int], m: int, c: int, store: bool) -> None:
+    """Add c C(m, k) into out[k], for k = 0..m; m >= 1.
+
+    c C(m, k) is streamed by C(m, k+1) = C(m, k)(m - k)/(k + 1), exact for
+    any integer weight c, and each value is added at once into out[k] and
+    its mirror out[m - k].  With store set, out is still all zeros past
+    out[0], so the loop stores each value in both places instead: a
+    mirrored pair then holds one integer, not two equal copies, and no
+    0 + c is formed (omega(3, 9) keeps 18.4 MiB of coefficients instead of
+    36.9).
+    """
+    out[0] += c  # k = 0 and its mirror k = m
+    out[m] += c
+    half = (m - 1) // 2  # the k with 0 < k < m - k
+    if store:
+        for k in range(1, half + 1):
+            c = c * (m + 1 - k) // k
+            out[k] = out[m - k] = c
     else:
         for k in range(1, half + 1):
             c = c * (m + 1 - k) // k
-            for out, u in targets:
-                v = c if u == 1 else u * c
-                out[k] += v
-                out[m - k] += v
+            out[k] += c
+            out[m - k] += c
     if m > 1 and m % 2 == 0:  # the middle k = m/2, its own mirror
-        c = c * (half + 2) // (half + 1)
-        for out, u in targets:
-            out[half + 1] += u * c
+        out[half + 1] += c * (half + 2) // (half + 1)
 
 
 # The largest p^n for which omega(p, n), phi_poly(p, n) and the second row
@@ -406,13 +382,13 @@ def _require_exact_size(p: int, n: int) -> None:
 # omega(3, 2) and omega(3, 1) and never be refused; phi_poly's cache likewise
 @functools.lru_cache(maxsize=None, typed=True)
 def omega(p: int, n: int) -> IwaPoly:
-    """omega_n = (1+X)^(p^n) - 1; omega_0 = X: the readout (_from_t) of
-    T^(p^n) - 1, one stream, which stores C(p^n, k) once for k and p^n - k."""
+    """omega_n = (1+X)^(p^n) - 1; omega_0 = X: one readout (_from_t) of the
+    two terms of T^(p^n) - 1, one stream, which stores C(p^n, k) once for k
+    and p^n - k."""
     require_level(n, 0)
     require_odd_prime(p)
     _require_exact_size(p, n)
-    (coeffs,) = _from_t([{p**n: 1, 0: -1}])
-    return IwaPoly._of(p, coeffs, None)
+    return IwaPoly._of(p, _from_t({p**n: 1, 0: -1}), None)
 
 
 def _phi_t(p: int, m: int) -> dict[int, int]:
@@ -429,17 +405,16 @@ def phi_poly(p: int, n: int) -> IwaPoly:
     """Phi_n = omega_n / omega_(n-1), Eisenstein of degree phi(p^n).  At
     n = 1 it is omega_1 / X, the coefficients of omega(p, 1) from X^1 on,
     the same integers: one streamed recurrence, where reading its p terms
-    in T would stream p, O(p^2) work.  From n = 2 on it is the readout
-    (_from_t) of its p terms in T (_phi_t), p recurrences added into one
-    list.
+    in T would stream p, O(p^2) work.  From n = 2 on it is one readout
+    (_from_t) of its p terms in T (_phi_t): p recurrences streamed into one
+    list, the first stored.
     """
     require_level(n)
     require_odd_prime(p)
     _require_exact_size(p, n)
     if n == 1:
         return IwaPoly._of(p, list(omega(p, 1).coeffs[1:]), None)
-    (coeffs,) = _from_t([_phi_t(p, n)])
-    return IwaPoly._of(p, coeffs, None)
+    return IwaPoly._of(p, _from_t(_phi_t(p, n)), None)
 
 
 # The window of _times_phi_1, in coefficients: each window is copied, so at

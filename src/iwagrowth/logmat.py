@@ -13,14 +13,15 @@ are terms {e: w}, w T^e.  C_(v,1) is applied last: row i of H_n is
 (a_v K_i0 - Phi_1 K_i1, K_i0).  The T rows are built by one loop per call,
 which checks the size bound once and is not cached: rebuilding them costs
 far less than the X readouts.  Each level's second row is read into X once
-(_second_row): K's entries by a Taylor shift (iwapoly._from_t) that streams
-each binomial coefficient into one output list per entry, and Phi_1 by p
-Pascal passes over windows of that list (iwapoly._times_phi_1), or, while
-K_11 has at most p terms, as (1 - T^p) K_11 read by the same shift and
-divided by X.  So the readout's peak memory is about that of the
-row it returns; the first row follows in X by the same step, and these two
-readouts are H's only caches.  The print-limit bound values K at T = 2,
-which is X = 1, as sum w 2^e, times C_(v,1) at T = 2.
+(_second_row): each entry of K by its own Taylor shift (iwapoly._from_t),
+which streams each term's binomial coefficients into that entry's one
+output list, and Phi_1 by p Pascal passes over windows of that list
+(iwapoly._times_phi_1), or, while K_11 has at most p terms, as
+(1 - T^p) K_11 read by a shift of its own and divided by X.  So the
+readout's peak memory is about that of the row it returns; the first row
+follows in X by the same step, and these two readouts are H's only
+caches.  The print-limit bound values K at T = 2, which is X = 1, as
+sum w 2^e, times C_(v,1) at T = 2.
 M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
@@ -189,10 +190,11 @@ def _t_rows(p: int, a_v: int, n: int) -> tuple[tuple[dict[int, int], ...], ...]:
 # _second_row folds Phi_1 into T while K_11 has at most this many terms per
 # unit of p, and applies it in X (iwapoly._times_phi_1) past that.  Measured
 # at every level of the benchmark's tower series (CPython 3.11, x86-64,
-# in-process medians of 21 rounds, three runs, X pass over fold): 1.12-1.84
-# where K_11 is one term; 1.14-1.44 where it is p terms (334-346 against
-# 239-244 us at (7, 0, 3), 1.20-1.22 at (3, +-3, 4)); and 0.50-0.96 from 9
-# terms on.
+# in-process medians of 21 rounds, three runs, X pass over fold, each entry
+# read by its own _from_t call on both sides): 0.94-1.54 where K_11 is one
+# term; 1.02-1.50 where it is p terms (394-422 against 281-302 us at
+# (7, 0, 3), 1.08-1.30 at (3, +-3, 4)); 0.94-1.06 at 3p terms; and
+# 0.56-0.92 from 5p terms on (where K_11 is empty, both read the fold).
 _FOLD_MAX_RATIO = 1
 
 
@@ -201,30 +203,33 @@ def _second_row(p: int, a_v: int, n: int) -> tuple[IwaPoly, IwaPoly]:
     """Second row of H_(v,n), (a_v K_10 - Phi_1 K_11, K_10) for the second
     row (K_10, K_11) of K_n (_t_rows), read into X; (0, 1) at n = 0.
 
-    When K_11 has more than p terms (_FOLD_MAX_RATIO), K_10 and -K_11 are
-    read into X by one Taylor shift (_from_t), and Phi_1 is applied there
-    with a_v K_10 added, window by window (_times_phi_1): p Pascal passes
-    cost less than streaming each term of K_11 twice.  Otherwise -Phi_1 K_11
-    is folded into T as (1 - T^p) K_11 / (T - 1): each term w T^e gives the
-    terms e: w and e + p: -w, and (1 - T^p) K_11 is read by the same Taylor
-    shift as K_10.  Its X^0 coefficient, its value at T = 1, is 0 and is
+    K_10 is read into X first, by a Taylor shift of its own (_from_t), and
+    the first entry by a second.  When K_11 has more than p terms
+    (_FOLD_MAX_RATIO), that second shift reads -K_11, and Phi_1 is applied
+    there with a_v K_10 added, window by window (_times_phi_1): p Pascal
+    passes cost less than streaming each term of K_11 twice.  Otherwise
+    -Phi_1 K_11 is folded into T as (1 - T^p) K_11 / (T - 1): each term
+    w T^e gives the terms e: w and e + p: -w, and the shift reads
+    (1 - T^p) K_11.  Its X^0 coefficient, its value at T = 1, is 0 and is
     dropped, which divides by X, and a_v K_10 is added in X.  The two sets
     of exponents never meet: K_11 is (C_(v,n)...C_(v,3))_10, a polynomial
     in T^(p^2), so its exponents are multiples of p^2, and the shifted ones
-    are p mod p^2.
+    are p mod p^2.  An exponent of K_10 that the second shift also reads is
+    streamed once by each.
     """
     if n == 0:
         return IwaPoly._of(p, [], None), IwaPoly._of(p, [1], None)
     k0, k1 = _t_rows(p, a_v, n)[1]
+    second = _from_t(k0)
     if len(k1) > _FOLD_MAX_RATIO * p:
-        rows = _from_t([k0, {e: -w for e, w in k1.items()}])
-        _times_phi_1(rows[1], p, a_v, rows[0])
-        rows.reverse()
+        first = _from_t({e: -w for e, w in k1.items()})
+        _times_phi_1(first, p, a_v, second)
     else:
-        first, second = _from_t([{**k1, **{e + p: -w for e, w in k1.items()}}, k0])
+        first = _from_t({**k1, **{e + p: -w for e, w in k1.items()}})
         del first[:1]  # 0, the value at T = 1: what is left is divided by X
-        rows = _plus(first, [a_v * x for x in second]) if a_v else first, second
-    return tuple(IwaPoly._of(p, c, None) for c in rows)
+        if a_v:
+            first = _plus(first, [a_v * x for x in second])
+    return IwaPoly._of(p, first, None), IwaPoly._of(p, second, None)
 
 
 @functools.lru_cache(maxsize=None)

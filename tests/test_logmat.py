@@ -150,13 +150,14 @@ def test_t_rows_write_every_endpoint_once(p, av, top):
 def test_t_rows_keep_phi_1_as_one_run(monkeypatch):
     # At p = 32749, Phi_1 has 32,749 terms in T.  K_1 is the identity, and
     # the second row of H_1 = K_1 C_(v,1) folds -Phi_1 into T as
-    # (1 - T^p)/(T - 1): two terms for the one Taylor shift of both
-    # entries, and one division by X.
+    # (1 - T^p)/(T - 1): K_10, which is empty, is read first, then the two
+    # terms of the fold by one Taylor shift of their own, and one division
+    # by X.
     assert [len(e) for row in logmat._t_rows(32749, 0, 1) for e in row] == [1, 0, 0, 1]
     read = []
-    monkeypatch.setattr(logmat, "_from_t", lambda entries: read.append(entries) or [[], []])
+    monkeypatch.setattr(logmat, "_from_t", lambda terms: read.append(terms) or [])
     logmat._second_row.__wrapped__(32749, 0, 1)
-    assert read == [[{0: 1, 32749: -1}, {}]]
+    assert read == [{}, {0: 1, 32749: -1}]
 
 
 # The benchmark's tower series: (p, a_v, top level).
@@ -200,7 +201,9 @@ def test_both_sides_of_the_phi_1_crossover_give_the_same_rows(p, av, top, monkey
 # SHA-256 of the second row of H_(v,n), each entry's coefficients in hex,
 # comma-separated and closed by ";", recorded from a build that kept the T
 # rows term by term, and at (3, 0, 9) and (7, 0, 5) from one that read every
-# entry of H from its T endpoints (no Phi_1 pass in X).  No exact oracle
+# entry of H from its T endpoints (no Phi_1 pass in X), and at (3, +-3, 8)
+# from one that streamed each exponent shared by K_10 and K_11 once into
+# both entries' lists.  No exact oracle
 # reaches these levels in the tests; hex, because a coefficient at
 # (7, 0, 5) is past str()'s digit limit.
 SECOND_ROW_DIGESTS = {
@@ -209,6 +212,8 @@ SECOND_ROW_DIGESTS = {
     (3, 3, 7): "f6a77194ace2c1f878a276952d81fb9613580fc7be1e247a6488ccfd53fa5090",
     (3, -3, 7): "2b27f8ff337dd2e5d422afba09d65a64a91c0b9ce8ba7fecbd515c83d8098d1d",
     (3, 0, 8): "3e205bcb2bc9338302354edf49ed20ef25e0a2d3323b0e590fa506398115a827",
+    (3, 3, 8): "625dead69ee062bc9171732e201b58787e894d177f32dfd16efeb57202e00ff2",
+    (3, -3, 8): "4f00d5443cefcc5db618f376b97adb08bb03c6093cc22557536a3faf4d2585e9",
     (5, 0, 5): "35f511b9775263057a31c861c82b0292cf679298a627fee00bac6b3290bfe4e8",
     (7, 0, 4): "a97ccc0ef696d508364a2152396b2a490342b59cd0b2c047bfa8411077ff78f9",
 }
