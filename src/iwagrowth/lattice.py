@@ -8,10 +8,13 @@ constructive content of the containment Im >= omega_(n-1) * Lambda_n.
 
 A unit known mod p^N enters as a constant IwaPoly with that modulus, so each
 result is known modulo the least modulus of its operands (IwaPoly._join_prec).
-The map folds u into G_2 and forms its products through logmat's one-entry
-memo _first_row_times, with H's entries, G_1 and u G_2 reduced mod p^k when
-the total is known mod p^k; the cross identity is the witness map at u = 1
-there, so after it the witness map at u = +-1 forms no product of its own.
+The map folds u into G_2 and reads its total from logmat's one-entry memo
+_first_row_times.  The cross identity is the witness map at u = 1 there, so
+after it the witness map at every unit forms no product of its own: at
+u = +-1 it reads the exact total, and at a unit known mod p^k that total
+reduced mod p^k, since its operands are congruent to the exact ones.  Any
+other pair known mod p^k has H's entries, G_1 and u G_2 reduced mod p^k
+before the products.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from .padic import DEFAULT_PRECISION, PadicUnit, unit_from_int
 
 @dataclass(frozen=True)
 class LatticePair:
-    """Coordinates (G_1, G_2) in Lambda + Lambda."""
+    """Coordinates (G_1, G_2) in Lambda + Lambda: IwaPolys at one prime."""
 
     g1: IwaPoly
     g2: IwaPoly
 
     def __post_init__(self):
+        if not all(isinstance(g, IwaPoly) for g in (self.g1, self.g2)):
+            raise ValidationError("coordinates must be IwaPoly")
         if self.g1.prime != self.g2.prime:
             raise ValidationError("mixed primes")
 
@@ -67,21 +72,23 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
 
     u is an int or a PadicUnit; the int +-1 is exact.  u is folded into G_2
     first, as H_sharp G_1 + H_flat (u G_2), which is the same total in Z[X]
-    and mod p^k; then logmat._first_row_times forms the products, with all
-    four operands reduced mod p^k when the total is known only mod p^k.  On
-    a witness pair u G_2 = X H_sharp(n-1) for every unit, so the map at
-    u = +-1 and the cross identity share one memo entry, and two units of
-    one precision another.  The reduction mod omega_n is skipped when the
-    total has degree below p^n = deg omega_n, where it would return the
-    total unchanged; a witness image (degree at most p^(n-1) + p^(n-2) - 1)
-    is such a total, so omega_n is not built for it.
+    and mod p^k; then logmat._first_row_times gives the total.  When the
+    total is known only mod p^k and G_1, u G_2 agree mod p^k with the memo's
+    last exact operands, it is that exact total reduced mod p^k; otherwise
+    all four operands are reduced mod p^k before the products.  On a
+    witness pair u G_2 = X H_sharp(n-1) for every unit, so after the cross
+    identity the map at every unit forms no product.  The reduction mod
+    omega_n is skipped when the total has degree below p^n = deg omega_n,
+    where it would return the total unchanged; a witness image (degree at
+    most p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built
+    for it.
     """
     require_level(n)
     p = data.prime
     sharp, flat = h_entries(data, n)
     g2 = _unit(u, p) * pair.g2
-    total = _first_row_times(p, sharp.coeffs, flat.coeffs, pair.g1.coeffs, g2.coeffs,
-                             pair.g1._join_prec(g2))
+    total = _first_row_times(p, sharp.coeffs, flat.coeffs)(pair.g1.coeffs, g2.coeffs,
+                                                           pair.g1._join_prec(g2))
     return total if total.degree < p**n else total % omega(p, n)
 
 

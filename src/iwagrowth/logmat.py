@@ -27,10 +27,13 @@ power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
 The cross identity is checked times X, as the level-n map at u = 1 on the
 witness pair (_witness_rows, which lattice.witness reads too); the check and
-lattice.h_u_map form their products through one one-entry memo,
-_first_row_times, which reduces all four operands mod p^k when the total is
-known mod p^k, so a level's products are formed once for the determinant
-check, the cross identity and the map at u = +-1 (u is folded into G2).
+lattice.h_u_map read their totals from one one-entry memo, _first_row_times,
+which keeps a row's last exact total and last total mod p^k.  A query mod
+p^k whose operands agree with the exact one's mod p^k reads the exact total
+reduced mod p^k; any other reduces all four operands mod p^k before its
+products.  So a level forms one pair of products, for the determinant
+check and the cross identity, and the map at every unit reads its total
+(u is folded into G2).
 The parity-split closed form of the valuation table is stated once, in
 integers scaled by phi(p^n), by parity_tails; the closed-form table and the
 growth terms read it, and the signature reads only its carrier rule.
@@ -49,6 +52,7 @@ from .iwapoly import (
     _from_t,
     _phi_t,
     _plus,
+    _reduced,
     _require_exact_size,
     _times_phi_1,
     omega,
@@ -254,22 +258,38 @@ def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return _first_row(data.prime, data.a_v, n)
 
 
-# Entries of _first_row_times' memo.  One entry serves consecutive
-# evaluations of one level's map on one pair up to the unit: u is folded into
-# G2 first, so the cross identity (the witness map at u = 1) and the witness
-# map at u = +-1 read one entry, and two units of one precision another.
+# Entries of _first_row_times' memo, each one first row of H: one entry
+# serves a level's determinant check, cross identity and witness map at
+# every unit (u is folded into G2).
 _MAP_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _first_row_times(p: int, sharp: tuple[int, ...], flat: tuple[int, ...],
-                     g1: tuple[int, ...], g2: tuple[int, ...], k: int | None) -> IwaPoly:
-    """sharp*g1 + flat*g2 for coefficient tuples, known mod p^k (exact when k
-    is None), with all four operands reduced mod p^k before the products.
-    Keyed by the tuples themselves, so a changed row never meets a stale
-    entry."""
-    sharp, flat, g1, g2 = (IwaPoly._of(p, list(e), k) for e in (sharp, flat, g1, g2))
-    return sharp * g1 + flat * g2
+def _first_row_times(p: int, sharp: tuple[int, ...], flat: tuple[int, ...]):
+    """The map (g1, g2, k) -> sharp*g1 + flat*g2 of one first row, for
+    coefficient tuples, known mod p^k (exact when k is None).
+
+    A query mod p^k whose g1 and g2 agree mod p^k, after reduction and
+    trimming, with the exact slot's returns that exact total reduced mod
+    p^k: congruent operands give congruent totals, so no product is formed.
+    Any other query forms its products with all four operands reduced mod
+    p^k, and fills the slot of its kind; a repeat of a slot's query forms
+    none.  Keyed by the tuples themselves, so a changed row never meets a
+    stale entry."""
+    last = {}  # k is None -> ((g1, g2, k), total): the last query of each kind
+
+    def times(g1: tuple[int, ...], g2: tuple[int, ...], k: int | None) -> IwaPoly:
+        exact = last.get(True)
+        if k is not None and exact and all(_reduced(a, p, k) == _reduced(b, p, k)
+                                           for a, b in zip(exact[0], (g1, g2))):
+            return IwaPoly._of(p, list(exact[1].coeffs), k)
+        query, slot = (g1, g2, k), k is None
+        if slot not in last or last[slot][0] != query:
+            s, f, a, b = (IwaPoly._of(p, list(e), k) for e in (sharp, flat, g1, g2))
+            last[slot] = query, s * a + f * b
+        return last[slot][1]
+
+    return times
 
 
 def _witness_rows(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
@@ -288,7 +308,8 @@ def cross_identity_check(data: LocalCurveData, n: int) -> StructureReport:
     require_level(n)
     p = data.prime
     rows = h_entries(data, n)  # first, so a level past the size bound is refused at once
-    lhs = _first_row_times(p, *(e.coeffs for e in rows + _witness_rows(data, n)), None)
+    lhs = _first_row_times(p, *(e.coeffs for e in rows))(
+        *(e.coeffs for e in _witness_rows(data, n)), None)
     off = lhs - omega(p, n - 1)
     if off.is_zero:
         return StructureReport(True)
@@ -376,10 +397,13 @@ def det_structure_check(data: LocalCurveData, n: int,
     and omega_n / X = Phi_n * omega_(n-1) / X, so in the domain Z[X] the
     determinant identity is cross_identity_check, and no determinant is
     formed.  Any other h has its second row compared against the recursion's
-    and its full determinant against omega_n / X.
+    and its full determinant against omega_n / X; an h at another prime
+    raises ValidationError("mixed primes").
     """
     require_level(n)
-    own = h_matrix(data, n)  # first, so a level past the size bound is refused at once
+    if h is not None and any(e.prime != data.prime for row in h.entries for e in row):
+        raise ValidationError("mixed primes")
+    own = h_matrix(data, n)  # so a level past the size bound is refused before any product
     if h is None or h.entries == own.entries:
         det_ok, shape = cross_identity_check(data, n).passed, []
     else:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from hypothesis import example, given, settings, strategies as st
@@ -293,14 +295,15 @@ def _counted_mul(monkeypatch, keep):
     return calls
 
 
-@pytest.mark.parametrize("p, av, n, products", [(3, 0, 5, 2), (5, 0, 3, 2), (3, 3, 4, 4),
-                                                (3, -3, 4, 4)])
+@pytest.mark.parametrize("p, av, n, products", [(3, 0, 5, 1), (5, 0, 3, 1), (3, 3, 4, 2),
+                                                (3, -3, 4, 2)])
 def test_each_level_forms_its_map_products_once(monkeypatch, p, av, n, products):
     # The cross identity is the witness map at u = 1, and u is folded into
-    # G_2 before the products, so the determinant check, the cross identity
-    # and the witness map at u = +-1 form one pair of products, and two
-    # p-adic units of one precision one more.  At a_v = 0 one entry of H's
-    # first row is 0, so each pair holds one product of two lists.
+    # G_2 before the products, so the determinant check and the cross
+    # identity form one pair of products, and the witness map at every unit
+    # reads that exact total: at u = +-1 as it is, and at p-adic units
+    # reduced mod p^48.  At a_v = 0 one entry of H's first row is 0, so the
+    # pair holds one product of two lists.
     d = LocalCurveData(p, av)
     units = (1, -1, unit_from_int(2, p, 48), unit_from_int(p + 1, p, 48))
 
@@ -318,7 +321,7 @@ def test_each_level_forms_its_map_products_once(monkeypatch, p, av, n, products)
     logmat._first_row_times.cache_clear()
     calls.clear()
     cross_identity_check(d, n)
-    assert len(calls) == products // 2
+    assert len(calls) == products
 
 
 @pytest.mark.parametrize("p, av, n, k", [(3, 3, 4, 2), (3, -3, 3, 1), (5, 0, 4, 3)])
@@ -334,3 +337,65 @@ def test_modular_operands_are_reduced_before_the_products(monkeypatch, p, av, n,
     image = h_u_map(pair, d, n, u)
     assert calls and all(0 <= c < p**k for a, b in calls for c in (*a, *b))
     assert image == omega(p, n - 1).with_modulus(k)
+
+
+# The benchmark's tower series: (p, a_v, top level).
+TOWER_SERIES = ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4))
+
+
+@pytest.mark.parametrize("p, av, n, k", [(3, 0, 3, 5), (3, 3, 3, 2), (5, 0, 3, 8)])
+def test_a_query_off_the_exact_entry_forms_its_own_products(monkeypatch, p, av, n, k):
+    # G_2 one off the exact entry's in one coefficient is not congruent to
+    # it mod p^k: the exact total is not read, and the query's own products
+    # give what they give on a cleared memo.
+    d = LocalCurveData(p, av)
+    g1, g2 = logmat._witness_rows(d, n)
+    bumped = list(g2.coeffs)
+    bumped[1] += 1
+    off = LatticePair(g1, IwaPoly(p, tuple(bumped), k))
+    assert cross_identity_check(d, n).passed
+    calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
+    image = h_u_map(off, d, n, 1)
+    assert calls and image != omega(p, n - 1).with_modulus(k)
+    calls.clear()
+    assert h_u_map(off, d, n, 1) == image and calls == []  # a repeat forms none
+    logmat._first_row_times.cache_clear()
+    assert h_u_map(off, d, n, 1) == image and calls
+
+
+def test_a_cleared_memo_forms_the_modular_products_again(monkeypatch):
+    d = LocalCurveData(3, 3)
+    u = unit_from_int(2, 3, 48)
+    pair = witness(d, 4, u)
+    assert cross_identity_check(d, 4).passed
+    calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
+    image = h_u_map(pair, d, 4, u)
+    assert calls == []  # read off the exact total
+    logmat._first_row_times.cache_clear()
+    assert h_u_map(pair, d, 4, u) == image and len(calls) == 2
+    assert h_u_map(pair, d, 4, u) == image and len(calls) == 2
+
+
+@pytest.mark.parametrize("p, av, top", TOWER_SERIES)
+def test_every_tower_level_reads_the_exact_total_as_a_cleared_memo_computes(
+        monkeypatch, p, av, top):
+    # At every precision p^1 to p^64, the witness map at a seeded unit
+    # after the cross identity reads the exact total, forming no product,
+    # and equals, coefficients and modulus, the map on a cleared memo.
+    rng = random.Random(p * 100 + av)
+    d = LocalCurveData(p, av)
+    for n in range(1, top + 1):
+        units = []
+        for k in range(1, 65):
+            r = rng.randrange(1, p**k)
+            units.append(unit_from_int(r if r % p else r + 1, p, k))
+        cases = [(witness(d, n, u), u) for u in units]
+        assert cross_identity_check(d, n).passed
+        calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
+        read = [h_u_map(pair, d, n, u) for pair, u in cases]
+        assert calls == []
+        monkeypatch.undo()
+        for (pair, u), image in zip(cases, read):
+            logmat._first_row_times.cache_clear()
+            cleared = h_u_map(pair, d, n, u)
+            assert (image.coeffs, image.mod_prec) == (cleared.coeffs, cleared.mod_prec)

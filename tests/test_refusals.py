@@ -53,6 +53,12 @@ REFUSALS = {
                        "polynomial division by zero"),
     "infinite_value": (lambda: INF.value, ValueError, "no finite value"),
     "no_primes": (lambda: run_selfcheck(p_list=()), ValidationError, "need at least one prime"),
+    "lattice_pair_int": (lambda: lattice.LatticePair(1, 2), ValidationError,
+                         "coordinates must be IwaPoly"),
+    "det_structure_check_mixed_primes": (
+        lambda: logmat.det_structure_check(logmat.LocalCurveData(3, 0), 2,
+                                           logmat.h_matrix(logmat.LocalCurveData(5, 0), 2)),
+        ValidationError, "mixed primes"),
 }
 
 # A float, and a bool where an int is expected, at each integer input a
