@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all modules, the one integer check and the
-one tower-level check."""
+"""Exception hierarchy shared by all modules, the one integer check, the one
+integer-sequence check and the one tower-level check."""
 
 
 class IwagrowthError(Exception):
@@ -16,6 +16,17 @@ def require_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def require_ints(values, name: str) -> list[int]:
+    """values as a list when it is an iterable of integers: anything that is
+    not iterable is refused, and each element is checked by require_int."""
+    try:
+        items = iter(values)
+    except TypeError:
+        raise ValidationError(f"{name}s must be an iterable of integers, "
+                              f"got {type(values).__name__}") from None
+    return [require_int(v, name) for v in items]
 
 
 def require_level(n: int, floor: int = 1) -> None:

@@ -11,6 +11,7 @@ Cumulative tables prefix-sum the deltas from a base anchor.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,12 +65,13 @@ class GrowthScenario:
 
     sigma is used at odd levels, tau at even levels; None means the defaults
     chosen by logmat.signature (flat at odd levels, sharp at even ones).
-    Construction checks shapes and that the invariants and the anchor
-    (base_n0, base_e0) are nonnegative.  The places (p and the traces) are
-    validated once per scenario, when places is first read; sha_table reads
-    it before its first row, so an invalid scenario is refused even when the
-    table is empty.  An inconsistent signature is raised only at a level
-    whose term is computed.  validate_scenario reports every problem at once.
+    Construction checks shapes, that ss_primes holds SsPrimes, and that the
+    invariants and the anchor (base_n0, base_e0) are nonnegative.  The
+    places (p and the traces) are validated once per scenario, when places
+    is first read; sha_table reads it before its first row, so an invalid
+    scenario is refused even when the table is empty.  An inconsistent
+    signature is raised only at a level whose term is computed.
+    validate_scenario reports every problem at once.
     """
 
     prime: int
@@ -86,7 +88,10 @@ class GrowthScenario:
 
     def __post_init__(self):
         require_int(self.prime, "prime")
-        object.__setattr__(self, "ss_primes", tuple(self.ss_primes))
+        places = tuple(self.ss_primes) if isinstance(self.ss_primes, Iterable) else None
+        if places is None or not all(isinstance(w, SsPrime) for w in places):
+            raise ValidationError("ss_primes must be an iterable of SsPrime")
+        object.__setattr__(self, "ss_primes", places)
         for name in ("sigma", "tau"):
             vec = getattr(self, name)
             if vec is None:

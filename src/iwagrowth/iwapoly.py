@@ -42,6 +42,7 @@ from .errors import (
     ValidationError,
     ZeroPolynomial,
     require_int,
+    require_ints,
     require_level,
 )
 from .padic import INF, ExtendedRational, int_valuation, require_odd_prime
@@ -190,7 +191,7 @@ class IwaPoly:
         require_odd_prime(self.prime)
         if self.mod_prec is not None and require_int(self.mod_prec, "mod_prec") < 1:
             raise ValidationError("mod_prec must be positive")
-        coeffs = [require_int(c, "coefficient") for c in self.coeffs]
+        coeffs = require_ints(self.coeffs, "coefficient")
         object.__setattr__(self, "coeffs", _reduced(coeffs, self.prime, self.mod_prec))
 
     @classmethod

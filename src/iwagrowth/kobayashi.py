@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (NotFinite, PhiDividesF, PrecisionExhausted, ValidationError, require_int,
+from .errors import (NotFinite, PhiDividesF, PrecisionExhausted, ValidationError, require_ints,
                      require_level)
 from .iwapoly import (
     IwaPoly,
@@ -345,7 +345,7 @@ def nabla_asymptotic(w: WeierstrassData, p: int, n: int) -> int:
 def nabla_finite_tower(sizes: list[int]) -> list[NablaResult]:
     """First differences of the size exponents e(M_n) of a finite tower,
     each an integer: any other is refused before any work."""
-    sizes = [require_int(e, "size") for e in sizes]
+    sizes = require_ints(sizes, "size")
     return [
         NablaResult(i + 1, b - a, FINITE_TOWER)
         for i, (a, b) in enumerate(zip(sizes, sizes[1:]))

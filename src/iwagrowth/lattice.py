@@ -8,13 +8,10 @@ constructive content of the containment Im >= omega_(n-1) * Lambda_n.
 
 A unit known mod p^N enters as a constant IwaPoly with that modulus, so each
 result is known modulo the least modulus of its operands (IwaPoly._join_prec).
-The map folds u into G_2 and reads its total from logmat's one-entry memo
-_first_row_times.  The cross identity is the witness map at u = 1 there, so
-after it the witness map at every unit forms no product of its own: at
-u = +-1 it reads the exact total, and at a unit known mod p^k that total
-reduced mod p^k, since its operands are congruent to the exact ones.  Any
-other pair known mod p^k has H's entries, G_1 and u G_2 reduced mod p^k
-before the products.
+The map folds u into G_2 and reads its total through logmat._map_total,
+which reads a pair congruent to the witness pair off the level's exact
+total (logmat._witness_total): after the cross identity, the witness map at
+every unit forms no product of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError, require_level
 from .iwapoly import IwaPoly, omega
-from .logmat import LocalCurveData, _first_row_times, _witness_rows, h_entries
+from .logmat import LocalCurveData, _map_total, _witness_rows
 from .logmat import cross_identity_check  # noqa: F401  (re-exported)
 from .padic import DEFAULT_PRECISION, PadicUnit, unit_from_int
 
@@ -72,23 +69,17 @@ def h_u_map(pair: LatticePair, data: LocalCurveData, n: int, u) -> IwaPoly:
 
     u is an int or a PadicUnit; the int +-1 is exact.  u is folded into G_2
     first, as H_sharp G_1 + H_flat (u G_2), which is the same total in Z[X]
-    and mod p^k; then logmat._first_row_times gives the total.  When the
-    total is known only mod p^k and G_1, u G_2 agree mod p^k with the memo's
-    last exact operands, it is that exact total reduced mod p^k; otherwise
-    all four operands are reduced mod p^k before the products.  On a
-    witness pair u G_2 = X H_sharp(n-1) for every unit, so after the cross
-    identity the map at every unit forms no product.  The reduction mod
-    omega_n is skipped when the total has degree below p^n = deg omega_n,
-    where it would return the total unchanged; a witness image (degree at
-    most p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built
-    for it.
+    and mod p^k, and logmat._map_total gives the total: on a witness pair
+    u G_2 = X H_sharp(n-1) for every unit, so the map reads the level's
+    exact total (logmat._witness_total), reduced mod p^k, and forms no
+    product once that total is cached.  The reduction mod omega_n is
+    skipped when the total has degree below p^n = deg omega_n, where it
+    would return the total unchanged; a witness image (degree at most
+    p^(n-1) + p^(n-2) - 1) is such a total, so omega_n is not built for it.
     """
     require_level(n)
     p = data.prime
-    sharp, flat = h_entries(data, n)
-    g2 = _unit(u, p) * pair.g2
-    total = _first_row_times(p, sharp.coeffs, flat.coeffs)(pair.g1.coeffs, g2.coeffs,
-                                                           pair.g1._join_prec(g2))
+    total = _map_total(data, n, pair.g1, _unit(u, p) * pair.g2)
     return total if total.degree < p**n else total % omega(p, n)
 
 

@@ -26,14 +26,13 @@ M_(v,n) = A_v^(n+1) H_(v,n) is kept as an integer matrix with an explicit
 power-of-p denominator exponent, so no p-adic division ever happens inside a
 matrix product.
 The cross identity is checked times X, as the level-n map at u = 1 on the
-witness pair (_witness_rows, which lattice.witness reads too); the check and
-lattice.h_u_map read their totals from one one-entry memo, _first_row_times,
-which keeps a row's last exact total and last total mod p^k.  A query mod
-p^k whose operands agree with the exact one's mod p^k reads the exact total
-reduced mod p^k; any other reduces all four operands mod p^k before its
-products.  So a level forms one pair of products, for the determinant
-check and the cross identity, and the map at every unit reads its total
-(u is folded into G2).
+witness pair (_witness_rows, which lattice.witness reads too).  Its exact
+total is cached by _witness_total, one entry keyed by the level, and
+lattice.h_u_map reads it through _map_total: a pair congruent mod p^k to
+the witness pair reads that total reduced mod p^k, and any other forms its
+products on operands reduced mod p^k.  So a level forms one pair of
+products, for the determinant check and the cross identity, and the
+witness map at every unit reads their total (u is folded into G2).
 The parity-split closed form of the valuation table is stated once, in
 integers scaled by phi(p^n), by parity_tails; the closed-form table and the
 growth terms read it, and the signature reads only its carrier rule.
@@ -258,40 +257,6 @@ def h_entries(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return _first_row(data.prime, data.a_v, n)
 
 
-# Entries of _first_row_times' memo, each one first row of H: one entry
-# serves a level's determinant check, cross identity and witness map at
-# every unit (u is folded into G2).
-_MAP_CACHE_SIZE = 1
-
-
-@functools.lru_cache(maxsize=_MAP_CACHE_SIZE)
-def _first_row_times(p: int, sharp: tuple[int, ...], flat: tuple[int, ...]):
-    """The map (g1, g2, k) -> sharp*g1 + flat*g2 of one first row, for
-    coefficient tuples, known mod p^k (exact when k is None).
-
-    A query mod p^k whose g1 and g2 agree mod p^k, after reduction and
-    trimming, with the exact slot's returns that exact total reduced mod
-    p^k: congruent operands give congruent totals, so no product is formed.
-    Any other query forms its products with all four operands reduced mod
-    p^k, and fills the slot of its kind; a repeat of a slot's query forms
-    none.  Keyed by the tuples themselves, so a changed row never meets a
-    stale entry."""
-    last = {}  # k is None -> ((g1, g2, k), total): the last query of each kind
-
-    def times(g1: tuple[int, ...], g2: tuple[int, ...], k: int | None) -> IwaPoly:
-        exact = last.get(True)
-        if k is not None and exact and all(_reduced(a, p, k) == _reduced(b, p, k)
-                                           for a, b in zip(exact[0], (g1, g2))):
-            return IwaPoly._of(p, list(exact[1].coeffs), k)
-        query, slot = (g1, g2, k), k is None
-        if slot not in last or last[slot][0] != query:
-            s, f, a, b = (IwaPoly._of(p, list(e), k) for e in (sharp, flat, g1, g2))
-            last[slot] = query, s * a + f * b
-        return last[slot][1]
-
-    return times
-
-
 def _witness_rows(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     """(-X H_flat(n-1), X H_sharp(n-1)), exact: the witness pair at u = 1."""
     x_sharp, x_flat = (IwaPoly._of(data.prime, [0, *e.coeffs], None)
@@ -299,21 +264,42 @@ def _witness_rows(data: LocalCurveData, n: int) -> tuple[IwaPoly, IwaPoly]:
     return -x_flat, x_sharp
 
 
+@functools.lru_cache(maxsize=1)
+def _witness_total(data: LocalCurveData, n: int) -> IwaPoly:
+    """H_sharp(n) G1 + H_flat(n) G2 on the witness pair (_witness_rows),
+    exact: the left side of the cross identity.  One entry, keyed by the
+    level, so a level's determinant check, cross identity and witness map at
+    every unit form one pair of products.  H's row is read first, so a
+    level past the size bound is refused before any work."""
+    (sharp, flat), (g1, g2) = h_entries(data, n), _witness_rows(data, n)
+    return sharp * g1 + flat * g2
+
+
+def _map_total(data: LocalCurveData, n: int, g1: IwaPoly, g2: IwaPoly) -> IwaPoly:
+    """H_sharp(n) g1 + H_flat(n) g2, known mod p^k for the least modulus k
+    of g1 and g2 (exact when neither has one).  A pair congruent mod p^k to
+    the witness pair reads _witness_total reduced mod p^k, since congruent
+    operands give congruent totals; any other forms its two products on H's
+    row, g1 and g2 reduced mod p^k."""
+    # H's row first, so a level past the size bound is refused at once
+    p, k, rows = data.prime, g1._join_prec(g2), h_entries(data, n)
+    if all(_reduced(list(a.coeffs), p, k) == _reduced(list(b.coeffs), p, k)
+           for a, b in zip((g1, g2), _witness_rows(data, n))):
+        return IwaPoly._of(p, list(_witness_total(data, n).coeffs), k)
+    sharp, flat, a, b = (IwaPoly._of(p, list(e.coeffs), k) for e in (*rows, g1, g2))
+    return sharp * a + flat * b
+
+
 def cross_identity_check(data: LocalCurveData, n: int) -> StructureReport:
     """X (H_flat(n) H_sharp(n-1) - H_sharp(n) H_flat(n-1)) = omega_(n-1),
-    exactly: the level-n map at u = 1 on _witness_rows, through
-    _first_row_times.  X is not a zero divisor, so this is the identity
+    exactly: the level-n map at u = 1 on _witness_rows, read from
+    _witness_total.  X is not a zero divisor, so this is the identity
     -H_sharp(n) H_flat(n-1) + H_flat(n) H_sharp(n-1) = omega_(n-1)/X, and a
     failure reports that identity's difference."""
     require_level(n)
-    p = data.prime
-    rows = h_entries(data, n)  # first, so a level past the size bound is refused at once
-    lhs = _first_row_times(p, *(e.coeffs for e in rows))(
-        *(e.coeffs for e in _witness_rows(data, n)), None)
-    off = lhs - omega(p, n - 1)
-    if off.is_zero:
-        return StructureReport(True)
-    return StructureReport(False, [f"cross identity off by {off.coeffs[1:]}"])
+    off = _witness_total(data, n) - omega(data.prime, n - 1)
+    failures = [] if off.is_zero else [f"cross identity off by {off.coeffs[1:]}"]
+    return StructureReport(not failures, failures)
 
 
 def h_matrix(data: LocalCurveData, n: int) -> LogMatrix2:
@@ -397,12 +383,17 @@ def det_structure_check(data: LocalCurveData, n: int,
     and omega_n / X = Phi_n * omega_(n-1) / X, so in the domain Z[X] the
     determinant identity is cross_identity_check, and no determinant is
     formed.  Any other h has its second row compared against the recursion's
-    and its full determinant against omega_n / X; an h at another prime
-    raises ValidationError("mixed primes").
+    and its full determinant against omega_n / X.  An h that is not a 2x2
+    LogMatrix2 of IwaPolys raises ValidationError, and so does one at
+    another prime ("mixed primes").
     """
     require_level(n)
-    if h is not None and any(e.prime != data.prime for row in h.entries for e in row):
-        raise ValidationError("mixed primes")
+    match h:
+        case None | LogMatrix2(entries=((IwaPoly(), IwaPoly()), (IwaPoly(), IwaPoly()))):
+            if h is not None and any(e.prime != data.prime for row in h.entries for e in row):
+                raise ValidationError("mixed primes")
+        case _:
+            raise ValidationError("h must be a 2x2 LogMatrix2 of IwaPoly")
     own = h_matrix(data, n)  # so a level past the size bound is refused before any product
     if h is None or h.entries == own.entries:
         det_ok, shape = cross_identity_check(data, n).passed, []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import require_int, require_level
+from .errors import require_ints, require_level
 from .iwapoly import _mul, _p_power, _require_exact_size, _trim, omega
 from .padic import require_odd_prime
 
@@ -66,8 +66,7 @@ def _prem(a: list[int], b: list[int]) -> list[int]:
 def resultant(f: Sequence[int], g: Sequence[int]) -> int:
     """Res(f, g) via the subresultant polynomial remainder sequence, for
     integer coefficients: any other is refused before any work."""
-    return _resultant([require_int(c, "coefficient") for c in f],
-                      [require_int(c, "coefficient") for c in g])
+    return _resultant(require_ints(f, "coefficient"), require_ints(g, "coefficient"))
 
 
 def _resultant(f: Sequence[int], g: Sequence[int]) -> int:
@@ -166,7 +165,7 @@ def omega_resultant(f: Sequence[int], p: int, n: int) -> int:
     prime and coefficients."""
     require_level(n, 0)
     require_odd_prime(p)
-    return _omega_resultant([require_int(c, "coefficient") for c in f], p, n)
+    return _omega_resultant(require_ints(f, "coefficient"), p, n)
 
 
 def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
@@ -194,8 +193,7 @@ def _omega_resultant(f: Sequence[int], p: int, n: int) -> int:
 def resultant_bareiss(f: Sequence[int], g: Sequence[int]) -> int:
     """Res(f, g) as the Bareiss determinant of the Sylvester matrix, for
     integer coefficients: any other is refused before any work."""
-    a = _trim([require_int(c, "coefficient") for c in f])
-    b = _trim([require_int(c, "coefficient") for c in g])
+    a, b = (_trim(require_ints(seq, "coefficient")) for seq in (f, g))
     if not a or not b:
         return 0
     da, db = _deg(a), _deg(b)

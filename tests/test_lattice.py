@@ -238,10 +238,11 @@ class TestCrossIdentity:
             sharp, flat = own(data, n)
             return (sharp + IwaPoly.const(3, 1), flat) if n == 2 else (sharp, flat)
 
-        # the passing check comes first, so the memo holds level 2's rows:
-        # it is keyed by the rows, not by the level, and the bumped row misses
+        # the passing check comes first, so level 2's exact total is cached:
+        # it is keyed by the level, so it is cleared for the bumped row
         assert cross_identity_check(d, 2).passed
         monkeypatch.setattr(logmat, "h_entries", bumped)
+        logmat._witness_total.cache_clear()
         rep = cross_identity_check(d, 2)
         assert not rep.passed
         # -(H_sharp(2) + 1) H_flat(1) + H_flat(2) H_sharp(1) is off by -H_flat(1) = -1
@@ -314,29 +315,39 @@ def test_each_level_forms_its_map_products_once(monkeypatch, p, av, n, products)
             h_u_map(witness(d, n, u), d, n, u)
 
     level()  # H, omega and the witnesses' inputs warm
-    logmat._first_row_times.cache_clear()
+    logmat._witness_total.cache_clear()
     calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
     level()
     assert len(calls) == products
-    logmat._first_row_times.cache_clear()
+    logmat._witness_total.cache_clear()
     calls.clear()
     cross_identity_check(d, n)
     assert len(calls) == products
 
 
+def _off_witness(d, n, u, k):
+    """The witness pair at u with G_2 known mod p^k and one more in its X^1
+    coefficient: not congruent to the witness pair mod p^k."""
+    pair = witness(d, n, u)
+    bumped = [*pair.g2.coeffs, 0, 0]  # G_2 is 0 where H_sharp(n-1) is
+    bumped[1] += 1
+    return LatticePair(pair.g1, IwaPoly(d.prime, tuple(bumped), k))
+
+
 @pytest.mark.parametrize("p, av, n, k", [(3, 3, 4, 2), (3, -3, 3, 1), (5, 0, 4, 3)])
 def test_modular_operands_are_reduced_before_the_products(monkeypatch, p, av, n, k):
-    # Under a unit known mod p^k, H's row and both coordinates are reduced
-    # mod p^k before any product, G_1 too, though the witness's is exact.
+    # Under a unit known mod p^k, H's row and both coordinates of a pair off
+    # the witness are reduced mod p^k before any product, G_1 too, though
+    # it is exact.  The image is the witness's plus u X H_flat(n).
     d = LocalCurveData(p, av)
     u = unit_from_int(2, p, k)
-    pair = witness(d, n, u)
+    pair = _off_witness(d, n, u, k)
     assert any(not 0 <= c < p**k for c in pair.g1.coeffs)
-    logmat._first_row_times.cache_clear()
     calls = _counted_mul(monkeypatch, lambda a, b: True)
     image = h_u_map(pair, d, n, u)
     assert calls and all(0 <= c < p**k for a, b in calls for c in (*a, *b))
-    assert image == omega(p, n - 1).with_modulus(k)
+    x_flat = IwaPoly(p, (0, *h_entries(d, n)[1].coeffs))
+    assert image == (omega(p, n - 1) + x_flat.scale(2)).with_modulus(k)
 
 
 # The benchmark's tower series: (p, a_v, top level).
@@ -347,33 +358,40 @@ TOWER_SERIES = ((3, 0, 7), (3, 3, 6), (3, -3, 6), (5, 0, 5), (7, 0, 4))
 def test_a_query_off_the_exact_entry_forms_its_own_products(monkeypatch, p, av, n, k):
     # G_2 one off the exact entry's in one coefficient is not congruent to
     # it mod p^k: the exact total is not read, and the query's own products
-    # give what they give on a cleared memo.
+    # give what they give on a cleared cache, which they leave empty.
     d = LocalCurveData(p, av)
-    g1, g2 = logmat._witness_rows(d, n)
-    bumped = list(g2.coeffs)
-    bumped[1] += 1
-    off = LatticePair(g1, IwaPoly(p, tuple(bumped), k))
+    off = _off_witness(d, n, 1, k)
     assert cross_identity_check(d, n).passed
     calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
     image = h_u_map(off, d, n, 1)
     assert calls and image != omega(p, n - 1).with_modulus(k)
     calls.clear()
-    assert h_u_map(off, d, n, 1) == image and calls == []  # a repeat forms none
-    logmat._first_row_times.cache_clear()
+    logmat._witness_total.cache_clear()
     assert h_u_map(off, d, n, 1) == image and calls
+    assert logmat._witness_total.cache_info().currsize == 0
 
 
-def test_a_cleared_memo_forms_the_modular_products_again(monkeypatch):
-    d = LocalCurveData(3, 3)
-    u = unit_from_int(2, 3, 48)
-    pair = witness(d, 4, u)
-    assert cross_identity_check(d, 4).passed
+def test_a_cleared_cache_forms_the_exact_pair_once_for_every_unit(monkeypatch):
+    # A modular witness map at a level whose exact total is not cached forms
+    # that total: one pair of products on the exact operands.  After it, no
+    # witness map at that level forms a product.
+    p, n = 3, 4
+    d = LocalCurveData(p, 3)
+    rng = random.Random(34)
+    units = [unit_from_int(2, p, 48)]
+    for k in range(1, 65):
+        r = rng.randrange(1, p**k)
+        units.append(unit_from_int(r if r % p else r + 1, p, k))
+    cases = [(witness(d, n, u), u) for u in units]
+    logmat._witness_total.cache_clear()
     calls = _counted_mul(monkeypatch, lambda a, b: len(a) >= 2 and len(b) >= 2)
-    image = h_u_map(pair, d, 4, u)
-    assert calls == []  # read off the exact total
-    logmat._first_row_times.cache_clear()
-    assert h_u_map(pair, d, 4, u) == image and len(calls) == 2
-    assert h_u_map(pair, d, 4, u) == image and len(calls) == 2
+    images = [h_u_map(cases[0][0], d, n, cases[0][1])]
+    (sharp, flat), (g1, g2) = h_entries(d, n), logmat._witness_rows(d, n)
+    assert calls == [(sharp.coeffs, g1.coeffs), (flat.coeffs, g2.coeffs)]
+    calls.clear()
+    images += [h_u_map(pair, d, n, u) for pair, u in cases[1:]]
+    assert calls == []
+    assert images == [omega(p, n - 1).with_modulus(u.precision) for u in units]
 
 
 @pytest.mark.parametrize("p, av, top", TOWER_SERIES)
@@ -381,7 +399,9 @@ def test_every_tower_level_reads_the_exact_total_as_a_cleared_memo_computes(
         monkeypatch, p, av, top):
     # At every precision p^1 to p^64, the witness map at a seeded unit
     # after the cross identity reads the exact total, forming no product,
-    # and equals, coefficients and modulus, the map on a cleared memo.
+    # and equals, coefficients and modulus, the two products formed on H's
+    # row and the pair reduced mod p^k, as a map with no exact total to
+    # read would form them.
     rng = random.Random(p * 100 + av)
     d = LocalCurveData(p, av)
     for n in range(1, top + 1):
@@ -396,6 +416,8 @@ def test_every_tower_level_reads_the_exact_total_as_a_cleared_memo_computes(
         assert calls == []
         monkeypatch.undo()
         for (pair, u), image in zip(cases, read):
-            logmat._first_row_times.cache_clear()
-            cleared = h_u_map(pair, d, n, u)
+            k = u.precision
+            sharp, flat = (e.with_modulus(k) for e in h_entries(d, n))
+            g2 = IwaPoly.const(p, u.residue, k) * pair.g2
+            cleared = sharp * pair.g1.with_modulus(k) + flat * g2
             assert (image.coeffs, image.mod_prec) == (cleared.coeffs, cleared.mod_prec)

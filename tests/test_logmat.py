@@ -84,7 +84,7 @@ def test_h_matrix_equals_explicit_product():
 def _clear_h_caches():
     from iwagrowth import logmat
 
-    for cached in (logmat._second_row, logmat._first_row, logmat._first_row_times):
+    for cached in (logmat._second_row, logmat._first_row, logmat._witness_total):
         cached.cache_clear()
 
 

@@ -159,6 +159,35 @@ REFUSALS |= {
     "totient_bool_n": (lambda: totient(3, True), ValidationError, f"n {NOT_INT} True"),
 }
 
+# A sequence of integers that is not iterable at all, a foreign H and a
+# place that is not an SsPrime: refused, not a TypeError or AttributeError.
+NOT_INTS = "must be an iterable of integers, got"
+REFUSALS |= {
+    "iwapoly_int_coefficients": (lambda: IwaPoly(3, 12), ValidationError,
+                                 f"coefficients {NOT_INTS} int"),
+    "iwapoly_none_coefficients": (lambda: IwaPoly(3, None), ValidationError,
+                                  f"coefficients {NOT_INTS} NoneType"),
+    "iwapoly_str_coefficients": (lambda: IwaPoly(3, "12"), ValidationError,
+                                 f"coefficient {NOT_INT} '1'"),
+    "resultant_int_f": (lambda: resultant(5, [1]), ValidationError,
+                        f"coefficients {NOT_INTS} int"),
+    "resultant_bareiss_none_f": (lambda: resultant_bareiss(None, [1]), ValidationError,
+                                 f"coefficients {NOT_INTS} NoneType"),
+    "omega_resultant_int_f": (lambda: omega_resultant(7, 3, 2), ValidationError,
+                              f"coefficients {NOT_INTS} int"),
+    "nabla_finite_tower_int_sizes": (lambda: kobayashi.nabla_finite_tower(5), ValidationError,
+                                     f"sizes {NOT_INTS} int"),
+    "det_structure_check_str_h": (lambda: logmat.det_structure_check(CURVE, 2, "x"),
+                                  ValidationError, "h must be a 2x2 LogMatrix2 of IwaPoly"),
+    "det_structure_check_int_entries": (
+        lambda: logmat.det_structure_check(CURVE, 2, logmat.LogMatrix2(((1, 2), (3, 4)))),
+        ValidationError, "h must be a 2x2 LogMatrix2 of IwaPoly"),
+    "scenario_none_places": (lambda: growth.GrowthScenario(3, None), ValidationError,
+                             "ss_primes must be an iterable of SsPrime"),
+    "scenario_dict_place": (lambda: growth.GrowthScenario(3, ({"degree": 1, "a_v": 0},)),
+                            ValidationError, "ss_primes must be an iterable of SsPrime"),
+}
+
 
 @pytest.mark.parametrize("name", REFUSALS)
 def test_refusal(name):

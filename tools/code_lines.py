@@ -6,6 +6,7 @@ lines are not counted.  A docstring is a string literal that is a statement
 of its own.
 
     python3 tools/code_lines.py [path]    # default: src/iwagrowth
+    python3 tools/code_lines.py -h        # this text (also --help)
 
 A path that does not exist exits 2 with a message on stderr.
 """
@@ -34,6 +35,9 @@ def code_lines(source: bytes) -> int:
 
 
 if __name__ == "__main__":
+    if sys.argv[1:2] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        sys.exit(0)
     root = Path(sys.argv[1] if len(sys.argv) > 1 else "src/iwagrowth")
     if not root.exists():
         print(f"code_lines.py: {root}: no such file or directory", file=sys.stderr)
