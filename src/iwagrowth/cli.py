@@ -156,21 +156,16 @@ def cmd_growth(args) -> int:
     rows = sha_table(sc, args.n_max)
 
     def render(rows) -> str:
-        out = io.StringIO()
         if args.format == "csv":
-            writer = csv.DictWriter(out, fieldnames=TABLE_FIELDS, extrasaction="ignore")
-            writer.writeheader()
-            for r in rows:
-                writer.writerow(r.to_json())
-        elif args.pretty:
-            print("  ".join(f"{h:>10}" for h in TABLE_FIELDS), file=out)
-            for r in rows:
-                d = r.to_json()
-                print("  ".join(f"{str(d[h]):>10}" for h in TABLE_FIELDS), file=out)
-        else:
-            for r in rows:
-                print(json.dumps(r.to_json()), file=out)
-        return out.getvalue()
+            out = io.StringIO()
+            writer = csv.writer(out)
+            writer.writerow(TABLE_FIELDS)
+            writer.writerows(r.cells() for r in rows)
+            return out.getvalue()
+        if args.pretty:
+            lines = [TABLE_FIELDS, *(r.cells() for r in rows)]
+            return "".join("  ".join(f"{str(v):>10}" for v in line) + "\n" for line in lines)
+        return "".join(f"{json.dumps(r.to_json())}\n" for r in rows)
 
     _printable(lambda: render(rows[-1:]))  # the longest integers, before the other rows
     text = _printable(lambda: render(rows))

@@ -3,9 +3,12 @@
 The level-n delta is S (odd n) or T (even n) plus phi(p^n)*mu + lambda minus
 r_inf, where S and T are degree-weighted valuation sums over the supersingular
 places and mu, lambda, r_inf are user-supplied global invariants.  S and T are
-summed in integers from logmat.parity_tails: a place whose sign is the
-carrier adds degree * (phi(p^n)*r_v + even), any other place degree * odd.
-Cumulative tables prefix-sum the deltas from a base anchor.
+integers built from logmat.parity_tails: a place whose sign is the carrier
+adds degree * (phi(p^n)*r_v + even), any other place degree * odd.  The
+signs depend only on n's parity, so each scenario sums its places once per
+parity into weights (a, b, c) (GrowthScenario.parity_weights), and a level
+reads S or T = a*phi(p^n) + b*even + c*odd.  Cumulative tables prefix-sum
+the deltas from a base anchor.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import InfiniteTerm, NotAvZero, ValidationError, require_int, require_level
 from .iwapoly import totient
@@ -59,6 +63,22 @@ class SsPrime:
         return cls(d["degree"], d["a_v"])
 
 
+class ParityWeights(NamedTuple):
+    """A scenario's places summed for the levels of one parity, whose signs
+    are the same: S or T at such a level n is a*phi(p^n) + b*even + c*odd,
+    with carrier, even and odd from logmat.parity_tails.  a sums degree*r_v
+    and b sums degree over the places whose sign is the carrier, and c sums
+    degree over the other places.  infinite lists, in order, the carrier
+    places whose r_v is infinite: no level of the parity has a finite term
+    when it is not empty."""
+
+    carrier: str
+    a: int
+    b: int
+    c: int
+    infinite: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class GrowthScenario:
     """Inputs of a growth prediction.
@@ -96,6 +116,9 @@ class GrowthScenario:
             vec = getattr(self, name)
             if vec is None:
                 continue
+            if not isinstance(vec, Iterable):
+                raise ValidationError(f"{name} must be an iterable of 'sharp' or 'flat', "
+                                      f"got {type(vec).__name__}")
             vec = tuple(vec)
             if len(vec) != len(self.ss_primes):
                 raise ValidationError(f"{name} length does not match ss_primes")
@@ -115,6 +138,27 @@ class GrowthScenario:
         if not self.ss_primes:
             raise ValidationError("scenario needs at least one supersingular place")
         return tuple(LocalCurveData(self.prime, w.a_v) for w in self.ss_primes)
+
+    @cached_property
+    def parity_weights(self) -> tuple[ParityWeights, ParityWeights]:
+        """The ParityWeights of the even levels, then of the odd ones (index
+        n % 2), summed over the places once, on first use, and then kept."""
+        weights = []
+        for level in (2, 1):
+            carrier = parity_tails(self.prime, level)[0]
+            a = b = c = 0
+            infinite = []
+            for i, (w, data, s) in enumerate(zip(self.ss_primes, self.places,
+                                                 self.signs(level))):
+                if s != carrier:
+                    c += w.degree
+                elif data.r_v.is_infinite:
+                    infinite.append(i)
+                else:
+                    a += w.degree * int(data.r_v.value)
+                    b += w.degree
+            weights.append(ParityWeights(carrier, a, b, c, tuple(infinite)))
+        return tuple(weights)
 
     def signs(self, parity_n: int) -> tuple[str, ...]:
         """The signature vector at levels of parity_n's parity: sigma (odd) or
@@ -151,21 +195,26 @@ class GrowthScenario:
         )
 
 
+def _require_finite(sc: GrowthScenario, weights: ParityWeights) -> None:
+    """Raise InfiniteTerm for the first carrier place of weights whose r_v
+    is infinite, if there is one."""
+    if weights.infinite:
+        a_v = sc.ss_primes[weights.infinite[0]].a_v
+        raise InfiniteTerm(f"signature {weights.carrier} needs finite ord_p(a_v) "
+                           f"but a_v = {a_v}")
+
+
 def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
     """(S or T, phi(p^n)*mu, lambda, delta) at level n >= 1, with the
     invariants of n's parity.  S or T is phi(p^n) times the degree-weighted
     valuation sum: each place contributes its first-row closed-form entry
-    (logmat.parity_tails) in the column of its sign."""
-    carrier, even, odd = parity_tails(sc.prime, n)
+    (logmat.parity_tails) in the column of its sign, summed once per parity
+    into the scenario's parity_weights."""
+    _, even, odd = parity_tails(sc.prime, n)
     phi_deg = totient(sc.prime, n)
-    term = 0
-    for w, data, s in zip(sc.ss_primes, sc.places, sc.signs(n)):
-        if s != carrier:
-            term += w.degree * odd
-        elif data.r_v.is_infinite:
-            raise InfiniteTerm(f"signature {s} needs finite ord_p(a_v) but a_v = {w.a_v}")
-        else:
-            term += w.degree * (phi_deg * int(data.r_v.value) + even)
+    weights = sc.parity_weights[n % 2]
+    _require_finite(sc, weights)
+    term = weights.a * phi_deg + weights.b * even + weights.c * odd
     mu, lam = (sc.mu_sigma, sc.lambda_sigma) if n % 2 == 1 else (sc.mu_tau, sc.lambda_tau)
     phi_mu = phi_deg * mu
     return term, phi_mu, lam, term + phi_mu + lam - sc.r_inf
@@ -220,9 +269,13 @@ class TableRow:
     cumulative: int
     warning: str | None = None
 
+    def cells(self) -> tuple:
+        """The row's values in the order of TABLE_FIELDS."""
+        return (self.n, self.parity, self.s_or_t, self.phi_mu, self.lam, self.r_inf,
+                self.delta, self.cumulative)
+
     def to_json(self) -> dict:
-        d = dict(zip(TABLE_FIELDS, (self.n, self.parity, self.s_or_t, self.phi_mu,
-                                    self.lam, self.r_inf, self.delta, self.cumulative)))
+        d = dict(zip(TABLE_FIELDS, self.cells()))
         if self.warning:
             d["warning"] = self.warning
         return d
@@ -265,7 +318,8 @@ def exceeds_digits(sc: GrowthScenario, n_max: int, digits: int) -> bool:
     margin of 1e-9 digits, far above their float rounding, so the bound fires
     at most one level after D * O(n) first has more than digits digits.  Before
     it answers True it raises the InfiniteTerm that sha_table's first rows
-    would: that depends only on the parity, so it is read at level 1 or 2.
+    would: that depends only on the parity, so it is read off the
+    scenario's parity_weights.
     """
     _require_anchor(sc, n_max)
     if not digits or n_max <= max(sc.base_n0, 1):
@@ -274,7 +328,7 @@ def exceeds_digits(sc: GrowthScenario, n_max: int, digits: int) -> bool:
     if n_max - 2 < (digits + 1e-9 - math.log10(weight)) / math.log10(sc.prime):
         return False
     for n in range(sc.base_n0 + 1, min(n_max, sc.base_n0 + 2) + 1):
-        _level(sc, 2 - n % 2)
+        _require_finite(sc, sc.parity_weights[n % 2])
     return True
 
 
@@ -302,11 +356,10 @@ def validate_scenario(sc: GrowthScenario) -> ScenarioReport:
                 violations.append(f"place {i}: {exc}")
         return ScenarioReport(False, violations)
     violations = []
-    for parity, which in (1, "sigma"), (2, "tau"):
-        carrier = parity_tails(sc.prime, parity)[0]
-        for i, (d, s) in enumerate(zip(places, sc.signs(parity))):
-            if s == carrier and d.r_v.is_infinite:
-                violations.append(f"{which}[{i}] = {s} needs finite ord_p(a_v) but a_v = {d.a_v}")
+    for parity, which in (1, "sigma"), (0, "tau"):
+        weights = sc.parity_weights[parity]
+        violations += [f"{which}[{i}] = {weights.carrier} needs finite ord_p(a_v) "
+                       f"but a_v = {sc.ss_primes[i].a_v}" for i in weights.infinite]
     return ScenarioReport(not violations, violations,
                           tuple(signature(d, 1) for d in places),
                           tuple(signature(d, 2) for d in places))

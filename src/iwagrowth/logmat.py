@@ -439,11 +439,15 @@ def parity_tails(p: int, n: int) -> tuple[str, int, int]:
     r_v + even/phi(p^n); the other entry is odd/phi(p^n).  Let
     O(m) = (p^m - p^(m mod 2))/(p+1), exact because p = -1 (mod p+1); then
     O(m) = p^(m-1) - p^(m-2) + ... = phi(p^m) * sum_(i=1..floor(m/2)) p^(1-2i),
-    and odd = O(n), even = O(n-1).
+    and odd = O(n), even = O(n-1).  Both come from the one power p^(n-1):
+    odd = p * even, plus p - 1 at even n.
     """
     carrier = _carrier(n)
-    even, odd = ((p**m - p ** (m % 2)) // (p + 1) for m in (n - 1, n))
-    return carrier, even, odd
+    if n % 2:
+        even = (p ** (n - 1) - 1) // (p + 1)
+        return carrier, even, p * even
+    even = (p ** (n - 1) - p) // (p + 1)
+    return carrier, even, p * even + p - 1
 
 
 def valuation_matrix_closed_form(data: LocalCurveData, n: int) -> ValuationMatrix:

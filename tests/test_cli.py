@@ -1,7 +1,10 @@
+import csv
+import io
 import itertools
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -202,6 +205,61 @@ class TestGrowth:
         }))
         code, out, err = run(capsys, "growth", "--scenario", str(path), "--n-max", "1")
         assert code == 0 and "negative" in err
+
+
+def _growth_scenarios(count, seed):
+    """A scenario whose first row's cumulative is negative, then count seeded
+    ones whose signs never pick an infinite entry: a place with a_v = 0 is
+    flat at odd levels and sharp at even ones."""
+    rng = random.Random(seed)
+    scenarios = [{"p": 3, "ss_primes": [{"degree": 1, "a_v": 0}], "r_inf": 5}]
+    for _ in range(count):
+        p = rng.choice((3, 5, 7, 11))
+        places = [{"degree": rng.randint(1, 6), "a_v": rng.choice((0, p, -p)) if p == 3 else 0}
+                  for _ in range(rng.randint(1, 4))]
+
+        def vec(odd):
+            return None if rng.random() < 0.4 else [
+                ("flat" if odd else "sharp") if w["a_v"] == 0 else rng.choice(("sharp", "flat"))
+                for w in places]
+
+        scenarios.append({"p": p, "ss_primes": places, "sigma": vec(True), "tau": vec(False),
+                          "lambda_sigma": rng.randint(0, 9), "lambda_tau": rng.randint(0, 9),
+                          "mu_sigma": rng.randint(0, 2), "mu_tau": rng.randint(0, 2),
+                          "r_inf": rng.randint(0, 12),
+                          "base": {"n0": rng.randint(0, 3), "e0": rng.randint(0, 4)}})
+    return scenarios
+
+
+def test_growth_formats_carry_the_rows_of_the_table(capsys, tmp_path):
+    # JSON lines, CSV (with or without --pretty) and the --pretty table of one
+    # scenario hold the same rows as sha_table's to_json, and the warnings of
+    # negative cumulatives go to stderr alike in every format.
+    path = tmp_path / "scenario.json"
+    warned = 0
+    for obj in _growth_scenarios(24, 47):
+        path.write_text(json.dumps(obj))
+        sc = growth.GrowthScenario.from_json(obj)
+        n_max = str(sc.base_n0 + 9)
+        expected = [r.to_json() for r in growth.sha_table(sc, int(n_max))]
+        cells = [[str(r[h]) for h in growth.TABLE_FIELDS] for r in expected]
+        warnings = [f"warning: n={r['n']}: {r['warning']}" for r in expected if "warning" in r]
+        warned += bool(warnings)
+        argv = ("growth", "--scenario", str(path), "--n-max", n_max)
+
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err.splitlines() == warnings
+        assert [json.loads(line) for line in out.splitlines()] == expected
+
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0 and err.splitlines() == warnings
+        assert list(csv.reader(io.StringIO(out))) == [list(growth.TABLE_FIELDS), *cells]
+        assert run(capsys, *argv, "--format", "csv", "--pretty") == (code, out, err)
+
+        code, out, err = run(capsys, *argv, "--pretty")
+        assert code == 0 and err.splitlines() == warnings
+        assert [line.split() for line in out.splitlines()] == [list(growth.TABLE_FIELDS), *cells]
+    assert warned
 
 
 @pytest.mark.parametrize("scenario, named", [

@@ -17,7 +17,7 @@ from iwagrowth.growth import (
 )
 from iwagrowth.iwapoly import totient
 from iwagrowth.kobayashi import nabla_finite_tower
-from iwagrowth.logmat import FLAT, SHARP, LocalCurveData, valuation_matrix
+from iwagrowth.logmat import FLAT, SHARP, LocalCurveData, signature, valuation_matrix
 
 
 def one_prime(p, degree=1, a_v=0, **kw):
@@ -65,6 +65,26 @@ class TestScenario:
         t_term(sc, 6)
         validate_scenario(sc)
         assert built == [(3, 0), (3, 3)]  # once per place for the whole scenario
+
+    def test_parity_weights_built_once_per_scenario(self, monkeypatch):
+        from iwagrowth import growth
+
+        built = []
+        weights = growth.ParityWeights
+
+        def counting(*fields):
+            built.append(fields[0])
+            return weights(*fields)
+
+        monkeypatch.setattr(growth, "ParityWeights", counting)
+        sc = GrowthScenario(3, (SsPrime(1, 0), SsPrime(2, 3)), base_n0=1)
+        sha_table(sc, 9)
+        sha_delta(sc, 5)
+        s_term(sc, 3)
+        t_term(sc, 6)
+        exceeds_digits(sc, 10**9, 640)
+        validate_scenario(sc)
+        assert built == [FLAT, SHARP]  # once per parity for the whole scenario
 
 
 class TestTerms:
@@ -208,6 +228,90 @@ def test_table_rows_agree_with_the_per_level_api():
             assert all(r.delta == r.s_or_t + r.phi_mu + r.lam - r.r_inf for r in rows)
             finished += 1
     assert finished and stopped
+
+
+def _alternating_tail(p, m):
+    """p^(m-1) - p^(m-2) + ... down to p (odd m) or 1 (even m); 0 at m <= 1."""
+    return sum((-1) ** (m - 1 - j) * p**j for j in range(m % 2, m))
+
+
+def _per_place_term(sc, n):
+    """S or T at level n summed place by place: a place whose sign is the
+    carrier (sharp at odd n, flat at even n) adds degree*(phi*r_v + even),
+    any other place degree*odd; the first carrier place with an infinite r_v
+    raises InfiniteTerm."""
+    phi = totient(sc.prime, n)
+    even, odd = _alternating_tail(sc.prime, n - 1), _alternating_tail(sc.prime, n)
+    carrier = SHARP if n % 2 else FLAT
+    explicit = sc.sigma if n % 2 else sc.tau
+    term = 0
+    for i, w in enumerate(sc.ss_primes):
+        data = LocalCurveData(sc.prime, w.a_v)
+        sign = signature(data, n) if explicit is None else explicit[i]
+        if sign != carrier:
+            term += w.degree * odd
+        elif data.r_v.is_infinite:
+            raise InfiniteTerm(f"signature {sign} needs finite ord_p(a_v) but a_v = {w.a_v}")
+        else:
+            term += w.degree * (phi * int(data.r_v.value) + even)
+    return term
+
+
+def _per_place_delta(sc, n):
+    mu, lam = (sc.mu_sigma, sc.lambda_sigma) if n % 2 else (sc.mu_tau, sc.lambda_tau)
+    return _per_place_term(sc, n) + totient(sc.prime, n) * mu + lam - sc.r_inf
+
+
+def test_per_parity_weights_agree_with_the_per_place_sum():
+    # 500 seeded scenarios at p = 3, 5, 7, 11 with 1 to 4 places, explicit
+    # and default signs and anchors: every table row, S, T and delta equals
+    # the place-by-place sum, and InfiniteTerm is raised at the same first
+    # level with the same message
+    rng = random.Random(47)
+    finished = stopped = 0
+    for _ in range(500):
+        p = rng.choice((3, 5, 7, 11))
+        traces = (0, p, -p) if p == 3 else (0,)  # the Weil bound leaves only these
+        places = tuple(SsPrime(rng.randint(1, 6), rng.choice(traces))
+                       for _ in range(rng.randint(1, 4)))
+
+        def vec():
+            return None if rng.random() < 0.4 else tuple(
+                rng.choice((SHARP, FLAT)) for _ in places)
+
+        sc = GrowthScenario(p, places, sigma=vec(), tau=vec(),
+                            mu_sigma=rng.randint(0, 2), lambda_sigma=rng.randint(0, 9),
+                            mu_tau=rng.randint(0, 2), lambda_tau=rng.randint(0, 9),
+                            r_inf=rng.randint(0, 9), base_n0=rng.randint(0, 3),
+                            base_e0=rng.randint(0, 40))
+        n_max = sc.base_n0 + 8
+        expected, cum = [], sc.base_e0
+        for n in range(1, n_max + 1):
+            try:
+                term, delta = _per_place_term(sc, n), _per_place_delta(sc, n)
+            except InfiniteTerm as exc:
+                for call in (lambda: sha_delta(sc, n),
+                             lambda: (s_term if n % 2 else t_term)(sc, n)):
+                    with pytest.raises(InfiniteTerm) as caught:
+                        call()
+                    assert str(caught.value) == str(exc)
+                if n > sc.base_n0:
+                    with pytest.raises(InfiniteTerm) as caught:
+                        sha_table(sc, n_max)
+                    assert str(caught.value) == str(exc)
+                    stopped += 1
+                    break
+                continue
+            assert (s_term if n % 2 else t_term)(sc, n) == term
+            assert sha_delta(sc, n) == delta
+            if n > sc.base_n0:
+                cum += delta
+                expected.append((n, term, delta, cum))
+        else:
+            rows = sha_table(sc, n_max)
+            assert [(r.n, r.s_or_t, r.delta, r.cumulative) for r in rows] == expected
+            finished += 1
+    assert (finished, stopped) == (193, 307)
 
 
 def test_deltas_match_the_computed_valuation_tables():

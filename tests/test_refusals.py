@@ -159,8 +159,9 @@ REFUSALS |= {
     "totient_bool_n": (lambda: totient(3, True), ValidationError, f"n {NOT_INT} True"),
 }
 
-# A sequence of integers that is not iterable at all, a foreign H and a
-# place that is not an SsPrime: refused, not a TypeError or AttributeError.
+# A sequence of integers that is not iterable at all, a foreign H, a place
+# that is not an SsPrime and a sign vector that is not iterable: refused, not
+# a TypeError or AttributeError.
 NOT_INTS = "must be an iterable of integers, got"
 REFUSALS |= {
     "iwapoly_int_coefficients": (lambda: IwaPoly(3, 12), ValidationError,
@@ -186,6 +187,12 @@ REFUSALS |= {
                              "ss_primes must be an iterable of SsPrime"),
     "scenario_dict_place": (lambda: growth.GrowthScenario(3, ({"degree": 1, "a_v": 0},)),
                             ValidationError, "ss_primes must be an iterable of SsPrime"),
+    "scenario_int_sigma": (lambda: growth.GrowthScenario(3, (growth.SsPrime(1, 0),), sigma=5),
+                           ValidationError,
+                           "sigma must be an iterable of 'sharp' or 'flat', got int"),
+    "scenario_float_tau": (lambda: growth.GrowthScenario(3, (growth.SsPrime(1, 0),), tau=3.5),
+                           ValidationError,
+                           "tau must be an iterable of 'sharp' or 'flat', got float"),
 }
 
 
