@@ -9,6 +9,12 @@ library PrecisionExhausted), 4 precondition failure, 5 infinite term, 70
 internal error (an exception that is not an IwagrowthError, reported on one
 stderr line with no traceback), 141 stdout closed by its reader (as a shell
 reports a death by SIGPIPE; nothing is printed).
+
+An argv that starts with a subcommand is parsed by that subcommand's parser
+alone, in one pass (_parse), with the namespace, messages and exit codes of
+the top-level parser's parse_args; any other argv goes through parse_args.
+A growth table's JSON lines are written from one format string built from
+TABLE_FIELDS, byte for byte as json.dumps writes each row's to_json().
 """
 
 from __future__ import annotations
@@ -144,6 +150,18 @@ def cmd_kobrank(args) -> int:
     return EXIT_OK
 
 
+# One JSON line of a growth table row, as json.dumps(row.to_json()) writes
+# it: the columns of TABLE_FIELDS (parity is the one string column, and it
+# needs no escaping), then the "warning" member or nothing.
+_JSON_ROW = "{%s%%s}\n" % ", ".join(
+    f"{json.dumps(name)}: " + ('"%s"' if name == "parity" else "%d") for name in TABLE_FIELDS)
+
+
+def _warning_member(warning: str | None) -> str:
+    """The warning member of a row's JSON line: empty when there is none."""
+    return f', "warning": {json.dumps(warning)}' if warning else ""
+
+
 def cmd_growth(args) -> int:
     try:
         with open(args.scenario, encoding="utf-8") as fh:
@@ -165,7 +183,7 @@ def cmd_growth(args) -> int:
         if args.pretty:
             lines = [TABLE_FIELDS, *(r.cells() for r in rows)]
             return "".join("  ".join(f"{str(v):>10}" for v in line) + "\n" for line in lines)
-        return "".join(f"{json.dumps(r.to_json())}\n" for r in rows)
+        return "".join(_JSON_ROW % (*r.cells(), _warning_member(r.warning)) for r in rows)
 
     _printable(lambda: render(rows[-1:]))  # the longest integers, before the other rows
     text = _printable(lambda: render(rows))
@@ -181,7 +199,9 @@ def cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, by name (the
+    choices of the action that add_subparsers returns)."""
     parser = argparse.ArgumentParser(
         prog="iwagrowth",
         description="Exact local Iwasawa-theoretic computations: logarithmic "
@@ -228,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--seed", type=int, default=0)
     sc.set_defaults(func=cmd_selfcheck)
 
-    return parser
+    return parser, sub.choices
 
 
-# Built once per process: parse_args keeps no state between calls.
-_PARSER = build_parser()
+# Built once per process: parsing keeps no state between calls.
+_PARSER, _COMMANDS = build_parser()
 
 # Exit code of each error class; any other IwagrowthError exits EXIT_VALIDATION,
 # and any exception that is not an IwagrowthError exits EXIT_INTERNAL.
@@ -244,8 +264,25 @@ _EXIT_CODES = (
 )
 
 
+def _parse(argv=None) -> argparse.Namespace:
+    """_PARSER.parse_args(argv) in one pass when argv starts with a known
+    subcommand: that subcommand's parser reads the rest into a namespace
+    holding the command's name, and any argument it leaves is refused by
+    _PARSER, with the message parse_args gives.  Every other argv (empty,
+    -h, an unknown command) goes through _PARSER.parse_args."""
+    if argv is None:
+        argv = sys.argv[1:]
+    sub = _COMMANDS.get(argv[0]) if argv else None
+    if sub is None:
+        return _PARSER.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit

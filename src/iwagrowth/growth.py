@@ -7,8 +7,11 @@ integers built from logmat.parity_tails: a place whose sign is the carrier
 adds degree * (phi(p^n)*r_v + even), any other place degree * odd.  The
 signs depend only on n's parity, so each scenario sums its places once per
 parity into weights (a, b, c) (GrowthScenario.parity_weights), and a level
-reads S or T = a*phi(p^n) + b*even + c*odd.  Cumulative tables prefix-sum
-the deltas from a base anchor.
+reads S or T = a*phi(p^n) + b*even + c*odd, with even, odd and phi(p^n)
+from the one power p^(n-1) (logmat._tails, parity_tails's unchecked body;
+every public entry point checks n first).  Cumulative tables prefix-sum
+the deltas from a base anchor; each row is a TableRow, a NamedTuple, which
+compares equal to the tuple of its values.
 """
 
 from __future__ import annotations
@@ -20,8 +23,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InfiniteTerm, NotAvZero, ValidationError, require_int, require_level
-from .iwapoly import totient
-from .logmat import FLAT, SHARP, LocalCurveData, parity_tails, signature
+from .logmat import FLAT, SHARP, LocalCurveData, _tails, parity_tails, signature
 
 
 def _require_json(value, kind: type, name: str):
@@ -205,15 +207,17 @@ def _require_finite(sc: GrowthScenario, weights: ParityWeights) -> None:
 
 
 def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
-    """(S or T, phi(p^n)*mu, lambda, delta) at level n >= 1, with the
-    invariants of n's parity.  S or T is phi(p^n) times the degree-weighted
-    valuation sum: each place contributes its first-row closed-form entry
-    (logmat.parity_tails) in the column of its sign, summed once per parity
-    into the scenario's parity_weights."""
-    _, even, odd = parity_tails(sc.prime, n)
-    phi_deg = totient(sc.prime, n)
+    """(S or T, phi(p^n)*mu, lambda, delta) at level n, an integer >= 1 that
+    the caller has checked, with the invariants of n's parity.  S or T is
+    phi(p^n) times the degree-weighted valuation sum: each place contributes
+    its first-row closed-form entry (logmat.parity_tails) in the column of
+    its sign, summed once per parity into the scenario's parity_weights.
+    The places are read first, so an invalid one is refused before p^(n-1)
+    is formed; even, odd and phi(p^n) then come from that one power
+    (logmat._tails, parity_tails's unchecked body)."""
     weights = sc.parity_weights[n % 2]
     _require_finite(sc, weights)
+    even, odd, phi_deg = _tails(sc.prime, n)
     term = weights.a * phi_deg + weights.b * even + weights.c * odd
     mu, lam = (sc.mu_sigma, sc.lambda_sigma) if n % 2 == 1 else (sc.mu_tau, sc.lambda_tau)
     phi_mu = phi_deg * mu
@@ -222,14 +226,14 @@ def _level(sc: GrowthScenario, n: int) -> tuple[int, int, int, int]:
 
 def s_term(sc: GrowthScenario, n: int) -> int:
     """The odd-level term S(sigma, n)."""
-    if n < 1 or n % 2 == 0:
+    if require_int(n, "n") < 1 or n % 2 == 0:
         raise ValidationError("n must be odd and >= 1")
     return _level(sc, n)[0]
 
 
 def t_term(sc: GrowthScenario, n: int) -> int:
     """The even-level term T(tau, n)."""
-    if n < 2 or n % 2 == 1:
+    if require_int(n, "n") < 2 or n % 2 == 1:
         raise ValidationError("n must be even and >= 2")
     return _level(sc, n)[0]
 
@@ -257,8 +261,11 @@ def sha_delta(sc: GrowthScenario, n: int) -> int:
 TABLE_FIELDS = ("n", "parity", "S_or_T", "phi_mu", "lambda", "r_inf", "delta", "cumulative")
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
+    """One level of a growth table: the eight columns of TABLE_FIELDS, then
+    the warning of a negative cumulative, if any.  A tuple, so a row
+    compares equal to the tuple of its values."""
+
     n: int
     parity: str
     s_or_t: int
@@ -271,8 +278,7 @@ class TableRow:
 
     def cells(self) -> tuple:
         """The row's values in the order of TABLE_FIELDS."""
-        return (self.n, self.parity, self.s_or_t, self.phi_mu, self.lam, self.r_inf,
-                self.delta, self.cumulative)
+        return self[:8]
 
     def to_json(self) -> dict:
         d = dict(zip(TABLE_FIELDS, self.cells()))

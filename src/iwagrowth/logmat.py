@@ -34,8 +34,10 @@ products on operands reduced mod p^k.  So a level forms one pair of
 products, for the determinant check and the cross identity, and the
 witness map at every unit reads their total (u is folded into G2).
 The parity-split closed form of the valuation table is stated once, in
-integers scaled by phi(p^n), by parity_tails; the closed-form table and the
-growth terms read it, and the signature reads only its carrier rule.
+integers scaled by phi(p^n), by _tails, which forms phi(p^n) from the same
+power; parity_tails is it with n checked.  The closed-form table and the
+growth terms read _tails after their own checks, and the signature reads
+only the carrier rule.
 """
 
 from __future__ import annotations
@@ -280,10 +282,12 @@ def _map_total(data: LocalCurveData, n: int, g1: IwaPoly, g2: IwaPoly) -> IwaPol
     of g1 and g2 (exact when neither has one).  A pair congruent mod p^k to
     the witness pair reads _witness_total reduced mod p^k, since congruent
     operands give congruent totals; any other forms its two products on H's
-    row, g1 and g2 reduced mod p^k."""
+    row, g1 and g2 reduced mod p^k.  Equal coefficients are compared before
+    any are reduced: lattice.witness's G1 is the exact witness row."""
     # H's row first, so a level past the size bound is refused at once
     p, k, rows = data.prime, g1._join_prec(g2), h_entries(data, n)
-    if all(_reduced(list(a.coeffs), p, k) == _reduced(list(b.coeffs), p, k)
+    if all(a.coeffs == b.coeffs
+           or _reduced(list(a.coeffs), p, k) == _reduced(list(b.coeffs), p, k)
            for a, b in zip((g1, g2), _witness_rows(data, n))):
         return IwaPoly._of(p, list(_witness_total(data, n).coeffs), k)
     sharp, flat, a, b = (IwaPoly._of(p, list(e.coeffs), k) for e in (*rows, g1, g2))
@@ -440,20 +444,30 @@ def parity_tails(p: int, n: int) -> tuple[str, int, int]:
     O(m) = (p^m - p^(m mod 2))/(p+1), exact because p = -1 (mod p+1); then
     O(m) = p^(m-1) - p^(m-2) + ... = phi(p^m) * sum_(i=1..floor(m/2)) p^(1-2i),
     and odd = O(n), even = O(n-1).  Both come from the one power p^(n-1):
-    odd = p * even, plus p - 1 at even n.
+    odd = p * even, plus p - 1 at even n.  n is checked here (_carrier);
+    the closed form itself is _tails.
     """
     carrier = _carrier(n)
+    even, odd, _ = _tails(p, n)
+    return carrier, even, odd
+
+
+def _tails(p: int, n: int) -> tuple[int, int, int]:
+    """(even, odd, phi(p^n)) at level n >= 1, with parity_tails's even and
+    odd, all three from the one power p^(n-1).  Neither p nor n is checked:
+    a caller passes a level it has checked."""
+    q = p ** (n - 1)
     if n % 2:
-        even = (p ** (n - 1) - 1) // (p + 1)
-        return carrier, even, p * even
-    even = (p ** (n - 1) - p) // (p + 1)
-    return carrier, even, p * even + p - 1
+        even = (q - 1) // (p + 1)
+        return even, p * even, q * (p - 1)
+    even = (q - p) // (p + 1)
+    return even, p * even + p - 1, q * (p - 1)
 
 
 def valuation_matrix_closed_form(data: LocalCurveData, n: int) -> ValuationMatrix:
     """The parity-split closed form for ord_p(H_(v,n)(eps_n))."""
-    carrier, even, odd = parity_tails(data.prime, n)
-    phi_deg = totient(data.prime, n)
+    carrier = _carrier(n)
+    even, odd, phi_deg = _tails(data.prime, n)
     rv_entry = data.r_v + ExtendedRational(Fraction(even, phi_deg))
     other = ExtendedRational(Fraction(odd, phi_deg))
     first = (rv_entry, other) if carrier == SHARP else (other, rv_entry)

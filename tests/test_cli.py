@@ -262,6 +262,92 @@ def test_growth_formats_carry_the_rows_of_the_table(capsys, tmp_path):
     assert warned
 
 
+def test_growth_json_lines_are_json_dumps_of_each_row(capsys, tmp_path):
+    # Each line the one JSON-line format writes is json.dumps(row.to_json()):
+    # seeded scenarios (negative deltas and cumulatives, with their warning
+    # members) and tables long enough for integers of hundreds of digits.
+    path = tmp_path / "scenario.json"
+    rng = random.Random(48)
+    scenarios = _growth_scenarios(30, 48)
+    scenarios += [{"p": 3, "ss_primes": [{"degree": 1, "a_v": 0}], "r_inf": 40,
+                   "base": {"n0": 0, "e0": 3}},
+                  {**GROWTH_P3, "mu_sigma": 2, "r_inf": 9}]
+    checked = warned = 0
+    for i, obj in enumerate(scenarios):
+        path.write_text(json.dumps(obj))
+        sc = growth.GrowthScenario.from_json(obj)
+        n_max = sc.base_n0 + (rng.randint(1, 12) if i < 30 else 600)
+        rows = growth.sha_table(sc, n_max)
+        code, out, _ = run(capsys, "growth", "--scenario", str(path), "--n-max", str(n_max))
+        assert code == 0
+        assert out.splitlines(keepends=True) == [json.dumps(r.to_json()) + "\n" for r in rows]
+        checked += len(rows)
+        warned += sum(r.warning is not None for r in rows)
+    assert warned and checked > 1000
+
+
+@pytest.mark.parametrize("warning", [None, "", "plain", 'quote " and \\ back', "é\n\t\x01"])
+def test_json_row_format_escapes_a_warning_as_json_dumps_does(warning):
+    row = growth.TableRow(7, "odd", 3**400, -5, 0, 12, -(10**300), -1, warning)
+    assert (cli._JSON_ROW % (*row.cells(), cli._warning_member(row.warning))
+            == json.dumps(row.to_json()) + "\n")
+
+
+def test_table_row_is_a_tuple_of_its_values():
+    row = growth.TableRow(2, "even", 1, 2, 3, 4, 5, 6)
+    assert row == (2, "even", 1, 2, 3, 4, 5, 6, None) and row.cells() == row[:8]
+    assert row._replace(warning="w").to_json()["warning"] == "w"
+
+
+# Argument lists for both parse routes: help, unknown commands and options,
+# bad values, abbreviations, "--", repeats and leftovers, at every command.
+PARSE_GRID = [
+    [], ["-h"], ["--help"], ["--he", "growth"], ["bogus"], ["bogus", "--p", "3"],
+    ["valmat", "-h"], ["valmat", "--p", "3", "--av", "0", "--n", "2", "-h"],
+    ["growth"], ["growth", "--scenario"],
+    ["growth", "--scenario", "s.json", "--n-max", "3", "extra"],
+    ["growth", "--scenario", "s.json", "--n-max", "3", "extra", "--more"],
+    ["valmat", "--p", "3", "--av", "0", "--n", "two"],
+    ["valmat", "--p", "3", "--av", "0"],
+    ["growth", "--scenario", "s.json", "--n-max", "3", "--format", "xml"],
+    ["growth", "--scen", "s.json", "--n-m", "3"],
+    ["growth", "--scenario", "s.json", "--n-max", "3", "--n-max", "4"],
+    ["growth", "--scenario", "s.json", "--n-max", "-1", "--pretty", "--format", "csv"],
+    ["growth", "--", "x"],
+    ["valmat", "--p", "3", "--av", "0", "--n", "2", "--", "x"],
+    ["kobrank", "--p", "3", "--f=-1,2", "--n", "2"],
+    ["kobrank", "--p", "3", "--f", "-1,2", "--n", "2"],
+    ["kobrank", "--p", "3", "--f", "3", "--n", "2", "--methods", "snf_oracle", "--prec", "0"],
+    ["logmat", "--p=3", "--av=-3", "--n=2", "--which", "m", "--pretty"],
+    ["logmat", "--p", "3", "--av", "0", "--n", "1", "--which", "x"],
+    ["selfcheck"], ["selfcheck", "--p", "3", "--n-max", "2", "--seed", "1"],
+    ["selfcheck", "--bogus"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_GRID, ids=" ".join)
+def test_one_pass_parse_matches_parse_args(capsys, argv):
+    def outcome(parse):
+        try:
+            result = parse(list(argv))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    assert outcome(cli._parse) == outcome(cli._PARSER.parse_args)
+
+
+def test_main_parses_a_known_command_with_its_own_parser_only(capsys, monkeypatch):
+    def top_level(*_):
+        raise AssertionError("top-level parse")
+
+    monkeypatch.setattr(cli._PARSER, "parse_args", top_level)
+    monkeypatch.setattr(cli._PARSER, "parse_known_args", top_level)
+    code, out, _ = run(capsys, "valmat", "--p", "3", "--av", "0", "--n", "2")
+    assert code == 0 and json.loads(out)["agree"] is True
+
+
 @pytest.mark.parametrize("scenario, named", [
     ({"p": 3.0, "ss_primes": [{"degree": 2, "a_v": 0}]}, "p must be an integer"),
     ({"p": 3, "ss_primes": [{"degree": 2.5, "a_v": 0}]}, "degree must be an integer"),
@@ -456,8 +542,8 @@ def test_unprintable_growth_table_is_refused_after_rendering_its_last_row(
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(GROWTH_P3))
     rendered = []
-    to_json = growth.TableRow.to_json
-    monkeypatch.setattr(growth.TableRow, "to_json", lambda row: rendered.append(row.n) or to_json(row))
+    cells = growth.TableRow.cells
+    monkeypatch.setattr(growth.TableRow, "cells", lambda row: rendered.append(row.n) or cells(row))
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     try:

@@ -575,15 +575,13 @@ def test_selfcheck_counts_each_failed_mu_lambda_read_off(monkeypatch):
 
 
 def test_selfcheck_counts_every_growth_composition_comparison(monkeypatch):
-    import dataclasses
-
     from iwagrowth import selfcheck
 
     real = selfcheck.sha_table
 
     def bumped(sc, n_max):
         rows = real(sc, n_max)
-        rows[2] = dataclasses.replace(rows[2], cumulative=rows[2].cumulative + 1)
+        rows[2] = rows[2]._replace(cumulative=rows[2].cumulative + 1)
         return rows
 
     assert selfcheck.check_growth_composition(p_list=(3,), n_max=9).detail == "7 cases"

@@ -133,6 +133,11 @@ REFUSALS |= {
                               f"n_max {NOT_INT} 4.0"),
     "sha_table_bool_n_max": (lambda: growth.sha_table(SCENARIO, True), ValidationError,
                              f"n_max {NOT_INT} True"),
+    "s_term_float_n": (lambda: growth.s_term(SCENARIO, 3.0), ValidationError, f"n {NOT_INT} 3.0"),
+    "t_term_float_n": (lambda: growth.t_term(SCENARIO, 2.0), ValidationError, f"n {NOT_INT} 2.0"),
+    "s_term_bool_n": (lambda: growth.s_term(SCENARIO, True), ValidationError, f"n {NOT_INT} True"),
+    "sha_delta_float_n": (lambda: growth.sha_delta(SCENARIO, 2.0), ValidationError,
+                          f"n {NOT_INT} 2.0"),
     "selfcheck_float_p": (lambda: run_selfcheck((3.0,), 2), ValidationError,
                           "3.0 is not an odd prime"),
     "selfcheck_float_n_max": (lambda: run_selfcheck((3,), 2.0), ValidationError,
