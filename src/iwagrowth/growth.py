@@ -6,11 +6,12 @@ places and mu, lambda, r_inf are user-supplied global invariants.  S and T are
 integers built from logmat.parity_tails: a place whose sign is the carrier
 adds degree * (phi(p^n)*r_v + even), any other place degree * odd.  The
 signs depend only on n's parity, so each scenario sums its places once per
-parity into weights (a, b, c) (GrowthScenario.parity_weights), and a level
-reads S or T = a*phi(p^n) + b*even + c*odd, with even, odd and phi(p^n)
-from the one power p^(n-1) (logmat._tails, parity_tails's unchecked body;
-every public entry point checks n first).  Cumulative tables prefix-sum
-the deltas from a base anchor; each row is a TableRow, a NamedTuple, which
+parity into weights (a, b, c) (GrowthScenario.parity_weights, whose carrier
+is logmat._carrier, the one carrier rule), and a level reads
+S or T = a*phi(p^n) + b*even + c*odd, with even, odd and phi(p^n) from the
+one power p^(n-1) (logmat._tails, parity_tails's unchecked body; every
+public entry point checks n first).  Cumulative tables prefix-sum the
+deltas from a base anchor; each row is a TableRow, a NamedTuple, which
 compares equal to the tuple of its values.
 """
 
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import InfiniteTerm, NotAvZero, ValidationError, require_int, require_level
-from .logmat import FLAT, SHARP, LocalCurveData, _tails, parity_tails, signature
+from .logmat import FLAT, SHARP, LocalCurveData, _carrier, _tails, signature
 
 
 def _require_json(value, kind: type, name: str):
@@ -147,7 +148,7 @@ class GrowthScenario:
         n % 2), summed over the places once, on first use, and then kept."""
         weights = []
         for level in (2, 1):
-            carrier = parity_tails(self.prime, level)[0]
+            carrier = _carrier(level)
             a = b = c = 0
             infinite = []
             for i, (w, data, s) in enumerate(zip(self.ss_primes, self.places,

@@ -10,9 +10,11 @@ Three routes that must agree on finite towers:
 * elementary-divisor oracle: the kernel minus the cokernel length of the
   projection between consecutive levels.  That difference is e_n - e_(n-1),
   the size exponents of Lambda/(f, omega_n), read off from valuation-pivot
-  elimination over Z/p^N of the presentation _omega_columns builds in the
-  group-ring coordinate T = 1 + X, whose first column is T raised n times
-  to the p-th power by the same iwapoly._p_power, mod (h, p^N).  The
+  elimination over Z/p^N (each valuation by padic.int_valuation) of the
+  presentation _omega_columns builds in the group-ring coordinate T = 1 + X.
+  There f is f(T - 1), read by the binomial stream iwapoly._from_t
+  (_shift), and the first column is T raised n times to the p-th power by
+  the same iwapoly._p_power, mod (h, p^N).  The
   content p^mu of f is factored out first: on the Z_p-free group ring of
   rank p^n it adds exactly mu p^n to the size exponent (_size_exponent),
   and only f / p^mu is presented.  Each level doubles its own N from 16
@@ -36,6 +38,7 @@ from .iwapoly import (
     IwaPoly,
     WeierstrassData,
     _divmod,
+    _from_t,
     _mu_lambda,
     _mul,
     _p_power,
@@ -66,6 +69,8 @@ class TowerOfQuotients:
     f: IwaPoly
 
     def __post_init__(self):
+        if not isinstance(self.f, IwaPoly):
+            raise ValidationError(f"defining element must be IwaPoly, got {type(self.f).__name__}")
         if self.f.is_zero:
             raise ValidationError("defining element must be nonzero")
         if self.f.mod_prec is not None:
@@ -146,11 +151,14 @@ def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int)
     valuation v < prec, minimal in its block, every row operation subtracts
     multiples of entries divisible by p^v, and reduction mod p^prec keeps
     that divisibility.  So the pivot search stops at the first entry of the
-    last pivot's valuation.  Each row keeps only its nonzero active entries,
-    and a column-to-rows index lists the active rows with a nonzero in each
-    active column.  So a pivot updates only the rows that meet its column,
-    each over the pivot row's nonzeros, which keeps a banded or circulant
-    matrix cheap.
+    last pivot's valuation.  It keeps p^v for the least valuation v found so
+    far, and values an entry (padic.int_valuation) only when p^v does not
+    divide it, that is, when the entry's valuation is below v: the pivot is
+    the first entry of least valuation in row order.  Each row keeps only
+    its nonzero active entries, and a column-to-rows index lists the active
+    rows with a nonzero in each active column.  So a pivot updates only the
+    rows that meet its column, each over the pivot row's nonzeros, which
+    keeps a banded or circulant matrix cheap.
 
     Raises PrecisionExhausted when a needed pivot is indistinguishable from
     zero at the working modulus: an elementary divisor reaching p^prec, or a
@@ -171,17 +179,12 @@ def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int)
     vals: list[int] = []
     lo = 0  # the active block's least valuation, a lower bound for every pivot
     while act_rows:
-        best = None  # (val, row, col)
+        best = bound = None  # (val, row, col), and p^val: no entry it divides is better
         for i in act_rows:
             for j, x in m[i].items():
-                v = 0
-                while x % p == 0:
-                    x //= p
-                    v += 1
-                    if best is not None and v >= best[0]:
-                        break
-                else:
-                    best = (v, i, j)
+                if bound is None or x % bound:
+                    v = int_valuation(x, p)
+                    best, bound = (v, i, j), p**v
                     if v == lo:
                         break
             if best is not None and best[0] == lo:
@@ -221,13 +224,12 @@ def elementary_divisor_valuations(rows: list[dict[int, int]], p: int, prec: int)
 
 
 def _shift(coeffs) -> list[int]:
-    """g(T) = f(T-1) by the Horner rule g <- g (T - 1) + c_i.  It keeps f's
-    degree and leading coefficient, and g(0) = f(-1)."""
-    g: list[int] = []
-    for c in reversed(coeffs):
-        g = _mul(g, [-1, 1])
-        g[0] += c
-    return g
+    """g(T) = f(T-1), as many coefficients as f has: one iwapoly._from_t
+    readout.  c_k (T - 1)^k is (-1)^k c_k (1 + Y)^k at Y = -T, so g is the
+    stream of the terms {k: (-1)^k c_k} in Y with its odd coefficients
+    negated.  It keeps f's degree and leading coefficient, and g(0) = f(-1)."""
+    g = _from_t({k: -c if k % 2 else c for k, c in enumerate(coeffs) if c})
+    return [-c if j % 2 else c for j, c in enumerate(g)] + [0] * (len(coeffs) - len(g))
 
 
 def _circulant_columns(g, size: int, pn: int) -> list[dict[int, int]]:

@@ -104,8 +104,10 @@ class ExtendedRational:
     __slots__ = ("_value",)
 
     def __init__(self, value: Fraction | int | None = 0):
-        # A Fraction is immutable, so one handed in is kept, not copied.
-        self._value = value if value is None or isinstance(value, Fraction) else Fraction(value)
+        # A Fraction is immutable, so one handed in is kept, not copied.  Any
+        # other value but an int (a bool, a float, a str) is refused.
+        self._value = (value if value is None or isinstance(value, Fraction)
+                       else Fraction(require_int(value, "value")))
 
     @classmethod
     def infinity(cls) -> "ExtendedRational":
@@ -162,11 +164,12 @@ class ExtendedRational:
 
 def _coerce(x):
     """x as an ExtendedRational; NotImplemented unless it is one, an int or
-    a Fraction, so that comparing with or adding anything else falls back to
-    Python's default (unequal, or TypeError) instead of converting it."""
+    a Fraction (a bool is none of these), so that comparing with or adding
+    anything else falls back to Python's default (unequal, or TypeError)
+    instead of converting it."""
     if isinstance(x, ExtendedRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return ExtendedRational(x)
     return NotImplemented
 

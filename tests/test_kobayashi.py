@@ -68,15 +68,16 @@ def _outcome(rows, p, prec):
 
 
 @settings(max_examples=60, deadline=None)
-@given(p=st.sampled_from((3, 5, 7)), c=st.integers(0, 3),
+@given(p=st.sampled_from((3, 5, 7)), c=st.integers(0, 40),
        rows=st.integers(1, 4).flatmap(lambda k: st.lists(
            st.lists(st.integers(-30, 30), min_size=k, max_size=k),
            min_size=k, max_size=k)))
 @example(p=3, c=2, rows=[[1, 1], [1, 4]])  # least valuation rises from 2 to 3
 def test_divisors_shift_under_scaling(p, c, rows):
     # p^c * A has the divisors of A, each times p^c.  A is eliminated at
-    # p^(prec - c), so each outcome holds exactly when the other does.
-    prec = 12
+    # p^(prec - c), so each outcome holds exactly when the other does.  A c
+    # past 16 gives pivots past int_valuation's plain steps.
+    prec = 12 + c
     scaled = [[p**c * x for x in row] for row in rows]
     base = _outcome(_sparse(rows), p, prec - c)
     expect = base if base == "exhausted" else [v + c for v in base]
@@ -226,7 +227,10 @@ def test_involution_and_circulant_give_the_same_size(case):
     assert rev == _size(_circulant_columns(_shift(f.coeffs), p**m, p**prec), p, prec)
 
 
-@given(st.lists(st.integers(-100, 100), min_size=1, max_size=8), st.integers(-20, 20))
+@given(st.lists(st.integers(-100, 100), min_size=1, max_size=40), st.integers(-20, 20))
+@example([3, 0, 0, -2, 0, 1], 5)  # interior zeros
+@example([0, 4, 0, 0], -3)  # trailing zeros: g keeps f's length and its zero lead
+@example([0, 0, 0], 7)
 def test_shift_is_f_at_t_minus_one(coeffs, t):
     g = _shift(coeffs)
     value = lambda a, x: sum(c * x**i for i, c in enumerate(a))  # noqa: E731

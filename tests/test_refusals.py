@@ -9,7 +9,7 @@ from iwagrowth import growth, iwapoly, kobayashi, lattice, logmat
 from iwagrowth.errors import ValidationError
 from iwagrowth.iwapoly import (IwaPoly, WeierstrassData, coprime_to_omega, omega, ord_eps, phi_poly,
                                totient)
-from iwagrowth.padic import INF, PadicUnit, require_odd_prime, unit_from_int
+from iwagrowth.padic import INF, ExtendedRational, PadicUnit, require_odd_prime, unit_from_int
 from iwagrowth.polyres import omega_resultant, resultant, resultant_bareiss
 from iwagrowth.selfcheck import run_selfcheck
 
@@ -55,6 +55,10 @@ REFUSALS = {
     "no_primes": (lambda: run_selfcheck(p_list=()), ValidationError, "need at least one prime"),
     "lattice_pair_int": (lambda: lattice.LatticePair(1, 2), ValidationError,
                          "coordinates must be IwaPoly"),
+    "tower_str_f": (lambda: kobayashi.TowerOfQuotients("f"), ValidationError,
+                    "defining element must be IwaPoly, got str"),
+    "tower_none_f": (lambda: kobayashi.TowerOfQuotients(None), ValidationError,
+                     "defining element must be IwaPoly, got NoneType"),
     "det_structure_check_mixed_primes": (
         lambda: logmat.det_structure_check(logmat.LocalCurveData(3, 0), 2,
                                            logmat.h_matrix(logmat.LocalCurveData(5, 0), 2)),
@@ -162,6 +166,14 @@ REFUSALS |= {
                                      ValidationError, "4 is not an odd prime"),
     "totient_float_p": (lambda: totient(3.0, 2), ValidationError, f"p {NOT_INT} 3.0"),
     "totient_bool_n": (lambda: totient(3, True), ValidationError, f"n {NOT_INT} True"),
+    "extended_rational_float": (lambda: ExtendedRational(0.1), ValidationError,
+                                f"value {NOT_INT} 0.1"),
+    "extended_rational_bool": (lambda: ExtendedRational(True), ValidationError,
+                               f"value {NOT_INT} True"),
+    "extended_rational_fraction_str": (lambda: ExtendedRational("1/2"), ValidationError,
+                                       f"value {NOT_INT} '1/2'"),
+    "extended_rational_str": (lambda: ExtendedRational("x"), ValidationError,
+                              f"value {NOT_INT} 'x'"),
 }
 
 # A sequence of integers that is not iterable at all, a foreign H, a place
